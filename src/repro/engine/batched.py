@@ -16,21 +16,30 @@ constant period Δ.  This engine exploits that structure twice:
    arithmetic the event kernel performs via request/release events, so
    uncontended and FIFO-contended timings are reproduced bit-for-bit.
 
-2. **Frame-wave jumps.**  The transfer stage anchors a snapshot every
-   frame: per-stage frame counts and anchor deltas, per-store occupancy,
-   per-resource ``free_at`` offsets and the last period's metric samples
-   (held in numpy arrays for the vectorised closeness checks).  Three
-   consecutive matching snapshots mean the run is periodic; the engine
-   then advances every clock, heap entry, store item and resource by
-   ``J·Δ`` in one step and synthesises the skipped frames' metrics from
-   the observed period.  Because render costs vary per frame (the
-   workload carries real per-frame culling statistics), a jump is taken
-   only when the variation is provably absorbed by a blocking hand-off:
-   the renderer/MCPC must have been *blocked* at its rendezvous and
-   every skipped frame's cost must fit inside the observed blocking
-   window (checked as one vectorised numpy pass over the skipped
-   frames).  Runs whose phase never becomes periodic simply execute
-   coarsely to the end — correct, just without the extra multiple.
+2. **Windowed frame-wave jumps.**  The completion stage (transfer, or
+   the lone single-core stage) takes a snapshot every frame: per-stage
+   frame counts and anchor deltas, per-store occupancy, per-resource
+   ``free_at`` offsets, the newest frames' birth offsets and the last
+   period's metric samples (numpy arrays for the vectorised
+   closeness checks).  Three snapshots ``k`` frames apart that agree
+   *lock* a period ``D`` of ``k`` frames (``k ≤ 8``; ``k = 1`` is the
+   plain period ``Δ``, larger ``k`` a super-period such as a transfer
+   period alternating between two floats).  The engine then advances
+   every clock, heap entry, store item and resource by ``J·D`` in one
+   step, synthesises the skipped frames' metrics from the locked
+   period, and re-locks from scratch.  Render costs vary per frame
+   (the workload carries real per-frame culling statistics, piecewise
+   constant over the walkthrough), so each costed stage reports the
+   longest *admissible prefix* of its remaining frames — one
+   vectorised scan of a per-run cost table — and the jump is the
+   ``min`` of those prefixes.  A frame is admissible when its cost is
+   bit-equal to the locked pattern's (frame ``f - k``), or, for a
+   stage observed *blocked* at its hand-off, when the cost fits inside
+   the observed blocking window.  The jump therefore stops just before
+   the next cost change the schedule could feel; the engine simulates
+   that frame live and jumps again once the phase re-locks.  Runs
+   whose phase never becomes periodic simply execute coarsely to the
+   end — correct, just without the extra multiple.
 
 Telemetry and tracing do **not** decline: :mod:`repro.engine.telsynth`
 re-derives the event engine's span/counter stream from the coarse-op
@@ -58,7 +67,7 @@ from ..host import MCPCConfig
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
-from ..sim import Simulator, TimeSeries
+from ..sim import Simulator, StatAccumulator, TimeSeries
 from ..telemetry import Telemetry
 from .telsynth import StepMeta, TelemetrySynth, make_synth
 
@@ -69,6 +78,8 @@ __all__ = ["BatchedEngine", "BATCHED_DECLINE_REASONS",
 #: relative tolerance for "two periods look identical" float comparisons
 _RTOL = 1e-9
 _ATOL = 1e-12
+#: longest super-period (in frames) the detector tries to lock
+_MAX_K = 8
 
 Op = Tuple[Any, ...]
 Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
@@ -199,6 +210,40 @@ def _idle_value(t: float, wait_start: float) -> float:
     return t - (t - seconds)
 
 
+def admissible_prefix(costs: np.ndarray, start: int, count: int, k: int,
+                      window: Optional[float] = None) -> int:
+    """How many frames ``start, start+1, …`` (at most ``count``) a jump
+    locked on a ``k``-frame period may cover.
+
+    Frame ``f`` is admissible when its cost is bit-equal to frame
+    ``f - k``'s — the locked pattern simply continues — or, when the
+    stage was observed blocked, when the cost fits ``window`` (the
+    schedule waits for the hand-off either way).  The prefix ends at the
+    first frame that is neither.
+    """
+    seg = costs[start:start + count]
+    ok = seg == costs[start - k:start - k + seg.size]
+    if window is not None:
+        ok |= seg <= window
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else int(seg.size)
+
+
+def _close(a: np.ndarray, b: Any, atol: float) -> np.ndarray:
+    """``np.isclose(a, b, rtol=_RTOL, atol=atol)`` without its NaN/inf
+    generality (a NaN never matches) — and without its call overhead,
+    which dominated the per-frame detector."""
+    return np.asarray(np.abs(a - b) <= atol + _RTOL * np.abs(b))
+
+
+def _replica(i: int, k: int) -> Tuple[int, int]:
+    """Skipped item ``i`` (1-based) of a ``k``-frame locked period is
+    item ``offset`` (``-k < offset <= 0``, relative to the last observed
+    one) repeated ``m`` periods later."""
+    m = -(-i // k)
+    return i - m * k, m
+
+
 # ---------------------------------------------------------------------------
 # actors: one per pipeline stage
 # ---------------------------------------------------------------------------
@@ -262,15 +307,16 @@ class _Actor:
             if store.shift is not None and op[2] is not None:
                 self.pending = (1, (op[0], store, store.shift(op[2], j)))
 
-    def budget_ok(self, j: int, delta: float) -> bool:
-        """May the next ``j`` frames be skipped despite varying costs?
+    def max_jump(self, limit: int, delta: float, k: int) -> int:
+        """Most frames (``<= limit``) a jump locked on a ``k``-frame
+        period of mean frame time ``delta`` may skip for this stage.
 
-        Stages with frame-independent costs always agree; the renderer
-        actors override this with their blocking-window checks.
+        Stages with frame-independent costs never limit the jump; the
+        costed stages scan their cost tables.
         """
-        return True
+        return limit
 
-    def synthesize(self, j: int, delta: float) -> None:
+    def synthesize(self, j: int, k: int, period: float) -> None:
         """Record the per-actor side effects of ``j`` skipped frames."""
 
     def __repr__(self) -> str:
@@ -471,10 +517,51 @@ class _ConnectActor(_Actor):
             self.cur_item = (self.cur_item[0] + j, self.cur_item[1])
 
 
-class _SingleRendererActor(_Actor):
-    """one_renderer's render core: full frame, strip sends to pipelines."""
+class _CostedActor(_Actor):
+    """A stage whose compute cost varies per frame.
 
-    varies = True
+    The per-frame costs come from one table built when the body starts
+    (a list for the live loop, an array for the admissibility scan).
+    Each frame draws its cost at its loop top, before any snapshot can
+    see it, so the frame in flight at a lock already carries its cost
+    forward: a ``j``-frame jump relabels it ``frame + j`` and must
+    admit frames ``frame … frame + j``.
+    """
+
+    #: per-frame time after the compute that the blocking window must
+    #: also absorb (the MCPC's uplink)
+    slack = 0.0
+
+    def __init__(self, eng: "BatchedEngine", key: str, core_id: int) -> None:
+        super().__init__(eng, key, core_id)
+        self.cost_arr = np.empty(0)
+        #: the latest frames' blocking windows: loop top -> hand-off grant
+        #: (durations, so jump-safe), None for a frame that was not blocked
+        self.windows: deque = deque(maxlen=_MAX_K)
+
+    def _frame_compute(self, frame: int) -> float:
+        raise NotImplementedError
+
+    def _cost_table(self) -> List[float]:
+        costs = [self._frame_compute(f) for f in range(self.eng.frames)]
+        self.cost_arr = np.array(costs)
+        return costs
+
+    def max_jump(self, limit: int, delta: float, k: int) -> int:
+        # A frame whose compute ends before its hand-off would have been
+        # granted leaves the schedule untouched.  Each phase of a
+        # super-period has its own window: the last k frames cover them
+        # all, and the narrowest bounds every phase.
+        recent = list(self.windows)[-k:]
+        window: Optional[float] = None
+        if len(recent) == k and None not in recent:
+            window = min(recent) - self.slack - _RTOL * delta
+        return admissible_prefix(self.cost_arr, self.frame, limit + 1, k,
+                                 window) - 1
+
+
+class _SingleRendererActor(_CostedActor):
+    """one_renderer's render core: full frame, strip sends to pipelines."""
 
     def __init__(self, eng: "BatchedEngine", core_id: int, key: str,
                  out_chans: List[_Chan], write_progs: List[Prog],
@@ -483,10 +570,6 @@ class _SingleRendererActor(_Actor):
         self.out_chans = out_chans
         self.write_progs = write_progs
         self.strip_nbytes = strip_nbytes
-        # observed blocking window of the last completed frame: loop top
-        # -> first rendezvous token grant (durations, jump-safe)
-        self.obs_window = 0.0
-        self.obs_blocked = False
         self.first_arr: Optional[float] = None
 
     def _frame_compute(self, frame: int) -> float:
@@ -500,20 +583,23 @@ class _SingleRendererActor(_Actor):
         synth = eng.synth
         busy = eng.busy_samples[self.key]
         births = eng.births
+        costs = self._cost_table()
         n = len(self.out_chans)
         while self.frame < eng.frames:
             self.anchor()
             self.span_start = self.t
             births.setdefault(self.frame, self.t)
-            yield ("d", self._frame_compute(self.frame))
+            yield ("d", costs[self.frame])
             self.first_arr = self.t
             for p in range(n):
                 chan = self.out_chans[p]
                 self.wait_start = self.t
                 yield ("g", chan.recv_posted)
                 if p == 0:
-                    self.obs_window = self.t - self.span_start
-                    self.obs_blocked = self.t > self.first_arr
+                    # the downstream token arrives at a pinned period
+                    self.windows.append(self.t - self.span_start
+                                        if self.t > self.first_arr
+                                        else None)
                 if synth is not None:
                     assert self.wait_start is not None
                     synth.rendezvous(chan.src, chan.dst, self.wait_start,
@@ -536,29 +622,6 @@ class _SingleRendererActor(_Actor):
         if self.first_arr is not None:
             self.first_arr += s
 
-    def budget_ok(self, j: int, delta: float) -> bool:
-        """Skipped frames must fit inside the observed blocking window.
-
-        The downstream token arrives at a pinned period; as long as each
-        skipped frame's compute ends before its token would have been
-        granted, the renderer's output times stay on the observed
-        schedule and the variation is invisible downstream.
-        """
-        if not self.obs_blocked:
-            return False
-        costs = np.array([self._frame_compute(f)
-                          for f in range(self.frame, self.frame + j + 1)])
-        return bool(np.max(costs) <= self.obs_window - _RTOL * delta)
-
-    def synthesize(self, j: int, delta: float) -> None:
-        births = self.eng.births
-        assert self.span_start is not None
-        for i in range(1, j):
-            f = self.frame + i
-            v = self.span_start + i * delta
-            if f not in births or v < births[f]:
-                births[f] = v
-
 
 class _StripRendererActor(_SingleRendererActor):
     """n_renderers' per-pipeline sort-first renderer."""
@@ -578,10 +641,8 @@ class _StripRendererActor(_SingleRendererActor):
             self.core_id, eng.cost.render_seconds(profile, sort_first=True))
 
 
-class _MCPCActor(_Actor):
+class _MCPCActor(_CostedActor):
     """mcpc_renderer's host process: render, uplink, enqueue."""
-
-    varies = True
 
     def __init__(self, eng: "BatchedEngine", queue: _Store,
                  uplink_prog: Prog, uplink_seconds: float) -> None:
@@ -589,16 +650,13 @@ class _MCPCActor(_Actor):
         self.queue = queue
         self.uplink_prog = uplink_prog
         #: static uplink occupancy + latency per frame
-        self.uplink_seconds = uplink_seconds
+        self.slack = uplink_seconds
         self.in_compute = False
         self.seg_start: Optional[float] = None
         self.cur_dur = 0.0
         self.post_t: Optional[float] = None
         #: jump-safe loop-top time (start of the host busy span)
         self.loop_top: Optional[float] = None
-        # last completed frame's loop-top -> put-grant window (duration)
-        self.obs_window = 0.0
-        self.obs_blocked = False
 
     def _frame_compute(self, frame: int) -> float:
         eng = self.eng
@@ -609,26 +667,31 @@ class _MCPCActor(_Actor):
         eng = self.eng
         synth = eng.synth
         births = eng.births
+        costs = self._cost_table()
         while self.frame < eng.frames:
             self.anchor()
             top = self.t
             self.loop_top = self.t
             births.setdefault(self.frame, self.t)
-            d = self._frame_compute(self.frame)
+            d = costs[self.frame]
             self.seg_start = self.t
             self.cur_dur = d
             self.in_compute = True
             yield ("d", d)
             self.in_compute = False
-            eng.mcpc_segments.append((self.seg_start, d))
+            # the frame's own cost: a jump may have renamed this compute
+            # (its timing absorbed by the blocking window)
+            eng.mcpc_segments.append((self.seg_start, costs[self.frame]))
             yield ("s", self.uplink_prog)
             self.post_t = self.t
             yield ("p", self.queue, (self.frame, None))
             if synth is not None:
                 assert self.loop_top is not None
                 synth.host_busy(self.loop_top, self.t, self.frame)
-            self.obs_window = self.t - top
-            self.obs_blocked = self.t > self.post_t
+            # the capacity-2 SIF socket pins the host to the connect
+            # stage's period: loop top -> put grant
+            self.windows.append(self.t - top if self.t > self.post_t
+                                else None)
             self.frame += 1
 
     def shift(self, s: float, j: int) -> None:
@@ -640,67 +703,61 @@ class _MCPCActor(_Actor):
         if self.loop_top is not None:
             self.loop_top += s
 
-    def budget_ok(self, j: int, delta: float) -> bool:
-        """Render + uplink of every skipped frame must fit the observed
-        loop-top -> put-grant window (the capacity-2 SIF socket is what
-        pins the host to the connect stage's period)."""
-        if not self.obs_blocked:
-            return False
-        allowed = self.obs_window - self.uplink_seconds - _RTOL * delta
-        costs = np.array([self._frame_compute(f)
-                          for f in range(self.frame, self.frame + j + 1)])
-        return bool(np.max(costs) <= allowed)
+    def synthesize(self, j: int, k: int, period: float) -> None:
+        """Power segments for the skipped host frames.
 
-    def synthesize(self, j: int, delta: float) -> None:
-        """Power segments and births for the skipped host frames.
-
-        Real per-frame render costs are used for the synthetic segments;
-        only the renamed in-flight frame keeps its old duration (a
-        cost-swap well inside the committed energy tolerance).
+        Each skipped frame's segment starts where the locked period puts
+        it and lasts that frame's real render cost.
         """
-        eng = self.eng
-        births = eng.births
+        segs = self.eng.mcpc_segments
         a0 = self.frame
-        assert self.seg_start is not None and self.anchor_t is not None
-        base = self.seg_start
+        assert self.seg_start is not None
+        last = j
         if self.in_compute:
             # the pending segment becomes frame a0+j's (shifted later);
             # record frame a0's segment as the event engine would have
-            eng.mcpc_segments.append((base, self.cur_dur))
-            middle = range(1, j)
-        else:
-            middle = range(1, j + 1)
-        for i in middle:
-            eng.mcpc_segments.append((base + i * delta,
-                                      self._frame_compute(a0 + i)))
-        for i in range(1, j):
-            births.setdefault(a0 + i, self.anchor_t + i * delta)
+            segs.append((self.seg_start, self.cur_dur))
+            last = j - 1
+        # segs[-1] is frame a0's segment, segs[-1-r] frame a0-r's
+        n = len(segs)
+        for i in range(1, last + 1):
+            offset, m = _replica(i, k)
+            segs.append((segs[n - 1 + offset][0] + m * period,
+                         self.cost_arr.item(a0 + i)))
 
 
-class _SingleCoreActor(_Actor):
-    """The 382 s baseline; frame costs vary, so it never jumps — the
-    coarse loop alone (two ops per frame) is already near-free."""
+class _SingleCoreActor(_CostedActor):
+    """The 382 s baseline: one stage, compute then downlink.
 
-    varies = True
+    It is also its own completion stage, so it triggers the snapshots —
+    right after each frame's compute, where the renderers' in-flight
+    frame sits too, so the shared admissibility rule applies unchanged.
+    It is never blocked: only the equal-cost rule lets it jump.
+    """
 
     def __init__(self, eng: "BatchedEngine", core_id: int,
                  downlink_prog: Prog) -> None:
         super().__init__(eng, "single-core", core_id)
         self.downlink_prog = downlink_prog
 
+    def _frame_compute(self, frame: int) -> float:
+        eng = self.eng
+        return eng.chip.compute_time(
+            self.core_id,
+            eng.cost.single_core_frame_seconds(eng.workload.profile(frame)))
+
     def body(self) -> Generator[Op, Any, None]:
         eng = self.eng
         synth = eng.synth
         busy = eng.busy_samples[self.key]
         births = eng.births
+        costs = self._cost_table()
         while self.frame < eng.frames:
             self.anchor()
             self.span_start = self.t
             births.setdefault(self.frame, self.t)
-            yield ("d", eng.chip.compute_time(
-                self.core_id,
-                eng.cost.single_core_frame_seconds(
-                    eng.workload.profile(self.frame))))
+            yield ("d", costs[self.frame])
+            eng.on_trigger_anchor(self)
             yield ("s", self.downlink_prog)
             eng.record_completion(self.frame, self.t)
             busy.append(self.t - self.span_start)
@@ -710,25 +767,22 @@ class _SingleCoreActor(_Actor):
                                  self.frame)
             self.frame += 1
 
-    def budget_ok(self, j: int, delta: float) -> bool:
-        return False
-
 
 # ---------------------------------------------------------------------------
 # snapshots
 # ---------------------------------------------------------------------------
 
 class _Snapshot:
-    """Phase signature of the run at one transfer-stage anchor."""
+    """Phase signature of the run at one completion-stage snapshot."""
 
     __slots__ = ("T", "frames", "ops", "deltas", "stores", "res_off",
-                 "mc_busy", "lens", "tel")
+                 "birth_off", "mc_busy", "lens", "tel")
 
     def __init__(self, T: float, frames: Tuple[int, ...],
                  ops: Tuple[int, ...], deltas: np.ndarray,
                  stores: Tuple[Tuple[int, int, int], ...],
-                 res_off: np.ndarray, mc_busy: np.ndarray,
-                 lens: Dict[Tuple[str, str], int],
+                 res_off: np.ndarray, birth_off: np.ndarray,
+                 mc_busy: np.ndarray, lens: Dict[Tuple[str, str], int],
                  tel: Optional[Any] = None) -> None:
         self.T = T
         self.frames = frames
@@ -736,6 +790,9 @@ class _Snapshot:
         self.deltas = deltas
         self.stores = stores
         self.res_off = res_off
+        #: the newest births relative to T (NaN = none): a jump continues
+        #: their pattern past the head frame, so they must repeat too
+        self.birth_off = birth_off
         self.mc_busy = mc_busy
         self.lens = lens
         #: telsynth phase signature (event count + counter/gauge state)
@@ -790,11 +847,14 @@ class BatchedEngine:
         self.latency_samples: List[float] = []
         self.mcpc_segments: List[Tuple[float, float]] = []
         self.end_time = 0.0
-        #: jump bookkeeping (exposed for tests/benchmarks)
+        #: jump bookkeeping (exposed for tests/benchmarks): one
+        #: ``(trigger frame, frames skipped, locked period)`` per jump,
+        #: and the locked period's length in frames (1 = plain Δ)
         self.jumps: List[Tuple[int, int, float]] = []
+        self.strides: List[int] = []
         self.frames_simulated = 0
-        self._snap1: Optional[_Snapshot] = None
-        self._snap2: Optional[_Snapshot] = None
+        #: the last 2·_MAX_K + 1 snapshots, oldest first
+        self._hist: deque = deque(maxlen=2 * _MAX_K + 1)
         self._build()
 
     # -- program construction ---------------------------------------------
@@ -1250,13 +1310,17 @@ class BatchedEngine:
                            for a in self.actors])
         stores = tuple(s.signature() for s in self.stores)
         res_off = np.array([r.free_at - T for r in self._all_res])
+        births = self.births
+        head = max(frames)
+        birth_off = np.array([births.get(f, np.nan) - T
+                              for f in range(head - _MAX_K + 1, head + 1)])
         mc_busy = np.array([r.busy_until(T) for r in self._mc_res])
         lens = {("i", k): len(v) for k, v in self.idle_samples.items()}
         lens.update({("b", k): len(v)
                      for k, v in self.busy_samples.items()})
         tel = self.synth.phase_sig() if self.synth is not None else None
-        return _Snapshot(T, frames, ops, deltas, stores, res_off, mc_busy,
-                         lens, tel)
+        return _Snapshot(T, frames, ops, deltas, stores, res_off, birth_off,
+                         mc_busy, lens, tel)
 
     def _slices_match(self, snap: _Snapshot, prev: _Snapshot,
                       prev2: _Snapshot) -> bool:
@@ -1267,34 +1331,40 @@ class BatchedEngine:
                 l2, l1, l0 = prev2.lens[k], prev.lens[k], snap.lens[k]
                 if l0 - l1 != l1 - l2:
                     return False
-                a = np.array(lst[l1:l0])
-                b = np.array(lst[l2:l1])
-                if a.size and not np.allclose(a, b, rtol=_RTOL, atol=_ATOL):
-                    return False
+                # a period's slice is a handful of floats: plain Python
+                # beats numpy's per-call overhead here
+                for a, b in zip(lst[l1:l0], lst[l2:l1]):
+                    if abs(a - b) > _ATOL + _RTOL * abs(b):
+                        return False
         return True
 
-    def _steady(self, snap: _Snapshot, prev: _Snapshot,
-                prev2: _Snapshot) -> Optional[float]:
-        """Period Δ when the last three snapshots agree, else None."""
+    def _steady(self, snap: _Snapshot, prev: _Snapshot, prev2: _Snapshot,
+                k: int) -> Optional[float]:
+        """Locked period ``D`` when three snapshots ``k`` frames apart
+        agree, else None."""
         delta = snap.T - prev.T
         if delta <= 0.0 or not math.isclose(prev.T - prev2.T, delta,
                                             rel_tol=_RTOL, abs_tol=_ATOL):
             return None
         for new, old in ((snap, prev), (prev, prev2)):
-            if any(nf - of != 1 for nf, of in zip(new.frames, old.frames)):
+            if any(nf - of != k for nf, of in zip(new.frames, old.frames)):
                 return None
         if snap.ops != prev.ops or prev.ops != prev2.ops:
             return None
-        if np.any(np.isnan(snap.deltas)) or not np.allclose(
-                snap.deltas, delta, rtol=_RTOL, atol=_ATOL * max(1.0, delta)):
+        atol = _ATOL * max(1.0, delta)
+        # every stage's last frame took Δ (k = 1), or the per-frame
+        # spacings repeat with the super-period (k > 1)
+        spacing = delta if k == 1 else prev.deltas
+        if not _close(snap.deltas, spacing, atol).all():
             return None
         if snap.stores != prev.stores:
             return None
         # resources either repeat their phase offset or are long idle
-        off_ok = (np.isclose(snap.res_off, prev.res_off,
-                             rtol=_RTOL, atol=_ATOL * max(1.0, delta))
+        off_ok = (_close(snap.res_off, prev.res_off, atol)
                   | ((snap.res_off < -delta) & (prev.res_off < -delta)))
-        if not np.all(off_ok):
+        if not off_ok.all():
+            return None
+        if not _close(snap.birth_off[-k:], prev.birth_off[-k:], atol).all():
             return None
         if not self._slices_match(snap, prev, prev2):
             return None
@@ -1308,64 +1378,76 @@ class BatchedEngine:
     def on_trigger_anchor(self, trig: _Actor) -> None:
         self.frames_simulated += 1
         snap = self._snapshot(trig)
-        prev, prev2 = self._snap1, self._snap2
-        self._snap2 = prev
-        self._snap1 = snap
-        if prev is None or prev2 is None:
-            return
-        delta = self._steady(snap, prev, prev2)
-        if delta is None:
-            return
+        hist = self._hist
+        hist.append(snap)
         if any(a.done for a in self.actors):
             return
+        period: Optional[float] = None
+        for k in range(1, _MAX_K + 1):
+            if len(hist) < 2 * k + 1:
+                return
+            period = self._steady(snap, hist[-1 - k], hist[-1 - 2 * k], k)
+            if period is not None:
+                break
+        if period is None:
+            return
+        # the windowed jump: every stage's longest admissible prefix
         j = min(self.frames - 1 - a.frame for a in self.actors)
-        if j < 2:
-            return
-        if not all(a.budget_ok(j, delta) for a in self.actors):
-            return
-        self._jump(trig, j, delta, snap, prev)
+        for a in self.actors:
+            j = a.max_jump(j, period / k, k)
+            if j < max(2, k):
+                return
+        self._jump(trig, j // k, k, period, snap, hist[-1 - k])
 
     # -- the wave jump ----------------------------------------------------
-    def _jump(self, trig: _Actor, j: int, delta: float, snap: _Snapshot,
-              prev: _Snapshot) -> None:
-        """Advance the whole run by ``j`` periods in one step."""
-        s = j * delta
-        self.jumps.append((trig.frame, j, delta))
+    def _jump(self, trig: _Actor, waves: int, k: int, period: float,
+              snap: _Snapshot, prev: _Snapshot) -> None:
+        """Advance the whole run by ``waves`` locked periods of ``k``
+        frames each, ``prev`` being the snapshot one period back."""
+        j = waves * k
+        s = waves * period
+        self.jumps.append((trig.frame, j, period))
+        self.strides.append(k)
 
-        # 1. repeat the last observed period's metric samples j times
+        # 1. repeat the locked period's metric samples
         for tag, samples in (("i", self.idle_samples),
                              ("b", self.busy_samples)):
             for key, lst in samples.items():
-                k = (tag, key)
-                sl = lst[prev.lens[k]:snap.lens[k]]
+                lk = (tag, key)
+                sl = lst[prev.lens[lk]:snap.lens[lk]]
                 if sl:
-                    lst.extend(sl * j)
+                    lst.extend(sl * waves)
 
-        # 2. actor-specific synthesis (births, MCPC power segments)
+        # 2. actor-specific synthesis (MCPC power segments)
         for a in self.actors:
-            a.synthesize(j, delta)
+            a.synthesize(j, k, period)
 
-        # 3. completions + latencies of the skipped frames
-        last_f, last_t = self.completions[-1]
+        # 3. births: frames up to the head frame keep the times they
+        # were really born at; every frame past it — skipped, or renamed
+        # in flight — continues the locked pattern of the newest births
+        births = self.births
+        head = max(a.frame for a in self.actors)
+        for f in range(head + 1, head + j + 1):
+            offset, m = _replica(f - head, k)
+            births[f] = births[head + offset] + m * period
+
+        # 4. completions + latencies of the skipped frames
+        done = self.completions
+        last_f = done[-1][0]
+        n = len(done)
         for i in range(1, j + 1):
+            offset, m = _replica(i, k)
             f = last_f + i
-            t = last_t + i * delta
-            self.completions.append((f, t))
-            birth = self.births.get(f)
+            t = done[n - 1 + offset][1] + m * period
+            done.append((f, t))
+            birth = births.get(f)
             if birth is not None:
                 self.latency_samples.append(t - birth)
-
-        # 4. renumber the in-flight frames' births (identity f -> f+j)
-        max_frame = max(a.frame for a in self.actors)
-        for f in range(trig.frame, max_frame + 1):
-            b = self.births.get(f)
-            if b is not None:
-                self.births[f + j] = b + s
 
         # 5. resources: accrue the skipped busy time, shift the clocks
         mc_accrued = snap.mc_busy - prev.mc_busy
         for r, accrued in zip(self._mc_res, mc_accrued):
-            for _ in range(j):
+            for _ in range(waves):
                 # one add per skipped period, mirroring the event
                 # kernel's per-period interval closes bit-for-bit:
                 r.busy_time += float(accrued)  # lint: disable=DET007
@@ -1394,9 +1476,11 @@ class BatchedEngine:
         # advance counters in closed form, mark the wave for live sinks
         if self.synth is not None:
             assert prev.tel is not None and snap.tel is not None
-            self.synth.jump(j, delta, prev.tel, snap.tel, trig.t)
+            self.synth.jump(waves, period, prev.tel, snap.tel, trig.t,
+                            stride=k)
 
-        self._snap1 = self._snap2 = None
+        # re-lock from scratch: the jump stopped short of a cost change
+        self._hist.clear()
 
     # -- result assembly ---------------------------------------------------
     def run(self) -> RunResult:
@@ -1413,15 +1497,20 @@ class BatchedEngine:
 
         metrics = RunMetrics()
         metrics.frame_birth = dict(self.births)
-        for key, vals in self.idle_samples.items():
-            for v in vals:
-                metrics.record_idle(key, v)
-        for key, vals in self.busy_samples.items():
-            for v in vals:
-                metrics.record_busy(key, v)
+        # what record_idle/record_busy would build sample by sample (same
+        # keys, same order, same running sums), without the per-sample
+        # call and accumulator construction that dominated jumped runs
+        for accs, samples in ((metrics.idle, self.idle_samples),
+                              (metrics.busy, self.busy_samples)):
+            for key, vals in samples.items():
+                if not vals:
+                    continue
+                if min(vals) < 0:
+                    raise ValueError(f"{key}: negative stage time")
+                acc = accs[key] = StatAccumulator(key)
+                acc.extend(vals)
         metrics.frame_completions = list(self.completions)
-        for v in self.latency_samples:
-            metrics.latency.add(v)
+        metrics.latency.extend(self.latency_samples)
 
         mcfg = self.mcpc_config
         mcpc_trace = TimeSeries("mcpc_power", initial=mcfg.power_idle_w)

@@ -193,22 +193,26 @@ class TelemetrySynth:
         return True
 
     def jump(self, waves: int, delta: float, prev: PhaseSig,
-             snap: PhaseSig, t_wave: float) -> None:
-        """Advance the telemetry stream past ``waves`` skipped periods.
+             snap: PhaseSig, t_wave: float, stride: int) -> None:
+        """Advance the telemetry stream past ``waves`` skipped periods
+        of ``stride`` frames each.
 
         O(1) in ``waves``: the captured period becomes a periodic block
         on the hub and every counter advances by ``period delta x
         waves`` in one increment.  A single ``engine/wave`` instant
-        marks the jump for live sinks (progress heartbeats).
+        marks the jump for live sinks (progress heartbeats), carrying
+        the frames skipped and the mean frame period.
         """
         if self.hub.enabled:
-            self.hub.add_periodic_block(prev[0], snap[0], waves, delta)
+            self.hub.add_periodic_block(prev[0], snap[0], waves, delta,
+                                        stride=stride)
         if self.detail:
             for name, value in snap[1].items():
                 d = value - prev[1].get(name, 0.0)
                 if d:
                     self.counters.inc(name, d * waves)
-        self.hub.emit("engine", "wave", t_wave, frames=waves, dt=delta)
+        self.hub.emit("engine", "wave", t_wave, frames=waves * stride,
+                      dt=delta / stride)
 
     # -- end-of-run products ----------------------------------------------
     def build_trace(self) -> TraceRecorder:

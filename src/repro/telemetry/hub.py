@@ -114,10 +114,11 @@ class Telemetry:
         self.counters = CounterRegistry()
         self._events: List[TelemetryEvent] = []
         self._sinks: List[Sink] = []
-        # Periodic blocks: (start, end, repeats, dt) index windows into
-        # ``_events`` whose replicas at offsets k*dt (k = 1..repeats) are
-        # expanded lazily by ``_materialize``.
-        self._blocks: List[Tuple[int, int, int, float]] = []
+        # Periodic blocks: (start, end, repeats, dt, stride) index windows
+        # into ``_events`` whose replicas at offsets k*dt (k = 1..repeats),
+        # frames advanced by k*stride, are expanded lazily by
+        # ``_materialize``.
+        self._blocks: List[Tuple[int, int, int, float, int]] = []
         self._materialized: Optional[
             Tuple[Tuple[int, int], List[TelemetryEvent]]] = None
         # Optional runtime sanitizer suite (repro.analysis.sanitizers).
@@ -197,10 +198,11 @@ class Telemetry:
 
     # -- periodic blocks -----------------------------------------------------
     def add_periodic_block(self, start: int, end: int, repeats: int,
-                           dt: float) -> None:
+                           dt: float, stride: int = 1) -> None:
         """Declare that ``_events[start:end]`` repeats ``repeats`` more
         times at period ``dt`` (replica ``k`` shifted by ``k * dt`` with
-        integer ``frame``/``tag`` fields advanced by ``k``).
+        integer ``frame``/``tag`` fields advanced by ``k * stride``, the
+        block spanning ``stride`` frames).
 
         Blocks must be registered in stream order: ``start`` may not
         reach back before the previous block's ``end``.  Registration is
@@ -218,7 +220,7 @@ class Telemetry:
             raise ValueError("repeats must be >= 1")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self._blocks.append((start, end, repeats, dt))
+        self._blocks.append((start, end, repeats, dt, stride))
 
     def _materialize(self) -> List[TelemetryEvent]:
         """Retained events with every periodic block expanded in place."""
@@ -230,13 +232,14 @@ class Telemetry:
             return out
         expanded: List[TelemetryEvent] = []
         cursor = 0
-        for start, end, repeats, dt in self._blocks:
+        for start, end, repeats, dt, stride in self._blocks:
             expanded.extend(self._events[cursor:end])
             window = self._events[start:end]
             for k in range(1, repeats + 1):
                 offset = k * dt
                 for event in window:
-                    expanded.append(_shifted_copy(event, offset, k))
+                    expanded.append(_shifted_copy(event, offset,
+                                                  k * stride))
             cursor = end
         expanded.extend(self._events[cursor:])
         self._materialized = (key, expanded)
@@ -246,7 +249,8 @@ class Telemetry:
     def event_count(self) -> int:
         """Number of retained events after periodic-block expansion."""
         return len(self._events) + sum(
-            (end - start) * repeats for start, end, repeats, _ in self._blocks)
+            (end - start) * repeats
+            for start, end, repeats, _, _ in self._blocks)
 
     @property
     def raw_event_count(self) -> int:
@@ -300,7 +304,7 @@ class Telemetry:
     def horizon(self) -> float:
         """Latest event end time (0 when empty)."""
         base = max((e.end for e in self._events), default=0.0)
-        for start, end, repeats, dt in self._blocks:
+        for start, end, repeats, dt, _ in self._blocks:
             reach = max((e.end for e in self._events[start:end]),
                         default=0.0) + repeats * dt
             if reach > base:

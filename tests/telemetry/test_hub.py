@@ -81,6 +81,23 @@ def test_queries_tracks_horizon_clear():
     assert tel.events == [] and tel.horizon == 0.0
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_periodic_block_replicas_advance_frames_by_stride(stride):
+    """A block spanning ``stride`` frames (a super-period) repeats with
+    its frame/tag fields advanced by ``stride`` per replica."""
+    tel = Telemetry()
+    tel.span("stage", "blur[0]", "busy", 0.0, 0.5, frame=4)
+    tel.emit("rcce", "send", 0.25, tag=4, bytes=64)
+    tel.add_periodic_block(0, 2, 2, 1.0, stride=stride)
+    assert tel.event_count == 6
+    assert [e.t for e in tel.events] == [0.0, 0.25, 1.0, 1.25, 2.0, 2.25]
+    frames = [e.fields.get("frame", e.fields.get("tag")) for e in tel.events]
+    assert frames == [4, 4, 4 + stride, 4 + stride,
+                      4 + 2 * stride, 4 + 2 * stride]
+    assert tel.events[3].fields["bytes"] == 64
+    assert tel.horizon == pytest.approx(2.5)
+
+
 def test_metrics_sink_translates_stage_spans():
     tel = Telemetry()
     metrics = RunMetrics()
