@@ -2,9 +2,10 @@
 
 The CON004/CON005 checks are whole-protocol facts, not single-line AST
 patterns, but they still belong in the lint gate — the wiring they
-prove safe lives in ``repro.pipeline.runner``, so the findings anchor
-there and flow through the same fingerprint/baseline/suppression
-machinery as every other rule.  Each ``repro lint src`` run therefore
+prove safe is read off the stage graph both engines build from
+(``repro.pipeline.describe``), and ``repro.pipeline.runner`` runs it,
+so the findings anchor at the runner and flow through the same
+fingerprint/baseline/suppression machinery as every other rule.  Each ``repro lint src`` run therefore
 *re-proves* the paper's three arrangements deadlock-free; a wiring edit
 that introduces a cyclic rendezvous turns up as a new CON004 finding on
 ``runner.py`` in the same report as any determinism lint.

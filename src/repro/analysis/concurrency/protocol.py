@@ -12,8 +12,8 @@ protocol is exact — if the abstract run gets stuck, the real run
 deadlocks on the same wait-for cycle, and vice versa.
 
 :mod:`repro.pipeline.protocol` extracts the IR from a runner
-configuration (mirroring ``PipelineRunner._build_parallel`` without
-executing anything); this module executes the IR abstractly:
+configuration (read off the stage graph both engines build from,
+without executing anything); this module executes the IR abstractly:
 
 ``CON004``
     the abstract run reaches a state where unfinished processes exist

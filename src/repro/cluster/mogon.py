@@ -29,6 +29,7 @@ from typing import Any, Generator, List, Optional
 
 from ..host import UDPChannel, UDPConfig
 from ..pipeline.costmodel import CostModel
+from ..pipeline.describe import FILTER_KEYS, SIF_CAPACITY
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..pipeline.workload import WalkthroughWorkload, default_workload
 from ..sim import Simulator, Store
@@ -37,9 +38,6 @@ __all__ = ["CLUSTER_CONFIGURATIONS", "ClusterConfig", "ClusterRunner"]
 
 CLUSTER_CONFIGURATIONS = ("external_renderer", "single_renderer",
                           "parallel_renderer")
-
-#: pipeline filter order (as on the SCC)
-_FILTER_KEYS = ("sepia", "blur", "scratch", "flicker", "swap")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,8 @@ class ClusterRunner:
         else:  # external_renderer
             feed_net = UDPChannel(self.sim, self.cluster_config.network,
                                   name="render-connector")
-            sock = Store(self.sim, capacity=2)
+            # a frame socket as deep as the SCC's SIF socket
+            sock = Store(self.sim, capacity=SIF_CAPACITY)
             processes.append(self.sim.process(
                 self._external_feed_proc(feed_net, sock), name="ext-render"))
             processes.append(self.sim.process(
@@ -246,7 +245,7 @@ class ClusterRunner:
         last_queues = []
         for p in range(n):
             inq = first_queues[p]
-            for key in _FILTER_KEYS:
+            for key in FILTER_KEYS:
                 outq = Store(self.sim, capacity=1)
                 processes.append(self.sim.process(
                     self._filter_proc(key, p, inq, outq),
@@ -260,13 +259,18 @@ class ClusterRunner:
 
         self.sim.run(until=self.sim.all_of(processes))
         end = self.sim.now
+        # one core per process, but not the remote external renderer,
+        # just as the SCC rows do not count the MCPC host
+        cores_used = len(processes)
+        if self.config == "external_renderer":
+            cores_used -= 1
         return RunResult(
             config=f"hpc_{self.config}",
             arrangement="cluster",
             pipelines=n,
             frames=self.frames,
             walkthrough_seconds=end,
-            cores_used=n * (len(_FILTER_KEYS) + 1) + 2,
+            cores_used=cores_used,
             scc_energy_j=0.0,
             scc_avg_power_w=0.0,
             mcpc_energy_above_idle_j=0.0,

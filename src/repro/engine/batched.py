@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..host import MCPCConfig
+from ..pipeline.describe import SIF_CAPACITY
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
@@ -806,10 +807,11 @@ class _Snapshot:
 class BatchedEngine:
     """Coarse-op scheduler with steady-state frame-wave jumps.
 
-    Construction mirrors ``PipelineRunner.run``'s build phase (same
-    placement, same frequency-plan application, same stage order) and
-    ``run()`` returns the same :class:`RunResult` the event engine
-    would, within the committed ``repro diff`` tolerances.
+    Construction builds from the runner's stage graph, as
+    ``PipelineRunner.run`` does (same nodes in the same order, same
+    frequency-plan application), and ``run()`` returns the same
+    :class:`RunResult` the event engine would, within the committed
+    ``repro diff`` tolerances.
     """
 
     def __init__(self, runner: Any) -> None:
@@ -830,7 +832,6 @@ class BatchedEngine:
             self.sim, runner.chip_config,
             telemetry=(self.synth.hub if self._step_synth is not None
                        else None))
-        self._active_cores: List[int] = []
         self.heap: List[Tuple[float, int, _Actor]] = []
         self._seq = 0
         self.actors: List[_Actor] = []
@@ -963,147 +964,100 @@ class BatchedEngine:
         from ..pipeline.runner import DOWNLINK_CONFIG
 
         runner = self.runner
-        placement = runner._build_placement()
-        self.placement = placement
+        graph = runner._stage_graph()
+        self.graph = graph
+        n = self.num_pipelines = max(graph.pipelines, 1)
         wl = self.workload
         chip = self.chip
         cost = self.cost
         downlink_res = self._new_res()
         frame_bytes = wl.frame_bytes()
+        strip_nbytes = [wl.strip_bytes(p, n) for p in range(n)]
+        strip_pixels = [wl.viewport(p, n).pixels for p in range(n)]
 
-        if runner.config == "single_core":
-            core = placement.input_cores[0]
-            active_cores = [core]
-            runner._stage_cores = {"single-core": [core]}
-            runner._apply_frequency_plan(chip, active_cores)
-            chip.power.set_cores_active(active_cores, True)
-            self.num_pipelines = 1
-            self._samples_for("single-core")
-            single = _SingleCoreActor(
-                self, core,
-                self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            self.actors = [single]
-            self.trigger = single
-        else:
-            n = placement.num_pipelines
-            self.num_pipelines = n
-            active_cores = placement.all_cores()
-            first_filters = [chain[0] for chain in placement.filter_cores]
-            last_filters = [chain[-1] for chain in placement.filter_cores]
-            strip_nbytes = [wl.strip_bytes(p, n) for p in range(n)]
-            tcore = placement.transfer_core
+        # The frequency plan comes *before* the compute services below —
+        # chip.compute_time must see the planned clocks.
+        runner._apply_frequency_plan(chip, graph)
+        chip.power.set_cores_active(graph.cores, True)
 
-            # Stage-key -> cores map in the runner's stage order, then
-            # the frequency plan, *then* the compute services below —
-            # chip.compute_time must see the planned clocks.
-            actors: List[_Actor] = []
-            stage_cores: Dict[str, List[int]] = {}
+        if graph.queues:
+            queue = _Store(capacity=SIF_CAPACITY,
+                           shift=lambda item, j: (item[0] + j, item[1]))
+            self.stores.append(queue)
+            uplink_cfg = self.mcpc_config.udp
+            uplink_res = self._new_res()
+            datagrams = (0 if frame_bytes == 0 else
+                         math.ceil(frame_bytes / uplink_cfg.mtu_payload))
 
-            def _note(key: str, core_id: int) -> None:
-                stage_cores.setdefault(key, []).append(core_id)
-
-            from ..pipeline.runner import FILTER_KEYS
-
-            if runner.config == "one_renderer":
-                _note("render", placement.input_cores[0])
-                prev_of_first = [placement.input_cores[0]] * n
-            elif runner.config == "n_renderers":
-                for p in range(n):
-                    _note("render", placement.input_cores[p])
-                prev_of_first = list(placement.input_cores)
-            else:  # mcpc_renderer
-                _note("connect", placement.input_cores[0])
-                prev_of_first = [placement.input_cores[0]] * n
-            for chain in placement.filter_cores:
-                for j, key in enumerate(FILTER_KEYS):
-                    _note(key, chain[j])
-            _note("transfer", tcore)
-            runner._stage_cores = stage_cores
-            runner._apply_frequency_plan(chip, active_cores)
-            chip.power.set_cores_active(active_cores, True)
-
-            if runner.config == "one_renderer":
-                rcore = placement.input_cores[0]
-                self._samples_for("render")
-                actors.append(_SingleRendererActor(
-                    self, rcore, "render",
-                    [self._chan(rcore, dst) for dst in first_filters],
-                    [self._write_to_prog(rcore, dst, strip_nbytes[p])
-                     for p, dst in enumerate(first_filters)],
-                    strip_nbytes))
-            elif runner.config == "n_renderers":
-                self._samples_for("render")
-                for p in range(n):
-                    rcore = placement.input_cores[p]
-                    actors.append(_StripRendererActor(
-                        self, rcore, p,
-                        self._chan(rcore, first_filters[p]),
-                        self._write_to_prog(rcore, first_filters[p],
-                                            strip_nbytes[p]),
-                        strip_nbytes[p]))
-            else:  # mcpc_renderer
-                ccore = placement.input_cores[0]
-                queue = _Store(capacity=2,
-                               shift=lambda item, j: (item[0] + j, item[1]))
-                self.stores.append(queue)
-                uplink_cfg = self.mcpc_config.udp
-                uplink_res = self._new_res()
-                datagrams = (0 if frame_bytes == 0 else
-                             math.ceil(frame_bytes / uplink_cfg.mtu_payload))
-                self._samples_for("connect")
-                actors.append(_ConnectActor(
-                    self, ccore, queue,
-                    self._mesh_prog(SIF_LOCATION, self._coord(ccore),
-                                    frame_bytes, core=ccore),
-                    chip.compute_time(ccore,
-                                      cost.connect_seconds(datagrams, n)),
-                    self._write_own_prog(ccore, frame_bytes),
-                    [self._chan(ccore, dst) for dst in first_filters],
-                    [self._write_to_prog(ccore, dst, strip_nbytes[p])
-                     for p, dst in enumerate(first_filters)],
-                    strip_nbytes))
+        self.actors = []
+        for node in graph.stages:
+            role, p = node.role, node.pipeline
+            # the MCPC host has no SCC core (-1, its actor's core_id)
+            core = -1 if node.core is None else node.core
+            if core >= 0:
+                self._samples_for(node.base)
+            actor: _Actor
+            if role == "host":
                 uplink_hold = (frame_bytes / uplink_cfg.bandwidth
                                + datagrams * uplink_cfg.per_datagram_overhead)
-                self._mcpc = _MCPCActor(
+                actor = _MCPCActor(
                     self, queue,
                     self._udp_prog(uplink_res, uplink_cfg, frame_bytes),
                     uplink_hold + uplink_cfg.latency_s)
+            elif role == "single":
+                actor = _SingleCoreActor(
+                    self, core,
+                    self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
+            elif role == "render":
+                actor = _SingleRendererActor(
+                    self, core, "render",
+                    [self._chan(core, dst) for dst in node.outputs],
+                    [self._write_to_prog(core, dst, strip_nbytes[i])
+                     for i, dst in enumerate(node.outputs)],
+                    strip_nbytes)
+            elif role == "strip":
+                assert p is not None
+                dst = node.outputs[0]
+                actor = _StripRendererActor(
+                    self, core, p, self._chan(core, dst),
+                    self._write_to_prog(core, dst, strip_nbytes[p]),
+                    strip_nbytes[p])
+            elif role == "connect":
+                actor = _ConnectActor(
+                    self, core, queue,
+                    self._mesh_prog(SIF_LOCATION, self._coord(core),
+                                    frame_bytes, core=core),
+                    chip.compute_time(core,
+                                      cost.connect_seconds(datagrams, n)),
+                    self._write_own_prog(core, frame_bytes),
+                    [self._chan(core, dst) for dst in node.outputs],
+                    [self._write_to_prog(core, dst, strip_nbytes[i])
+                     for i, dst in enumerate(node.outputs)],
+                    strip_nbytes)
+            elif role == "filter":
+                assert p is not None
+                dst = node.outputs[0]
+                actor = _FilterActor(
+                    self, node.base, node.key, core,
+                    self._chan(node.inputs[0], core), self._chan(core, dst),
+                    self._read_own_prog(core, strip_nbytes[p]),
+                    chip.compute_time(core, cost.filter_seconds(
+                        node.base, strip_pixels[p])),
+                    self._write_to_prog(core, dst, strip_nbytes[p]),
+                    strip_nbytes[p])
+            else:  # transfer
+                actor = _TransferActor(
+                    self, core, [self._chan(src, core) for src in node.inputs],
+                    [self._read_own_prog(core, strip_nbytes[i])
+                     for i in range(n)],
+                    chip.compute_time(core, cost.assemble_seconds(
+                        wl.image_side ** 2)),
+                    self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
+            if role in ("single", "transfer"):
+                # the completion stage triggers the periodicity snapshots
+                self.trigger = actor
+            self.actors.append(actor)
 
-            for p, chain in enumerate(placement.filter_cores):
-                pixels = wl.viewport(p, n).pixels
-                for j, key in enumerate(FILTER_KEYS):
-                    core_id = chain[j]
-                    prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-                    next_core = (tcore if j == len(FILTER_KEYS) - 1
-                                 else chain[j + 1])
-                    self._samples_for(key)
-                    actors.append(_FilterActor(
-                        self, key, f"{key}[{p}]", core_id,
-                        self._chan(prev_core, core_id),
-                        self._chan(core_id, next_core),
-                        self._read_own_prog(core_id, strip_nbytes[p]),
-                        chip.compute_time(core_id,
-                                          cost.filter_seconds(key, pixels)),
-                        self._write_to_prog(core_id, next_core,
-                                            strip_nbytes[p]),
-                        strip_nbytes[p]))
-
-            self._samples_for("transfer")
-            transfer = _TransferActor(
-                self, tcore,
-                [self._chan(src, tcore) for src in last_filters],
-                [self._read_own_prog(tcore, strip_nbytes[p])
-                 for p in range(n)],
-                chip.compute_time(tcore,
-                                  cost.assemble_seconds(wl.image_side ** 2)),
-                self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            actors.append(transfer)
-            if runner.config == "mcpc_renderer":
-                actors.append(self._mcpc)
-            self.actors = actors
-            self.trigger = transfer
-
-        self._active_cores = active_cores
         synth = self.synth
         if synth is not None:
             # Track -> core bindings in the runner's stage-start order
@@ -1493,7 +1447,7 @@ class BatchedEngine:
             # power gauge, trace point and closing sample land at the
             # same instant the event engine records them
             self.sim.run(until=end)
-            self.chip.power.set_cores_active(self._active_cores, False)
+            self.chip.power.set_cores_active(self.graph.cores, False)
 
         metrics = RunMetrics()
         metrics.frame_birth = dict(self.births)
@@ -1532,17 +1486,15 @@ class BatchedEngine:
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
         chip = self.chip
-        placement = self.placement
+        graph = self.graph
         busy_means = {key: acc.mean for key, acc in metrics.busy.items()}
         return RunResult(
             config=runner.config,
-            arrangement=placement.arrangement,
-            pipelines=(placement.num_pipelines
-                       if runner.config != "single_core" else 0),
+            arrangement=graph.arrangement,
+            pipelines=graph.pipelines,
             frames=self.frames,
             walkthrough_seconds=end,
-            cores_used=(1 if runner.config == "single_core"
-                        else placement.cores_used),
+            cores_used=graph.scc_cores_used,
             scc_energy_j=chip.power.energy(0.0, end),
             scc_avg_power_w=chip.power.average_power(0.0, end),
             mcpc_energy_above_idle_j=mcpc_energy,

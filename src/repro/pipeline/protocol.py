@@ -1,18 +1,16 @@
 """Extract the channel protocol of a pipeline arrangement — statically.
 
 This is the pipeline-side hook for the static deadlock checker
-(:mod:`repro.analysis.concurrency.protocol`): it mirrors the wiring
-``PipelineRunner._build_parallel`` performs — which stage sends to
-which core, in what per-frame order — without building a simulator,
-chip model or workload.  The result is a :class:`ProtocolModel` whose
-abstract execution is exact for rendezvous semantics, so
-``repro lint`` can prove the paper's three arrangements deadlock-free
-on every run, and ``repro analyze --concurrency`` can render the
-channel wait-for graph for the exact configuration being analysed.
-
-Keep this in lockstep with ``_build_parallel`` and the stage loops in
-:mod:`repro.pipeline.stage`; ``tests/analysis/test_protocol_deadlock.py``
-cross-checks the wiring against a real placement.
+(:mod:`repro.analysis.concurrency.protocol`): it reads the per-frame
+operations off the stage graph both engines build from
+(:func:`repro.pipeline.describe.describe`) — each stage receives from
+its input cores, then sends to its output cores, in hand-off order —
+without building a simulator, chip model or workload.  The result is a
+:class:`ProtocolModel` whose abstract execution is exact for rendezvous
+semantics, so ``repro lint`` can prove the paper's three arrangements
+deadlock-free on every run, and ``repro analyze --concurrency`` can
+render the channel wait-for graph for the exact configuration being
+analysed.
 """
 
 from __future__ import annotations
@@ -20,14 +18,25 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..analysis.concurrency.protocol import Op, Process, ProtocolModel
-from .arrangements import Placement, make_placement
-from .runner import CONFIGURATIONS, FILTER_KEYS
+from .arrangements import Placement
+from .describe import SIF_SOCKET, StageNode, describe
 
 __all__ = ["extract_protocol", "channel_edges"]
 
-#: the MCPC host->connect SIF socket queue (capacity mirrors runner.py)
-_SIF_QUEUE = "sif-socket"
-_SIF_CAPACITY = 2
+
+def _process(node: StageNode, frames: int) -> Process:
+    """One stage node as a protocol process: queue op, recvs, sends."""
+    name = {"host": "host", "single": "single",
+            "filter": f"filter[{node.pipeline}].{node.base}",
+            }.get(node.role, node.key)
+    ops: Tuple[Op, ...] = ()
+    if node.role == "host":
+        ops = (Op("put", queue=SIF_SOCKET),)
+    elif node.role == "connect":
+        ops = (Op("get", queue=SIF_SOCKET),)
+    ops += tuple(Op("recv", src=src, dst=node.core) for src in node.inputs)
+    ops += tuple(Op("send", src=node.core, dst=dst) for dst in node.outputs)
+    return Process(name=name, ops=ops, iterations=frames)
 
 
 def extract_protocol(config: str, pipelines: int,
@@ -40,68 +49,11 @@ def extract_protocol(config: str, pipelines: int,
     unbuffered, so any wiring deadlock manifests within the first
     couple of frames — 2 is enough, and keeps ``repro lint`` fast.
     """
-    if config not in CONFIGURATIONS:
-        raise ValueError(f"unknown config {config!r}; "
-                         f"choose from {CONFIGURATIONS}")
-    name = f"{config}/{arrangement} x{pipelines}"
-    if config == "single_core":
-        # One process, no channels: trivially deadlock-free.
-        return ProtocolModel(name=name, processes=(
-            Process(name="single", ops=(), iterations=frames),))
-
-    if placement is None:
-        placement = make_placement(arrangement, pipelines,
-                                   per_pipeline_input=(
-                                       config == "n_renderers"))
-    n = placement.num_pipelines
-    first = [chain[0] for chain in placement.filter_cores]
-    last = [chain[-1] for chain in placement.filter_cores]
-    processes: List[Process] = []
-    queues = {}
-
-    if config == "one_renderer":
-        core = placement.input_cores[0]
-        processes.append(Process(
-            name="render", iterations=frames,
-            ops=tuple(Op("send", src=core, dst=first[p])
-                      for p in range(n))))
-        prev_of_first = [core] * n
-    elif config == "n_renderers":
-        for p in range(n):
-            processes.append(Process(
-                name=f"render[{p}]", iterations=frames,
-                ops=(Op("send", src=placement.input_cores[p],
-                        dst=first[p]),)))
-        prev_of_first = list(placement.input_cores)
-    else:  # mcpc_renderer
-        queues[_SIF_QUEUE] = _SIF_CAPACITY
-        processes.append(Process(
-            name="host", iterations=frames,
-            ops=(Op("put", queue=_SIF_QUEUE),)))
-        core = placement.input_cores[0]
-        processes.append(Process(
-            name="connect", iterations=frames,
-            ops=(Op("get", queue=_SIF_QUEUE),)
-            + tuple(Op("send", src=core, dst=first[p])
-                    for p in range(n))))
-        prev_of_first = [core] * n
-
-    for p, chain in enumerate(placement.filter_cores):
-        for j, key in enumerate(FILTER_KEYS):
-            prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-            next_core = (placement.transfer_core
-                         if j == len(FILTER_KEYS) - 1 else chain[j + 1])
-            processes.append(Process(
-                name=f"filter[{p}].{key}", iterations=frames,
-                ops=(Op("recv", src=prev_core, dst=chain[j]),
-                     Op("send", src=chain[j], dst=next_core))))
-
-    processes.append(Process(
-        name="transfer", iterations=frames,
-        ops=tuple(Op("recv", src=last[p], dst=placement.transfer_core)
-                  for p in range(n))))
-    return ProtocolModel(name=name, processes=tuple(processes),
-                         queues=queues)
+    graph = describe(config, pipelines, arrangement, placement)
+    return ProtocolModel(
+        name=f"{config}/{arrangement} x{pipelines}",
+        processes=tuple(_process(node, frames) for node in graph.stages),
+        queues=graph.queues)
 
 
 def channel_edges(model: ProtocolModel) -> List[Tuple[str, str, str]]:

@@ -18,7 +18,7 @@ Configurations (paper §V):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -29,8 +29,16 @@ from ..scc import SCCChip, SCCConfig
 from ..sim import Simulator, Store
 from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
-from .arrangements import Placement, make_placement
+from .arrangements import Placement
 from .costmodel import CostModel
+from .describe import (
+    CONFIGURATIONS,
+    FILTER_KEYS,
+    SIF_CAPACITY,
+    SIF_SOCKET,
+    ConfigDescription,
+    describe,
+)
 from .metrics import RunMetrics, RunResult
 from .stage import (
     ConnectStage,
@@ -48,14 +56,8 @@ from .workload import WalkthroughWorkload, default_workload
 __all__ = ["CONFIGURATIONS", "ENGINES", "PipelineRunner", "FILTER_KEYS",
            "DOWNLINK_CONFIG"]
 
-CONFIGURATIONS = ("single_core", "one_renderer", "n_renderers",
-                  "mcpc_renderer")
-
 #: available execution engines (see ``repro.engine`` for "batched")
 ENGINES = ("event", "batched")
-
-#: pipeline stage order within a pipeline
-FILTER_KEYS = ("sepia", "blur", "scratch", "flicker", "swap")
 
 #: SCC → MCPC viewer link: PCIe DMA reads are fast, so the transfer
 #: stage's UDP send of a full frame costs ~20 ms (part of the 25 ms
@@ -180,8 +182,6 @@ class PipelineRunner:
         #: steady-state frame-wave engine in :mod:`repro.engine`, which
         #: falls back to the event kernel whenever it declines the run)
         self.engine = engine
-        #: filled during the build: stage key -> [core ids]
-        self._stage_cores: dict = {}
 
     def spec(self):
         """This run as a :class:`repro.exec.RunSpec` (its cache identity).
@@ -228,20 +228,10 @@ class PipelineRunner:
             return ""
 
     # -- build ------------------------------------------------------------
-    def _build_placement(self) -> Placement:
-        if self.placement_override is not None:
-            if self.config == "n_renderers" and \
-                    len(self.placement_override.input_cores) != \
-                    self.placement_override.num_pipelines:
-                raise ValueError("n_renderers needs one input core per "
-                                 "pipeline in the placement")
-            return self.placement_override
-        if self.config == "single_core":
-            return Placement(self.arrangement, input_cores=[0],
-                             filter_cores=[], transfer_core=1)
-        per_pipeline_input = self.config == "n_renderers"
-        return make_placement(self.arrangement, self.pipelines,
-                              per_pipeline_input)
+    def _stage_graph(self) -> ConfigDescription:
+        """The stage graph this run builds (both engines read it)."""
+        return describe(self.config, self.pipelines, self.arrangement,
+                        self.placement_override)
 
     def run(self) -> RunResult:
         """Simulate the walkthrough and return the metrics."""
@@ -284,7 +274,7 @@ class PipelineRunner:
         viewer = VisualizationClient(sim, keep_payloads=self.payload_mode)
         downlink = UDPChannel(sim, DOWNLINK_CONFIG, name="scc-viewer")
         metrics = RunMetrics()
-        placement = self._build_placement()
+        graph = self._stage_graph()
 
         ctx = StageContext(
             chip=chip,
@@ -293,7 +283,7 @@ class PipelineRunner:
             workload=self.workload,
             metrics=metrics,
             frames=self.frames,
-            num_pipelines=max(self.pipelines, 1),
+            num_pipelines=max(graph.pipelines, 1),
             payload_mode=self.payload_mode,
             viewer=viewer,
             downlink=downlink,
@@ -306,30 +296,15 @@ class PipelineRunner:
         )
 
         try:
-            stages: List[Stage] = []
-            if self.config == "single_core":
-                core = placement.input_cores[0]
-                stages.append(SingleCoreProcess(core, ctx))
-                active_cores = [core]
-                self._stage_cores = {"single-core": [core]}
-            else:
-                stages.extend(self._build_parallel(ctx, placement))
-                active_cores = placement.all_cores()
-                self._stage_cores = {}
-                for s in stages:
-                    self._stage_cores.setdefault(
-                        s.key.split("[")[0], []).append(s.core_id)
-
-            self._apply_frequency_plan(chip, active_cores)
-            chip.power.set_cores_active(active_cores, True)
+            stages = self._build_stages(ctx, graph)
+            self._apply_frequency_plan(chip, graph)
+            chip.power.set_cores_active(graph.cores, True)
             processes = [s.start() for s in stages]
-            if self.config == "mcpc_renderer":
-                processes.append(self._host_process.start())
 
             # The transfer stage (or the single core) finishes last.
             sim.run(until=sim.all_of(processes))
             end = sim.now
-            chip.power.set_cores_active(active_cores, False)
+            chip.power.set_cores_active(graph.cores, False)
             if suite is not None:
                 suite.check_teardown(sim, processes)
         finally:
@@ -345,59 +320,50 @@ class PipelineRunner:
         self.last_viewer = ctx.viewer
         self.last_trace = ctx.trace
         self.last_telemetry = telemetry
-        result = self._summarize(ctx, placement, end)
+        result = self._summarize(ctx, graph, end)
         if obs is not None:
             obs.info("run.finish", walkthrough_s=result.walkthrough_seconds,
                      sim_events=sim.event_count)
         return result
 
-    def _build_parallel(self, ctx: StageContext,
-                        placement: Placement) -> List[Stage]:
-        n = placement.num_pipelines
-        ctx.num_pipelines = n
-        stages: List[Stage] = []
-        first_filters = [chain[0] for chain in placement.filter_cores]
-        last_filters = [chain[-1] for chain in placement.filter_cores]
-
-        if self.config == "one_renderer":
-            stages.append(SingleRendererStage(placement.input_cores[0], ctx,
-                                              first_filters))
-            prev_of_first = [placement.input_cores[0]] * n
-        elif self.config == "n_renderers":
-            for p in range(n):
-                stages.append(StripRendererStage(
-                    placement.input_cores[p], ctx, p, first_filters[p]))
-            prev_of_first = list(placement.input_cores)
-        elif self.config == "mcpc_renderer":
-            queue = Store(ctx.sim, capacity=2, name="sif-socket")
-            connect = ConnectStage(placement.input_cores[0], ctx,
-                                   first_filters, queue)
-            stages.append(connect)
-            self._host_process = MCPCRenderProcess(ctx, queue)
-            prev_of_first = [placement.input_cores[0]] * n
-        else:  # pragma: no cover - guarded in __init__
-            raise AssertionError(self.config)
-
-        for p, chain in enumerate(placement.filter_cores):
-            for j, key in enumerate(FILTER_KEYS):
-                prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-                next_core = (placement.transfer_core
-                             if j == len(FILTER_KEYS) - 1 else chain[j + 1])
-                stages.append(FilterStage(key, chain[j], ctx, p,
-                                          prev_core, next_core))
-
-        stages.append(TransferStage(placement.transfer_core, ctx,
-                                    last_filters))
+    def _build_stages(self, ctx: StageContext, graph: ConfigDescription
+                      ) -> List[Union[Stage, MCPCRenderProcess]]:
+        """One event-engine stage per graph node, in node order."""
+        queue = (Store(ctx.sim, capacity=SIF_CAPACITY, name=SIF_SOCKET)
+                 if graph.queues else None)
+        stages: List[Union[Stage, MCPCRenderProcess]] = []
+        for node in graph.stages:
+            core, role = node.core, node.role
+            if role == "single":
+                stages.append(SingleCoreProcess(core, ctx))
+            elif role == "render":
+                stages.append(SingleRendererStage(core, ctx,
+                                                  list(node.outputs)))
+            elif role == "strip":
+                stages.append(StripRendererStage(core, ctx, node.pipeline,
+                                                 node.outputs[0]))
+            elif role == "connect":
+                stages.append(ConnectStage(core, ctx, list(node.outputs),
+                                           queue))
+            elif role == "filter":
+                stages.append(FilterStage(node.base, core, ctx,
+                                          node.pipeline, node.inputs[0],
+                                          node.outputs[0]))
+            elif role == "transfer":
+                stages.append(TransferStage(core, ctx, list(node.inputs)))
+            else:  # host
+                stages.append(MCPCRenderProcess(ctx, queue))
         return stages
 
     def _apply_frequency_plan(self, chip: SCCChip,
-                              active_cores: List[int]) -> None:
+                              graph: ConfigDescription) -> None:
         """Set per-tile frequencies for the §VI-D DVFS experiments."""
         if not self.frequency_plan:
             return
+        stage_cores = graph.stage_cores()
         planned_tiles: dict = {}
         for key, mhz in self.frequency_plan.items():
-            cores = self._stage_cores.get(key)
+            cores = stage_cores.get(key)
             if not cores:
                 raise ValueError(f"frequency plan names unknown stage {key!r}")
             for core in cores:
@@ -407,7 +373,7 @@ class PipelineRunner:
         # Let unused tiles of an affected island follow the island's
         # minimum planned frequency so the island voltage can drop.
         used_tiles = {chip.topology.core(c).tile.tile_id
-                      for c in active_cores}
+                      for c in graph.cores}
         islands = {chip.topology.tiles[t].voltage_domain: []
                    for t in planned_tiles}
         for tile, mhz in planned_tiles.items():
@@ -419,7 +385,7 @@ class PipelineRunner:
                     chip.dvfs.set_tile_frequency(tile.tile_id, floor)
 
     # -- report ------------------------------------------------------------
-    def _summarize(self, ctx: StageContext, placement: Placement,
+    def _summarize(self, ctx: StageContext, graph: ConfigDescription,
                    end_time: float) -> RunResult:
         chip = ctx.chip
         assert ctx.mcpc is not None
@@ -432,13 +398,11 @@ class PipelineRunner:
                                              self.power_trace_dt)
         return RunResult(
             config=self.config,
-            arrangement=placement.arrangement,
-            pipelines=placement.num_pipelines if self.config != "single_core"
-            else 0,
+            arrangement=graph.arrangement,
+            pipelines=graph.pipelines,
             frames=self.frames,
             walkthrough_seconds=end_time,
-            cores_used=(1 if self.config == "single_core"
-                        else placement.cores_used),
+            cores_used=graph.scc_cores_used,
             scc_energy_j=chip.power.energy(0.0, end_time),
             scc_avg_power_w=chip.power.average_power(0.0, end_time),
             mcpc_energy_above_idle_j=ctx.mcpc.energy_above_idle(0.0, end_time),

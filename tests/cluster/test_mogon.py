@@ -91,3 +91,16 @@ def test_determinism():
     a = run("parallel_renderer", pipelines=3)
     b = run("parallel_renderer", pipelines=3)
     assert a.walkthrough_seconds == b.walkthrough_seconds
+
+
+@pytest.mark.parametrize("config, per_pipeline, shared", [
+    ("single_renderer", 5, 2),    # filters; renderer + transfer
+    ("parallel_renderer", 6, 1),  # a renderer and filters per pipeline
+    ("external_renderer", 5, 2),  # filters; connector + transfer
+])
+@pytest.mark.parametrize("pipelines", (1, 3))
+def test_cores_used_counts_the_processes_of_each_config(
+        config, per_pipeline, shared, pipelines):
+    """Counted like the SCC rows: a remote renderer is not counted."""
+    result = run(config, pipelines=pipelines)
+    assert result.cores_used == per_pipeline * pipelines + shared
