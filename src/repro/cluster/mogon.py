@@ -20,19 +20,35 @@ constants divided by per-stage speed-up factors:
 
 and node-level communication: shared-memory copies at GB/s within a
 node, GbE-class messaging between nodes with per-datagram receive cost.
+
+Every stage is one process with a private channel and no resource is
+shared, so the run is a pure tandem line and its timing is a max-plus
+recurrence over the (frame, stage) grid rather than an event simulation:
+
+* a stage gets frame ``f`` at ``max(loop_top, upstream_put)``;
+* it puts frame ``f`` at ``max(end, downstream_get[f - depth])``, where
+  ``depth`` is the queue capacity: 1 between stages, ``SIF_CAPACITY``
+  for the external renderer's frame socket;
+* its work is added, left to right, in the order the discrete-event
+  formulation adds it: ``get + (service + sync) + copy`` for a filter,
+  ``t + hold + latency`` for a network leg.
+
+So every time, idle sample and quartile is the one that formulation
+computes, bit for bit (it skipped a zero link hold, but adding ``0.0``
+to a time is exact).  ``tests/cluster/event_oracle.py`` keeps that
+formulation as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Dict, List, Optional
 
-from ..host import UDPChannel, UDPConfig
+from ..host import UDPConfig
 from ..pipeline.costmodel import CostModel
 from ..pipeline.describe import FILTER_KEYS, SIF_CAPACITY
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..pipeline.workload import WalkthroughWorkload, default_workload
-from ..sim import Simulator, Store
 
 __all__ = ["CLUSTER_CONFIGURATIONS", "ClusterConfig", "ClusterRunner"]
 
@@ -89,22 +105,19 @@ class ClusterRunner:
         self.config = config
         self.pipelines = pipelines
         self.frames = frames
-        if workload is not None:
-            self.workload = workload
-        elif (frames, image_side) == (400, 400):
-            self.workload = default_workload()
-        else:
-            self.workload = WalkthroughWorkload(frames=frames,
-                                                image_side=image_side)
         self.image_side = image_side
+        # the process-wide memoized city, as PipelineRunner shares it
+        shared = default_workload(frames, image_side)
+        self.workload = shared if workload is None else workload
+        if self.workload.frames < frames:
+            raise ValueError("workload has fewer frames than requested")
         self.cost = cost or CostModel()
         self.cluster_config = cluster_config or ClusterConfig()
         #: True when the run is expressible as a repro.exec.RunSpec
-        #: (no live object overrides), hence shardable/cacheable
-        self.spec_exact = (workload is None and cost is None
+        #: (no live object overrides), hence shardable/cacheable; the
+        #: shared memoized workload counts as declarative (identity check)
+        self.spec_exact = (self.workload is shared and cost is None
                            and cluster_config is None)
-        self.sim = Simulator()
-        self.metrics = RunMetrics()
 
     def spec(self):
         """This run as a :class:`repro.exec.RunSpec` (its cache identity)."""
@@ -119,11 +132,6 @@ class ClusterRunner:
                        pipelines=self.pipelines, frames=self.frames,
                        image_side=self.image_side)
 
-    # -- stage processes -----------------------------------------------------
-    def _filter_time(self, key: str, pixels: int) -> float:
-        return (self.cost.filter_seconds(key, pixels)
-                / self.cluster_config.filter_speedup)
-
     def _render_time(self, frame: int, strip: Optional[int]) -> float:
         if strip is None:
             profile = self.workload.profile(frame)
@@ -133,148 +141,105 @@ class ClusterRunner:
             t = self.cost.render_seconds(profile, sort_first=True)
         return t / self.cluster_config.render_speedup
 
-    def _renderer_proc(self, outs: List[Store]) -> Generator[Any, Any, None]:
-        """Single/parallel source feeding all pipelines from one node."""
-        n = len(outs)
-        for frame in range(self.frames):
-            if self.config == "single_renderer":
-                yield self.sim.timeout(self._render_time(frame, None))
-                for p, out in enumerate(outs):
-                    nbytes = self.workload.strip_bytes(p, n)
-                    yield self.sim.timeout(
-                        nbytes / self.cluster_config.shm_bandwidth)
-                    yield out.put((frame, nbytes))
-            else:  # parallel_renderer handled per-pipeline elsewhere
-                raise AssertionError  # pragma: no cover
-
-    def _strip_renderer_proc(self, p: int,
-                             out: Store) -> Generator[Any, Any, None]:
-        n = self.pipelines
-        for frame in range(self.frames):
-            yield self.sim.timeout(self._render_time(frame, p))
-            nbytes = self.workload.strip_bytes(p, n)
-            yield self.sim.timeout(nbytes / self.cluster_config.shm_bandwidth)
-            yield out.put((frame, nbytes))
-
-    def _external_feed_proc(self, net: UDPChannel,
-                            sock: Store) -> Generator[Any, Any, None]:
-        """The external render node: render, then ship the full frame."""
-        frame_bytes = self.workload.frame_bytes()
-        for frame in range(self.frames):
-            yield self.sim.timeout(self._render_time(frame, None))
-            yield from net.transfer(frame_bytes)
-            yield sock.put((frame, frame_bytes))
-
-    def _connector_proc(self, net: UDPChannel, sock: Store,
-                        outs: List[Store]) -> Generator[Any, Any, None]:
-        """Receives the external feed and carves it into strips."""
-        n = len(outs)
-        frame_bytes = self.workload.frame_bytes()
-        datagrams = net.datagrams_for(frame_bytes)
-        recv_cpu = datagrams * self.cluster_config.recv_per_datagram_s
-        for _ in range(self.frames):
-            wait0 = self.sim.now
-            frame, _ = yield sock.get()
-            self.metrics.record_idle("connect", self.sim.now - wait0)
-            start = self.sim.now
-            yield self.sim.timeout(recv_cpu)
-            for p, out in enumerate(outs):
-                nbytes = self.workload.strip_bytes(p, n)
-                yield self.sim.timeout(
-                    nbytes / self.cluster_config.shm_bandwidth)
-                yield out.put((frame, nbytes))
-            self.metrics.record_busy("connect", self.sim.now - start)
-
-    def _filter_proc(self, key: str, p: int, inq: Store,
-                     outq: Store) -> Generator[Any, Any, None]:
-        pixels = self.workload.viewport(p, self.pipelines).pixels
-        service = self._filter_time(key, pixels)
-        cfg = self.cluster_config
-        for _ in range(self.frames):
-            wait0 = self.sim.now
-            frame, nbytes = yield inq.get()
-            self.metrics.record_idle(key, self.sim.now - wait0)
-            start = self.sim.now
-            yield self.sim.timeout(service + cfg.sync_overhead_s)
-            yield self.sim.timeout(nbytes / cfg.shm_bandwidth)
-            yield outq.put((frame, nbytes))
-            self.metrics.record_busy(key, self.sim.now - start)
-
-    def _transfer_proc(self, inqs: List[Store],
-                       viewer_net: UDPChannel) -> Generator[Any, Any, None]:
-        frame_pixels = self.workload.image_side ** 2
-        frame_bytes = self.workload.frame_bytes()
-        assemble = (self.cost.assemble_seconds(frame_pixels)
-                    / self.cluster_config.filter_speedup)
-        for frame in range(self.frames):
-            for q in inqs:
-                yield q.get()
-            yield self.sim.timeout(assemble)
-            yield from viewer_net.transfer(frame_bytes)
-            self.metrics.record_frame_done(frame, self.sim.now)
-
-    # -- orchestration -----------------------------------------------------------
     def run(self) -> RunResult:
-        """Simulate the walkthrough; returns a :class:`RunResult` (power
+        """Compute the walkthrough; returns a :class:`RunResult` (power
         fields are zero — the paper reports no Mogon power)."""
-        n = self.pipelines
-        first_queues = [Store(self.sim, capacity=1) for _ in range(n)]
-        viewer_net = UDPChannel(self.sim, self.cluster_config.network,
-                                name="node-viewer")
+        n, config = self.pipelines, self.config
+        wl, cfg = self.workload, self.cluster_config
+        net = cfg.network
+        frame_bytes = wl.frame_bytes()
+        hold = net.hold_seconds(frame_bytes)
+        copy = [wl.strip_bytes(p, n) / cfg.shm_bandwidth for p in range(n)]
+        work = [[self.cost.filter_seconds(key, wl.viewport(p, n).pixels)
+                 / cfg.filter_speedup + cfg.sync_overhead_s
+                 for key in FILTER_KEYS] for p in range(n)]
+        assemble = (self.cost.assemble_seconds(wl.image_side ** 2)
+                    / cfg.filter_speedup)
+        recv_cpu = net.datagrams_for(frame_bytes) * cfg.recv_per_datagram_s
+        stages = range(len(FILTER_KEYS))
 
-        processes = []
-        if self.config == "single_renderer":
-            processes.append(self.sim.process(
-                self._renderer_proc(first_queues), name="renderer"))
-        elif self.config == "parallel_renderer":
+        keys = list(FILTER_KEYS)
+        if config == "external_renderer":
+            keys.insert(0, "connect")
+        idle: Dict[str, List[float]] = {k: [] for k in keys}
+        busy: Dict[str, List[float]] = {k: [] for k in keys}
+        filter_idle = [idle[k] for k in FILTER_KEYS]
+        filter_busy = [busy[k] for k in FILTER_KEYS]
+        # got[p][s]: when queue s of pipeline p was last read (queue 0
+        # feeds the first filter, the last one the transfer stage);
+        # free[p][s]: when filter s of pipeline p last finished its put
+        got = [[0.0] * (len(FILTER_KEYS) + 1) for _ in range(n)]
+        free = [[0.0] * len(FILTER_KEYS) for _ in range(n)]
+        src_free = [0.0] * n
+        sock_got: List[float] = []
+        conn_free = transfer_free = 0.0
+        put = [0.0] * n
+
+        for f in range(self.frames):
+            # -- source: frame f into every pipeline's first queue ------
+            if config == "single_renderer":
+                t = src_free[0] + self._render_time(f, None)
+                for p in range(n):
+                    t = max(t + copy[p], got[p][0])
+                    put[p] = t
+                src_free[0] = t
+            elif config == "parallel_renderer":
+                for p in range(n):
+                    t = src_free[p] + self._render_time(f, p)
+                    put[p] = src_free[p] = max(t + copy[p], got[p][0])
+            else:
+                # the remote render node ships the whole frame into a
+                # SIF_CAPACITY-deep socket; the connector carves strips
+                t = (src_free[0] + self._render_time(f, None) + hold
+                     + net.latency_s)
+                if f >= SIF_CAPACITY:
+                    t = max(t, sock_got[f - SIF_CAPACITY])
+                src_free[0] = t
+                g = max(conn_free, t)
+                idle["connect"].append(g - conn_free)
+                sock_got.append(g)
+                t = g + recv_cpu
+                for p in range(n):
+                    t = max(t + copy[p], got[p][0])
+                    put[p] = t
+                busy["connect"].append(t - g)
+                conn_free = t
+            # -- filter chains ----------------------------------------
             for p in range(n):
-                processes.append(self.sim.process(
-                    self._strip_renderer_proc(p, first_queues[p]),
-                    name=f"renderer[{p}]"))
-        else:  # external_renderer
-            feed_net = UDPChannel(self.sim, self.cluster_config.network,
-                                  name="render-connector")
-            # a frame socket as deep as the SCC's SIF socket
-            sock = Store(self.sim, capacity=SIF_CAPACITY)
-            processes.append(self.sim.process(
-                self._external_feed_proc(feed_net, sock), name="ext-render"))
-            processes.append(self.sim.process(
-                self._connector_proc(feed_net, sock, first_queues),
-                name="connector"))
+                up, got_p, free_p, work_p = put[p], got[p], free[p], work[p]
+                for s in stages:
+                    top = free_p[s]
+                    g = up if up > top else top
+                    filter_idle[s].append(g - top)
+                    got_p[s] = g
+                    t = g + work_p[s] + copy[p]
+                    if got_p[s + 1] > t:
+                        t = got_p[s + 1]
+                    filter_busy[s].append(t - g)
+                    free_p[s] = up = t
+                put[p] = up
+            # -- transfer: gather every strip, assemble, ship to viewer
+            t = transfer_free
+            for p in range(n):
+                t = max(t, put[p])
+                got[p][-1] = t
+            transfer_free = t + assemble + hold + net.latency_s
 
-        last_queues = []
-        for p in range(n):
-            inq = first_queues[p]
-            for key in FILTER_KEYS:
-                outq = Store(self.sim, capacity=1)
-                processes.append(self.sim.process(
-                    self._filter_proc(key, p, inq, outq),
-                    name=f"{key}[{p}]"))
-                inq = outq
-            last_queues.append(inq)
-
-        transfer = self.sim.process(
-            self._transfer_proc(last_queues, viewer_net), name="transfer")
-        processes.append(transfer)
-
-        self.sim.run(until=self.sim.all_of(processes))
-        end = self.sim.now
+        metrics = RunMetrics()
+        metrics.record_stage_samples(idle, busy)
         # one core per process, but not the remote external renderer,
         # just as the SCC rows do not count the MCPC host
-        cores_used = len(processes)
-        if self.config == "external_renderer":
-            cores_used -= 1
+        sources = n if config == "parallel_renderer" else 1
         return RunResult(
-            config=f"hpc_{self.config}",
+            config=f"hpc_{config}",
             arrangement="cluster",
             pipelines=n,
             frames=self.frames,
-            walkthrough_seconds=end,
-            cores_used=cores_used,
+            walkthrough_seconds=transfer_free,
+            cores_used=len(FILTER_KEYS) * n + sources + 1,
             scc_energy_j=0.0,
             scc_avg_power_w=0.0,
             mcpc_energy_above_idle_j=0.0,
-            idle_quartiles=self.metrics.idle_quartiles(),
-            busy_means={k: acc.mean
-                        for k, acc in self.metrics.busy.items()},
+            idle_quartiles=metrics.idle_quartiles(),
+            busy_means={k: acc.mean for k, acc in metrics.busy.items()},
         )

@@ -68,7 +68,7 @@ from ..pipeline.describe import SIF_CAPACITY
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
-from ..sim import Simulator, StatAccumulator, TimeSeries
+from ..sim import Simulator, TimeSeries
 from ..telemetry import Telemetry
 from .telsynth import StepMeta, TelemetrySynth, make_synth
 
@@ -939,8 +939,7 @@ class BatchedEngine:
         return self._dram_prog(src, dst, nbytes, False)
 
     def _udp_prog(self, res: _Res, cfg: Any, nbytes: int) -> Prog:
-        frags = 0 if nbytes == 0 else math.ceil(nbytes / cfg.mtu_payload)
-        hold = nbytes / cfg.bandwidth + frags * cfg.per_datagram_overhead
+        hold = cfg.hold_seconds(nbytes)
         prog: Prog = []
         if hold > 0.0:
             prog.append((res, hold, None))
@@ -986,8 +985,7 @@ class BatchedEngine:
             self.stores.append(queue)
             uplink_cfg = self.mcpc_config.udp
             uplink_res = self._new_res()
-            datagrams = (0 if frame_bytes == 0 else
-                         math.ceil(frame_bytes / uplink_cfg.mtu_payload))
+            datagrams = uplink_cfg.datagrams_for(frame_bytes)
 
         self.actors = []
         for node in graph.stages:
@@ -998,8 +996,7 @@ class BatchedEngine:
                 self._samples_for(node.base)
             actor: _Actor
             if role == "host":
-                uplink_hold = (frame_bytes / uplink_cfg.bandwidth
-                               + datagrams * uplink_cfg.per_datagram_overhead)
+                uplink_hold = uplink_cfg.hold_seconds(frame_bytes)
                 actor = _MCPCActor(
                     self, queue,
                     self._udp_prog(uplink_res, uplink_cfg, frame_bytes),
@@ -1053,9 +1050,6 @@ class BatchedEngine:
                     chip.compute_time(core, cost.assemble_seconds(
                         wl.image_side ** 2)),
                     self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            if role in ("single", "transfer"):
-                # the completion stage triggers the periodicity snapshots
-                self.trigger = actor
             self.actors.append(actor)
 
         synth = self.synth
@@ -1451,18 +1445,7 @@ class BatchedEngine:
 
         metrics = RunMetrics()
         metrics.frame_birth = dict(self.births)
-        # what record_idle/record_busy would build sample by sample (same
-        # keys, same order, same running sums), without the per-sample
-        # call and accumulator construction that dominated jumped runs
-        for accs, samples in ((metrics.idle, self.idle_samples),
-                              (metrics.busy, self.busy_samples)):
-            for key, vals in samples.items():
-                if not vals:
-                    continue
-                if min(vals) < 0:
-                    raise ValueError(f"{key}: negative stage time")
-                acc = accs[key] = StatAccumulator(key)
-                acc.extend(vals)
+        metrics.record_stage_samples(self.idle_samples, self.busy_samples)
         metrics.frame_completions = list(self.completions)
         metrics.latency.extend(self.latency_samples)
 
@@ -1485,6 +1468,10 @@ class BatchedEngine:
                              else None)
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
+        # the engine is single-use: dropping the spent actors (each holds
+        # the engine) lets refcounting free the run's whole state now
+        # instead of at the next full GC pass
+        self.actors = []
         chip = self.chip
         graph = self.graph
         busy_means = {key: acc.mean for key, acc in metrics.busy.items()}

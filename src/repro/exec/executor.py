@@ -99,7 +99,10 @@ class RunSpec:
     placement: Optional[PlacementSpec] = None
     #: execution engine: ``"event"`` (discrete-event kernel) or
     #: ``"batched"`` (steady-state frame-wave engine, repro.engine).
-    #: Part of the digest, so the cache never conflates engines.
+    #: Part of the digest, so the cache never conflates engines.  On the
+    #: ``"hpc"`` platform it must stay ``"event"``: there it names the
+    #: cluster's one exact model (a max-plus recurrence, bit-identical
+    #: to the event simulation it replaced), so existing digests hold.
     engine: str = "event"
 
     def __post_init__(self) -> None:
@@ -132,8 +135,8 @@ class RunSpec:
                 raise ValueError("payload/DVFS/placement/power options do "
                                  "not apply to the hpc platform")
             if self.engine != "event":
-                raise ValueError("the hpc platform has no alternative "
-                                 "engines; use engine='event'")
+                raise ValueError("the hpc platform has one exact model, "
+                                 "named engine='event'")
         else:
             raise ValueError(f"unknown platform {self.platform!r}")
 

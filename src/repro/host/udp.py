@@ -44,6 +44,24 @@ class UDPConfig:
     #: one-way propagation latency in seconds
     latency_s: float = 100e-6
 
+    def __post_init__(self) -> None:
+        if self.mtu_payload <= 0:
+            raise ValueError("mtu_payload must be > 0")
+
+    def datagrams_for(self, nbytes: int) -> int:
+        """Number of datagrams a payload fragments into."""
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        if nbytes == 0:
+            return 0
+        return math.ceil(nbytes / self.mtu_payload)
+
+    def hold_seconds(self, nbytes: int) -> float:
+        """Time a payload holds the link: serialization plus the
+        per-datagram cost of every fragment (no latency)."""
+        return (nbytes / self.bandwidth
+                + self.datagrams_for(nbytes) * self.per_datagram_overhead)
+
 
 class UDPChannel:
     """A point-to-point UDP-like pipe with fragmentation and contention."""
@@ -52,8 +70,6 @@ class UDPChannel:
                  name: str = "udp") -> None:
         self.sim = sim
         self.config = config or UDPConfig()
-        if self.config.mtu_payload <= 0:
-            raise ValueError("mtu_payload must be > 0")
         self.name = name
         self._link = Resource(sim, capacity=1, name=f"{name}-link")
         self.datagrams_sent = 0
@@ -62,31 +78,20 @@ class UDPChannel:
     # -- analytic ------------------------------------------------------------
     def datagrams_for(self, nbytes: int) -> int:
         """Number of datagrams a payload fragments into."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        if nbytes == 0:
-            return 0
-        return math.ceil(nbytes / self.config.mtu_payload)
+        return self.config.datagrams_for(nbytes)
 
     def transfer_time_uncontended(self, nbytes: int) -> float:
         """Zero-load time to push ``nbytes`` through the channel."""
-        cfg = self.config
-        frags = self.datagrams_for(nbytes)
-        return (nbytes / cfg.bandwidth
-                + frags * cfg.per_datagram_overhead
-                + cfg.latency_s)
+        return self.config.hold_seconds(nbytes) + self.config.latency_s
 
     # -- simulated ------------------------------------------------------------
     def transfer(self, nbytes: int) -> Generator[Any, Any, None]:
         """Process fragment moving ``nbytes``; holds the link while
         serializing (datagrams of one message are sent back-to-back)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
         cfg = self.config
-        frags = self.datagrams_for(nbytes)
-        self.datagrams_sent += frags
+        self.datagrams_sent += cfg.datagrams_for(nbytes)
         self.bytes_sent += nbytes
-        hold = nbytes / cfg.bandwidth + frags * cfg.per_datagram_overhead
+        hold = cfg.hold_seconds(nbytes)
         if hold > 0.0:
             yield from self._link.acquire(hold)
         yield self.sim.timeout(cfg.latency_s)

@@ -42,6 +42,20 @@ class RunMetrics:
             raise ValueError("busy time must be >= 0")
         self.busy.setdefault(stage_key, StatAccumulator(stage_key)).add(seconds)
 
+    def record_stage_samples(self, idle: Dict[str, List[float]],
+                             busy: Dict[str, List[float]]) -> None:
+        """Every idle and busy interval of a run at once: the keys, order
+        and running sums ``record_idle``/``record_busy`` would build
+        sample by sample, without the per-sample call."""
+        for accs, samples in ((self.idle, idle), (self.busy, busy)):
+            for key, vals in samples.items():
+                if not vals:
+                    continue
+                if min(vals) < 0:
+                    raise ValueError(f"{key}: negative stage time")
+                acc = accs[key] = StatAccumulator(key)
+                acc.extend(vals)
+
     def mark_frame_birth(self, frame: int, time: float) -> None:
         """First render work on ``frame`` started (first writer wins —
         with per-pipeline renderers the earliest strip counts)."""

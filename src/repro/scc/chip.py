@@ -64,8 +64,11 @@ class SCCChip:
         self.memory = MemorySystem(self.sim, self.topology, self.mesh,
                                    self.config.memory, telemetry=tel)
         self.mpb = MPBSystem(self.sim, self.topology, telemetry=tel)
+        # the clock closes over the simulator, not the chip: a chip that
+        # its own controller references lives on until a full GC pass
+        sim = self.sim
         self.dvfs = DVFSController(self.topology, telemetry=tel,
-                                   clock=lambda: self.sim.now)
+                                   clock=lambda: sim.now)
         self.power = PowerModel(self.sim, self.topology, self.dvfs,
                                 self.config.power, telemetry=tel)
 

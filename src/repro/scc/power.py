@@ -23,6 +23,7 @@ extra pipeline small, exactly as in Fig. 14.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -79,7 +80,16 @@ class PowerModel:
         self.telemetry = telemetry or NULL_TELEMETRY
         self._active: Set[int] = set()
         self.trace = TimeSeries("scc_power", initial=self.config.p_idle)
-        dvfs.subscribe(self._on_change)
+        # subscribed weakly, so the controller and its power model do not
+        # keep each other (and the chip) alive in a reference cycle
+        on_change = weakref.WeakMethod(self._on_change)
+
+        def notify() -> None:
+            method = on_change()
+            if method is not None:
+                method()
+
+        dvfs.subscribe(notify)
 
     # -- state ------------------------------------------------------------
     @property

@@ -58,9 +58,16 @@ class StatAccumulator:
         self._sorted = None
 
     def extend(self, values: Iterable[float]) -> None:
-        """Record many samples."""
-        for v in values:
-            self.add(v)
+        """Record many samples: bit-identical to ``add`` on each in turn
+        (same coercion, same running-sum order), in one local loop."""
+        samples = [float(v) for v in values]
+        total, total_sq = self._sum, self._sum_sq
+        for v in samples:
+            total += v  # lint: disable=DET007 -- must equal add(), in order
+            total_sq += v * v  # lint: disable=DET007 -- must equal add()
+        self._sum, self._sum_sq = total, total_sq
+        self._samples.extend(samples)
+        self._sorted = None
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import ResultCache, RunSpec, SweepExecutor, execute_spec
+from repro.exec.executor import build_runner
 from repro.pipeline import PipelineRunner
 
 FRAMES = 6
@@ -63,6 +64,30 @@ def test_runner_spec_refuses_custom_components():
     assert not runner.spec_exact
     with pytest.raises(ValueError):
         runner.spec()
+
+
+def test_hpc_runner_from_build_runner_round_trips():
+    """A cluster runner built from a spec shares the memoized workload,
+    which counts as declarative: it gives the same spec back."""
+    spec = RunSpec(platform="hpc", config="single_renderer", pipelines=2,
+                   frames=FRAMES)
+    runner = build_runner(spec)
+    assert runner.spec_exact
+    assert runner.spec() == spec
+    assert execute_spec(runner.spec()) == runner.run()
+
+
+def test_hpc_runner_refuses_custom_workload():
+    from repro.cluster import ClusterRunner
+    from repro.pipeline.workload import WalkthroughWorkload
+    runner = ClusterRunner(frames=FRAMES,
+                           workload=WalkthroughWorkload(frames=FRAMES))
+    assert not runner.spec_exact
+    with pytest.raises(ValueError):
+        runner.spec()
+    with pytest.raises(ValueError, match="fewer frames"):
+        ClusterRunner(frames=FRAMES + 1,
+                      workload=WalkthroughWorkload(frames=FRAMES))
 
 
 def test_results_come_back_in_submission_order(tmp_path):

@@ -75,6 +75,25 @@ def test_stat_accumulator_std_matches_numpy(values):
     assert acc.std == pytest.approx(float(np.std(values)), abs=1e-6)
 
 
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10**6, 10**6)), max_size=60),
+       st.lists(st.floats(-1e3, 1e3), max_size=10))
+def test_stat_accumulator_extend_is_bitwise_repeated_add(values, prefix):
+    """``extend`` is ``add`` in a loop: samples, sum and sum of squares
+    agree bit for bit, also on top of earlier samples."""
+    one, many = StatAccumulator(), StatAccumulator()
+    for v in prefix:
+        one.add(v)
+        many.add(v)
+    for v in values:
+        one.add(v)
+    many.extend(iter(values))
+    assert [x.hex() for x in many._samples] == [x.hex() for x in one._samples]
+    assert all(type(x) is float for x in many._samples)
+    assert many.total.hex() == one.total.hex()
+    assert many._sum_sq.hex() == one._sum_sq.hex()
+
+
 def test_stat_accumulator_repr():
     acc = StatAccumulator("x")
     assert "empty" in repr(acc)
