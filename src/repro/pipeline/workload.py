@@ -7,16 +7,21 @@ procedural city along the actual 400-frame camera path.  That keeps the
 frame-to-frame load variation ("the complexity of the scene") real while
 the 400-frame sweeps run in seconds.
 
-Profiles are memoized per ``(frame, strip, num_strips)``; a process-wide
-default workload instance is shared by the benches so the geometry work
-is done once.
+Each strip split is culled whole: the first profile asked for in a split
+runs the octree culling kernel once over every frame's strip sub-frusta
+and keeps the counts as that split's table.  Profiles are memoized per
+``(frame, strip, num_strips)``; a process-wide default workload instance
+is shared by the benches so the geometry work is done once.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from ..render import (
     DEFAULT_FRAME_COUNT,
@@ -26,6 +31,8 @@ from ..render import (
     Viewport,
     WalkthroughPath,
     build_city,
+    frustum_planes,
+    strip_window,
 )
 
 __all__ = ["WalkthroughWorkload", "default_workload", "DEFAULT_IMAGE_SIDE",
@@ -35,13 +42,16 @@ __all__ = ["WalkthroughWorkload", "default_workload", "DEFAULT_IMAGE_SIDE",
 #: of the Fig. 12 sweep, consistent with its "data in kb" labels)
 DEFAULT_IMAGE_SIDE = 400
 
-#: default bound on the per-workload profile memo.  A profile is a
-#: handful of ints, and a full Table-I crossing on one shared workload
-#: (400 frames x the 1..7-strip splits plus full frames) needs ~14.8k
-#: entries, so the cap never evicts inside a paper-scale sweep; it only
-#: stops open-ended campaigns (unbounded strip-count / frame-count axes
-#: on one long-lived workload) from growing memory without limit.
+#: default bound on what one workload keeps memoized: its profiles plus
+#: the cells of its culling tables (``frames x n`` per strip split n).
+#: Profiles and cells are a handful of ints each.  A full Table-I
+#: crossing on one shared workload (400 frames x the 1..7-strip splits)
+#: holds 11 200 profiles and 11 200 cells, so the cap never evicts
+#: inside a paper-scale sweep; it only stops open-ended campaigns
+#: (unbounded strip-count / frame-count axes on one long-lived workload)
+#: from growing memory without limit.
 DEFAULT_PROFILE_CACHE_CAP = 32768
+
 
 
 class WalkthroughWorkload:
@@ -56,9 +66,9 @@ class WalkthroughWorkload:
     city:
         Scene configuration (defaults to the standard city).
     profile_cache_cap:
-        Bound on the memoized profile count (LRU eviction beyond it);
-        profiles are pure functions of their key, so eviction can only
-        cost recomputation, never change a result.
+        Bound on the memoized profiles plus culling-table cells (LRU
+        eviction beyond it); both are pure functions of their key, so
+        eviction can only cost recomputation, never change a result.
     """
 
     def __init__(self, frames: int = DEFAULT_FRAME_COUNT,
@@ -75,15 +85,28 @@ class WalkthroughWorkload:
         self.image_side = image_side
         self.city_config = city or CityConfig()
         self.profile_cache_cap = profile_cache_cap
-        self._renderer: Optional[Renderer] = None
         self.path = WalkthroughPath(frames=frames)
+        self._lock = threading.Lock()
+        self._renderer: Optional[Renderer] = None  # guarded-by: self._lock
         #: (frame, strip, num_strips) -> RenderProfile, LRU-bounded
-        self._profiles: "OrderedDict[tuple, RenderProfile]" = OrderedDict()
+        self._profiles: "OrderedDict[tuple, RenderProfile]" = (
+            OrderedDict())  # guarded-by: self._lock
+        #: num_strips -> that split's culling table: ``(2, frames, n)``
+        #: nodes visited and triangles in view, LRU-bounded
+        self._tables: "OrderedDict[int, np.ndarray]" = (
+            OrderedDict())  # guarded-by: self._lock
+        self._table_cells = 0  # guarded-by: self._lock
+        #: (frames, 4, 4) camera view-projections, built with the first table
+        self._view_projs: Optional[np.ndarray] = None  # guarded-by: self._lock
 
     @property
     def renderer(self) -> Renderer:
         """The scene renderer (built lazily: geometry is only needed the
         first time a profile or a real image is requested)."""
+        with self._lock:
+            return self._scene()
+
+    def _scene(self) -> Renderer:  # guarded-by: self._lock
         if self._renderer is None:
             self._renderer = Renderer(build_city(self.city_config))
         return self._renderer
@@ -122,20 +145,70 @@ class WalkthroughWorkload:
         if not 0 <= frame < self.frames:
             raise ValueError(f"frame {frame} out of 0..{self.frames - 1}")
         key = (frame, strip_index, num_strips)
-        cached = self._profiles.get(key)
-        if cached is not None:
-            self._profiles.move_to_end(key)
-            return cached
-        camera = self.path.camera_at(frame)
-        camera.aspect = 1.0
-        prof = self.renderer.profile(
-            camera, self.viewport(strip_index, num_strips),
-            strip_index=strip_index, num_strips=num_strips,
-        )
-        self._profiles[key] = prof
-        while len(self._profiles) > self.profile_cache_cap:
-            self._profiles.popitem(last=False)
-        return prof
+        with self._lock:
+            cached = self._profiles.get(key)
+            if cached is not None:
+                self._profiles.move_to_end(key)
+                return cached
+            # validates the strip before any table is built
+            pixels = self.viewport(strip_index, num_strips).pixels
+            visited, triangles = self._table(num_strips)
+            tris = int(triangles[frame, strip_index])
+            prof = RenderProfile(
+                nodes_visited=int(visited[frame, strip_index]),
+                triangles_in_view=tris,
+                pixels=pixels,
+                culled_everything=tris == 0,
+            )
+            self._profiles[key] = prof
+            self._trim()
+            return prof
+
+    def _table(self, num_strips: int) -> np.ndarray:  # guarded-by: self._lock
+        """The split's culling table, built whole on its first miss and
+        published (kept) only once complete, and only if it fits the
+        cap."""
+        table = self._tables.get(num_strips)
+        if table is not None:
+            self._tables.move_to_end(num_strips)
+            return table
+        table = self._build_table(num_strips)
+        cells = self.frames * num_strips
+        if cells <= self.profile_cache_cap:
+            self._tables[num_strips] = table
+            self._table_cells += cells
+        return table
+
+    def _build_table(self, num_strips: int) -> np.ndarray:  # guarded-by: self._lock
+        """Cull every frame's ``num_strips`` strip sub-frusta in one
+        kernel call."""
+        if self._view_projs is None:
+            view_projs = []
+            for frame in range(self.frames):
+                camera = self.path.camera_at(frame)
+                camera.aspect = 1.0
+                view_projs.append(camera.view_proj())
+            self._view_projs = np.stack(view_projs)
+        view_projs = self._view_projs[:, None]            # (frames, 1, 4, 4)
+        if num_strips > 1:
+            windows = np.stack([strip_window(s, num_strips)
+                                for s in range(num_strips)])
+            view_projs = windows @ view_projs             # (frames, n, 4, 4)
+        planes = frustum_planes(view_projs).reshape(-1, 6, 4)
+        visited, _, triangles = self._scene().octree.cull(planes)
+        return np.stack([visited, triangles]).reshape(2, -1, num_strips)
+
+    def _trim(self) -> None:  # guarded-by: self._lock
+        """Evict down to the cap: least recently used profiles first (a
+        table cell rebuilds one cheaply) but never the newest, then least
+        recently used tables."""
+        while (len(self._profiles) + self._table_cells
+               > self.profile_cache_cap):
+            if len(self._profiles) > 1:
+                self._profiles.popitem(last=False)
+            else:
+                num_strips, _ = self._tables.popitem(last=False)
+                self._table_cells -= self.frames * num_strips
 
     def mean_full_frame_profile(self) -> RenderProfile:
         """Average counters over the whole walkthrough, full frames
@@ -154,9 +227,11 @@ class WalkthroughWorkload:
         )
 
     def __repr__(self) -> str:
+        with self._lock:
+            cached = len(self._profiles)
         return (
             f"<WalkthroughWorkload frames={self.frames} "
-            f"side={self.image_side} cached={len(self._profiles)}>"
+            f"side={self.image_side} cached={cached}>"
         )
 
 

@@ -7,7 +7,7 @@ sub-frusta, a numpy rasterizer, a procedural city scene and the
 
 from .camera import DEFAULT_FRAME_COUNT, Camera, WalkthroughPath
 from .clipping import clip_triangle_near, clip_triangles_near
-from .frustum import Frustum, strip_view_proj
+from .frustum import Frustum, frustum_planes, strip_view_proj, strip_window
 from .io import image_diff, read_ppm, to_float, to_uint8, write_ppm
 from .math3d import (
     look_at,
@@ -29,7 +29,9 @@ __all__ = [
     "WalkthroughPath",
     "DEFAULT_FRAME_COUNT",
     "Frustum",
+    "frustum_planes",
     "strip_view_proj",
+    "strip_window",
     "normalize",
     "look_at",
     "perspective",

@@ -17,7 +17,68 @@ import numpy as np
 
 from .mesh3d import AABB
 
-__all__ = ["Frustum", "strip_view_proj"]
+__all__ = ["Frustum", "frustum_planes", "classify_boxes", "strip_window",
+           "strip_view_proj"]
+
+
+def _plane_rows(m: np.ndarray) -> np.ndarray:
+    """Gribb/Hartmann rows of ``(..., 4, 4)`` matrices: ``(..., 6, 4)``
+    unnormalized planes (left, right, bottom, top, near, far)."""
+    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
+    return np.stack([r3 + r0, r3 - r0, r3 + r1, r3 - r1, r3 + r2, r3 - r2],
+                    axis=-2)
+
+
+def _normalized(planes: np.ndarray) -> np.ndarray:
+    """Scale ``(..., 6, 4)`` planes to unit normals so distances are
+    metric; a zero normal is a degenerate frustum."""
+    norms = np.linalg.norm(planes[..., :3], axis=-1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise ValueError("degenerate frustum plane")
+    return planes / norms
+
+
+def frustum_planes(view_proj: np.ndarray) -> np.ndarray:
+    """Normalized inward planes for a stack of view-projection matrices.
+
+    ``(..., 4, 4)`` -> ``(..., 6, 4)``, element for element what
+    :meth:`Frustum.from_view_proj` stores for each matrix.
+    """
+    m = np.asarray(view_proj, dtype=np.float64)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("view_proj must be 4x4")
+    return _normalized(_plane_rows(m))
+
+
+def classify_boxes(planes: np.ndarray, los: np.ndarray,
+                   his: np.ndarray) -> np.ndarray:
+    """Conservative p-vertex test of ``N`` boxes against ``F`` frusta.
+
+    For each plane the box corner most in the plane's direction is
+    tested; if even that corner is outside, the whole box is.  The
+    p-vertex term ``n_j * (hi_j if n_j >= 0 else lo_j)`` is exactly
+    ``max(n_j * hi_j, n_j * lo_j)``, and the three terms are summed in
+    axis order before the offset is added.
+
+    Parameters
+    ----------
+    planes:
+        ``(F, 6, 4)`` normalized planes.
+    los, his:
+        ``(N, 3)`` box corners.
+
+    Returns
+    -------
+    ``(F, N)`` bool mask — True where the box potentially intersects.
+    """
+    normals = planes[:, :, None, :3]                     # (F, 6, 1, 3)
+
+    def term(j: int) -> np.ndarray:                      # (F, 6, N)
+        return np.maximum(normals[..., j] * his[:, j],
+                          normals[..., j] * los[:, j])
+
+    dist = term(0) + term(1) + term(2) + planes[:, :, None, 3]
+    return np.all(dist >= -1e-9, axis=1)
 
 
 class Frustum:
@@ -28,11 +89,7 @@ class Frustum:
         planes = np.asarray(planes, dtype=np.float64)
         if planes.shape != (6, 4):
             raise ValueError("a frustum needs exactly six (n, d) planes")
-        # Normalize so distances are metric.
-        norms = np.linalg.norm(planes[:, :3], axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise ValueError("degenerate frustum plane")
-        self.planes = planes / norms
+        self.planes = _normalized(planes)
 
     @classmethod
     def from_view_proj(cls, view_proj: np.ndarray) -> "Frustum":
@@ -40,15 +97,7 @@ class Frustum:
         m = np.asarray(view_proj, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError("view_proj must be 4x4")
-        rows = [
-            m[3] + m[0],   # left
-            m[3] - m[0],   # right
-            m[3] + m[1],   # bottom
-            m[3] - m[1],   # top
-            m[3] + m[2],   # near
-            m[3] - m[2],   # far
-        ]
-        return cls(np.vstack(rows))
+        return cls(_plane_rows(m))
 
     # -- queries ------------------------------------------------------------
     def contains_point(self, p: np.ndarray) -> bool:
@@ -58,18 +107,9 @@ class Frustum:
         return bool(np.all(d >= -1e-9))
 
     def intersects_aabb(self, box: AABB) -> bool:
-        """Conservative AABB test (p-vertex): no false negatives.
-
-        Standard culling test: for each plane take the box corner most
-        in the plane's direction; if even that corner is outside, the
-        whole box is outside.
-        """
-        normals = self.planes[:, :3]
-        d = self.planes[:, 3]
-        # positive vertex per plane: hi where n >= 0 else lo
-        pv = np.where(normals >= 0.0, box.hi[None, :], box.lo[None, :])
-        dist = np.einsum("ij,ij->i", normals, pv) + d
-        return bool(np.all(dist >= -1e-9))
+        """Conservative AABB test (p-vertex): no false negatives."""
+        return bool(classify_boxes(self.planes[None], box.lo[None],
+                                   box.hi[None])[0, 0])
 
     def classify_aabbs(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Vectorized p-vertex test for many boxes.
@@ -87,18 +127,23 @@ class Frustum:
         his = np.asarray(his, dtype=np.float64)
         if los.shape != his.shape or los.ndim != 2 or los.shape[1] != 3:
             raise ValueError("los/his must both be (N, 3)")
-        return self._classify_boxes(los, his)
+        return classify_boxes(self.planes[None], los, his)[0]
 
-    def _classify_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """``classify_aabbs`` without input validation, for callers that
-        guarantee ``(N, 3)`` float64 corners (the octree traversal)."""
-        normals = self.planes[:, :3]                       # (6, 3)
-        d = self.planes[:, 3]                              # (6,)
-        # (N, 6, 3): pick hi where the plane normal component is >= 0
-        pick_hi = normals[None, :, :] >= 0.0
-        pv = np.where(pick_hi, his[:, None, :], los[:, None, :])
-        dist = np.einsum("nij,ij->ni", pv, normals) + d[None, :]
-        return np.all(dist >= -1e-9, axis=1)
+
+def strip_window(strip_index: int, num_strips: int) -> np.ndarray:
+    """The 4x4 "window" transform mapping one horizontal strip's NDC band
+    onto the full ``[-1, 1]`` range (see :func:`strip_view_proj`)."""
+    if num_strips <= 0:
+        raise ValueError("num_strips must be >= 1")
+    if not 0 <= strip_index < num_strips:
+        raise ValueError("strip_index out of range")
+    y0 = -1.0 + 2.0 * strip_index / num_strips
+    y1 = -1.0 + 2.0 * (strip_index + 1) / num_strips
+    # Map [y0, y1] -> [-1, 1]: y' = (2y - (y0+y1)) / (y1-y0)
+    window = np.eye(4)
+    window[1, 1] = 2.0 / (y1 - y0)
+    window[1, 3] = -(y0 + y1) / (y1 - y0)
+    return window
 
 
 def strip_view_proj(view_proj: np.ndarray, strip_index: int,
@@ -113,16 +158,5 @@ def strip_view_proj(view_proj: np.ndarray, strip_index: int,
 
     Strips are indexed bottom-up (strip 0 = bottom of the image in NDC).
     """
-    if num_strips <= 0:
-        raise ValueError("num_strips must be >= 1")
-    if not 0 <= strip_index < num_strips:
-        raise ValueError("strip_index out of range")
-    y0 = -1.0 + 2.0 * strip_index / num_strips
-    y1 = -1.0 + 2.0 * (strip_index + 1) / num_strips
-    # Map [y0, y1] -> [-1, 1]: y' = (2y - (y0+y1)) / (y1-y0)
-    scale = 2.0 / (y1 - y0)
-    offset = -(y0 + y1) / (y1 - y0)
-    window = np.eye(4)
-    window[1, 1] = scale
-    window[1, 3] = offset
-    return window @ np.asarray(view_proj, dtype=np.float64)
+    return (strip_window(strip_index, num_strips)
+            @ np.asarray(view_proj, dtype=np.float64))

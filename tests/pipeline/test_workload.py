@@ -123,3 +123,85 @@ def test_profile_cache_hit_refreshes_recency():
     small.profile(2)          # evicts frame 1, not frame 0
     assert (0, 0, 1) in small._profiles
     assert (1, 0, 1) not in small._profiles
+
+
+def test_rejected_profile_builds_no_table():
+    """Bad keys fail with ValueError before any culling work starts."""
+    fresh = WalkthroughWorkload(frames=4, image_side=64)
+    for args in ((4, 0, 1), (-1, 0, 1), (0, 3, 3), (0, -1, 3), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            fresh.profile(*args)
+    assert not fresh._tables and not fresh._profiles
+    assert fresh._renderer is None
+
+
+def test_split_table_built_once_and_read_per_key():
+    fresh = WalkthroughWorkload(frames=4, image_side=64)
+    first = fresh.profile(2, 1, 3)
+    assert list(fresh._tables) == [3]
+    table = fresh._tables[3]
+    others = [fresh.profile(f, s, 3) for f in range(4) for s in range(3)]
+    assert fresh._tables[3] is table
+    assert first in others
+    assert len(fresh._profiles) == 12
+
+
+def test_table_cells_count_toward_the_cap():
+    # 4 frames: the 3-strip table has 12 cells, the 2-strip one 8
+    small = WalkthroughWorkload(frames=4, image_side=64,
+                                profile_cache_cap=20)
+    reference = WalkthroughWorkload(frames=4, image_side=64)
+    small.profile(0, 0, 3)
+    small.profile(1, 1, 3)
+    assert list(small._tables) == [3] and len(small._profiles) == 2
+    # 12 + 8 cells + 3 profiles > 20: profiles go first (never the
+    # newest), then the least recently used table
+    small.profile(0, 0, 2)
+    assert list(small._tables) == [2] and list(small._profiles) == [(0, 0, 2)]
+    # a table larger than the cap is used once and not kept
+    tiny = WalkthroughWorkload(frames=4, image_side=64, profile_cache_cap=4)
+    assert tiny.profile(3, 1, 2) == reference.profile(3, 1, 2)
+    assert not tiny._tables
+    for f in range(4):
+        for s in range(3):
+            assert small.profile(f, s, 3) == reference.profile(f, s, 3)
+            assert len(small._profiles) + 4 * sum(small._tables) <= 20
+
+
+def test_concurrent_profiles_match_serial():
+    """Job threads share one workload: a thread that hits a split while
+    another builds its table never reads a partial table or loses an
+    entry."""
+    import sys
+    import threading
+
+    serial = WalkthroughWorkload(frames=8, image_side=64)
+    want = {(f, s, n): serial.profile(f, s, n)
+            for n in (4, 5) for f in range(8) for s in range(n)}
+    shared = WalkthroughWorkload(frames=8, image_side=64)
+    got = [{} for _ in range(6)]
+    errors = []
+
+    def worker(i):
+        try:
+            for (f, s, n) in sorted(want, key=lambda k: hash((i,) + k)):
+                got[i][(f, s, n)] = shared.profile(f, s, n)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(g == want for g in got)
+    assert sorted(shared._tables) == [4, 5]
+    assert len(shared._profiles) == len(want)
