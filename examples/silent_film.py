@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Render an actual silent film — real pixels through the real pipeline.
+"""Render an actual silent film — the real pixels the pipeline draws.
 
-Runs the heterogeneous configuration (MCPC renderer + SCC filter
-pipelines) in *payload mode*: the software rasterizer draws the city,
-the five filters run their genuine numpy kernels on every strip, the
-transfer stage reassembles the frames, and the frames are written as
-PPM images you can view or assemble into a video
-(e.g. ``ffmpeg -i frames/frame_%03d.ppm film.mp4``).
+Computes the heterogeneous configuration's film (MCPC renderer + SCC
+filter pipelines): the software rasterizer draws the city, the five
+filters run their genuine numpy kernels on every strip, the strips are
+reassembled, and the frames are written as PPM images you can view or
+assemble into a video (e.g. ``ffmpeg -i frames/frame_%03d.ppm film.mp4``).
+A timing run of the same configuration reports what the walkthrough
+costs on the simulated SCC kit.
 
 Run:  python examples/silent_film.py [--frames 24] [--side 160] [--out frames]
 """
@@ -14,7 +15,7 @@ Run:  python examples/silent_film.py [--frames 24] [--side 160] [--out frames]
 import argparse
 import pathlib
 
-from repro.pipeline import PipelineRunner, WalkthroughWorkload
+from repro.pipeline import PipelineRunner, WalkthroughWorkload, render_film
 from repro.render import write_ppm
 
 
@@ -33,21 +34,20 @@ def main() -> None:
     workload = WalkthroughWorkload(frames=args.frames, image_side=args.side)
 
     print(f"Rendering {args.frames} frames of {args.side}x{args.side} "
-          f"through {args.pipelines} parallel pipelines (payload mode)...")
-    runner = PipelineRunner(
+          f"through {args.pipelines} parallel pipelines...")
+    frames = render_film(workload, "mcpc_renderer", args.pipelines,
+                         args.frames, seed=args.seed)
+    for i, frame in enumerate(frames):
+        write_ppm(args.out / f"frame_{i:03d}.ppm", frame)
+
+    result = PipelineRunner(
         config="mcpc_renderer",
         pipelines=args.pipelines,
         frames=args.frames,
         image_side=args.side,
         workload=workload,
-        payload_mode=True,
         seed=args.seed,
-    )
-    result = runner.run()
-
-    frames = runner.last_viewer.frames
-    for i, frame in enumerate(frames):
-        write_ppm(args.out / f"frame_{i:03d}.ppm", frame)
+    ).run()
 
     print(f"Wrote {len(frames)} frames to {args.out}/")
     print(f"Simulated walkthrough time on the SCC kit: "

@@ -42,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..pipeline.describe import FILTER_KEYS
 from ..pipeline.metrics import RunResult
 from ..sim import StatAccumulator
 from ..telemetry import Telemetry, TelemetryEvent
@@ -57,10 +58,6 @@ __all__ = [
     "analyze_telemetry",
     "verdict_from_result",
 ]
-
-#: stage order inside one pipeline (mirrors repro.pipeline.runner; kept
-#: local so the engine can analyze a bare trace file without a runner)
-_FILTER_KEYS = ("sepia", "blur", "scratch", "flicker", "swap")
 
 #: the categories a stage's wall time decomposes into (they tile
 #: ``[0, makespan]`` exactly — see :class:`StageAttribution`)
@@ -234,7 +231,7 @@ class RunInsight:
         has no filter stages (single-core).
         """
         utils = {k: v for k, v in self.kind_utilization.items()
-                 if k in _FILTER_KEYS}
+                 if k in FILTER_KEYS}
         if not utils:
             return None
         return _deep_verdict(utils, {k: self.kind_seconds[k]
@@ -422,10 +419,10 @@ def _upstream_map(tracks: Iterable[str]) -> Dict[str, Optional[str]]:
     for track in present:
         base, p = _parse_track(track)
         source: Optional[str] = None
-        if base in _FILTER_KEYS and p is not None:
-            j = _FILTER_KEYS.index(base)
+        if base in FILTER_KEYS and p is not None:
+            j = FILTER_KEYS.index(base)
             if j > 0:
-                source = f"{_FILTER_KEYS[j - 1]}[{p}]"
+                source = f"{FILTER_KEYS[j - 1]}[{p}]"
             elif "render" in present:
                 source = "render"
             elif f"render[{p}]" in present:
@@ -435,7 +432,7 @@ def _upstream_map(tracks: Iterable[str]) -> Dict[str, Optional[str]]:
         elif base == "transfer":
             # idle spans come from pipeline 0's last filter; p>=1 waits
             # carry their own src_core field.
-            last = f"{_FILTER_KEYS[-1]}[0]"
+            last = f"{FILTER_KEYS[-1]}[0]"
             source = last if last in present else None
         elif base == "connect":
             source = "mcpc-render" if "mcpc-render" in present else None
@@ -683,7 +680,7 @@ def verdict_from_result(result: RunResult,
         raise ValueError("run has non-positive duration")
     utils = {kind: mean * result.frames / T
              for kind, mean in result.busy_means.items()
-             if not filters_only or kind in _FILTER_KEYS}
+             if not filters_only or kind in FILTER_KEYS}
     verdict = _rank_verdict(utils, {})
     if not filters_only:
         mc_peak = max(result.mc_utilizations, default=0.0)

@@ -154,7 +154,7 @@ class UnseededRandomRule(Rule):
         "Unseeded generators (and the global random/np.random state) "
         "give different results per process, breaking RunSpec digest "
         "stability and golden-run replays; derive generators from the "
-        "run's seed (cf. StageContext.rng_for).")
+        "run's seed (cf. repro.pipeline.film.filter_stream).")
 
     def check(self, ctx: LintContext) -> Iterator[Tuple[ast.AST, str]]:
         aliases = _import_aliases(ctx.tree, "random")

@@ -31,7 +31,7 @@ Subcommands
     Regenerate the paper's Table I next to the published numbers
     (``--jobs``/``--cache-dir`` shard and cache the 84 runs).
 ``film``
-    Render real frames through the pipeline and write PPM files.
+    Render the pipeline's real frames and write PPM files.
 ``dvfs``
     The §VI-D frequency-tuning study (Figs 16/17).
 ``explain``
@@ -67,7 +67,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis import PeriodPredictor
 from .exec import ResultCache, RunSpec, SweepExecutor, default_cache_dir
-from .pipeline import ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner
+from .pipeline import (ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner,
+                       render_film)
 from .pipeline.arrangements import dvfs_study_placement
 from .pipeline.workload import WalkthroughWorkload
 from .report import format_table, paper, results_to_json
@@ -858,13 +859,14 @@ def _cmd_film(args: argparse.Namespace) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     workload = WalkthroughWorkload(frames=args.frames, image_side=args.side)
-    runner = PipelineRunner(config="mcpc_renderer", pipelines=args.pipelines,
-                            frames=args.frames, image_side=args.side,
-                            workload=workload, payload_mode=True)
-    result = runner.run()
-    for i, frame in enumerate(runner.last_viewer.frames):
+    film = render_film(workload, "mcpc_renderer", args.pipelines,
+                       args.frames)
+    for i, frame in enumerate(film):
         write_ppm(args.out / f"frame_{i:03d}.ppm", frame)
-    print(f"wrote {len(runner.last_viewer.frames)} frames to {args.out}/ "
+    result = PipelineRunner(config="mcpc_renderer", pipelines=args.pipelines,
+                            frames=args.frames, image_side=args.side,
+                            workload=workload).run()
+    print(f"wrote {len(film)} frames to {args.out}/ "
           f"(simulated kit time {result.walkthrough_seconds:.2f} s)")
     return 0
 

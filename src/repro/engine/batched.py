@@ -48,10 +48,11 @@ jump advances the stream analytically — the captured period becomes a
 periodic block on the hub and counters move in closed form, so the jump
 stays O(1) regardless of how many frames it skips.
 
-The engine only supports timing-mode runs; payload mode, sanitizers and
-sampled power traces decline (see :func:`batched_decline_reason`, keyed
-by :data:`BATCHED_DECLINE_REASONS`) and the caller falls back to the
-event engine, whose results are then bit-identical by construction.
+Pixels never enter either engine: the film is a pure function of the
+workload and seed (:func:`repro.pipeline.film.render_film`).  Sanitizers
+and sampled power traces decline (see :func:`batched_decline_reason`,
+keyed by :data:`BATCHED_DECLINE_REASONS`) and the caller falls back to
+the event engine, whose results are then bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
 #: (surfaced in ``repro run --json`` and docs/performance.md).  Tracing
 #: and telemetry are deliberately *absent*: telsynth serves both.
 BATCHED_DECLINE_REASONS: Dict[str, str] = {
-    "payload_mode": "payload mode pushes real pixels through the stages",
     "sanitizers": "runtime sanitizers hook the event kernel",
     "power_trace": "sampled power traces follow event-time DVFS edges",
 }
@@ -98,8 +98,6 @@ BATCHED_DECLINE_REASONS: Dict[str, str] = {
 def batched_decline_code(runner: Any) -> Optional[str]:
     """Decline code for this run (a :data:`BATCHED_DECLINE_REASONS` key),
     or None when the batched engine can serve it."""
-    if runner.payload_mode:
-        return "payload_mode"
     if runner.sanitizers is not None:
         return "sanitizers"
     if runner.power_trace_dt is not None:
@@ -110,8 +108,8 @@ def batched_decline_code(runner: Any) -> Optional[str]:
 def batched_decline_reason(runner: Any) -> Optional[str]:
     """Why the batched engine cannot serve this run (None = it can).
 
-    Every declined feature needs the full per-event machinery (payload
-    arrays through the stages, kernel hooks, event-time DVFS edges); the
+    Every declined feature needs the full per-event machinery (kernel
+    hooks, event-time DVFS edges); the
     caller falls back to the event engine, which then produces the one
     true — bit-identical — result.
     """

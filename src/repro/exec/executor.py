@@ -91,7 +91,6 @@ class RunSpec:
     frames: int = 400
     image_side: int = 400
     seed: int = 0
-    payload_mode: bool = False
     power_trace_dt: Optional[float] = None
     #: stage key -> MHz, normalised to a sorted item tuple
     frequency_plan: Optional[Tuple[Tuple[str, float], ...]] = None
@@ -110,7 +109,6 @@ class RunSpec:
         object.__setattr__(self, "frames", int(self.frames))
         object.__setattr__(self, "image_side", int(self.image_side))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "payload_mode", bool(self.payload_mode))
         object.__setattr__(self, "frequency_plan",
                            _freeze_plan(self.frequency_plan))
         object.__setattr__(self, "placement",
@@ -129,11 +127,11 @@ class RunSpec:
             # the cluster has no arrangements/DVFS/power model; pin the
             # irrelevant axes so equivalent specs hash identically
             object.__setattr__(self, "arrangement", "cluster")
-            if (self.payload_mode or self.frequency_plan is not None
+            if (self.frequency_plan is not None
                     or self.placement is not None
                     or self.power_trace_dt is not None):
-                raise ValueError("payload/DVFS/placement/power options do "
-                                 "not apply to the hpc platform")
+                raise ValueError("DVFS/placement/power options do not "
+                                 "apply to the hpc platform")
             if self.engine != "event":
                 raise ValueError("the hpc platform has one exact model, "
                                  "named engine='event'")
@@ -151,7 +149,6 @@ class RunSpec:
             "frames": self.frames,
             "image_side": self.image_side,
             "seed": self.seed,
-            "payload_mode": self.payload_mode,
             "power_trace_dt": self.power_trace_dt,
             "frequency_plan": ([[k, v] for k, v in self.frequency_plan]
                                if self.frequency_plan is not None else None),
@@ -200,7 +197,6 @@ def build_runner(spec: RunSpec, telemetry: Optional[Telemetry] = None
         frames=spec.frames,
         image_side=spec.image_side,
         workload=workload,
-        payload_mode=spec.payload_mode,
         power_trace_dt=spec.power_trace_dt,
         seed=spec.seed,
         placement=placement,

@@ -1,14 +1,15 @@
 """The visualization client.
 
 Always runs on the MCPC: receives the assembled frames from the transfer
-stage over UDP and "displays" them (here: records arrival metadata and
-optionally keeps the real pixel payloads for the examples).  Frame-rate
-statistics derived from the arrival trace feed the walkthrough metrics.
+stage over UDP and "displays" them (here: records arrival metadata; the
+pixels themselves come from :func:`repro.pipeline.film.render_film`).
+Frame-rate statistics derived from the arrival trace feed the
+walkthrough metrics.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim import Simulator, StatAccumulator
 
@@ -22,21 +23,16 @@ class VisualizationClient:
     ----------
     sim:
         Owning simulator.
-    keep_payloads:
-        When True, real frame payloads (numpy images) are retained in
-        :attr:`frames` — only sensible for small functional runs.
     """
 
-    def __init__(self, sim: Simulator, keep_payloads: bool = False) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.keep_payloads = keep_payloads
         self.arrivals: List[Tuple[int, float]] = []
-        self.frames: List[Any] = []
         self.inter_arrival = StatAccumulator("inter_arrival")
         self._last_arrival: Optional[float] = None
         self._out_of_order = 0
 
-    def display(self, frame_index: int, payload: Any = None) -> None:
+    def display(self, frame_index: int) -> None:
         """Record the arrival of a finished frame."""
         now = self.sim.now
         if self.arrivals and frame_index <= self.arrivals[-1][0]:
@@ -45,8 +41,6 @@ class VisualizationClient:
         if self._last_arrival is not None:
             self.inter_arrival.add(now - self._last_arrival)
         self._last_arrival = now
-        if self.keep_payloads and payload is not None:
-            self.frames.append(payload)
 
     # -- statistics ------------------------------------------------------------
     @property

@@ -15,6 +15,7 @@ from .arrangements import (
     max_pipelines,
 )
 from .costmodel import FILTER_SECONDS_FULL_FRAME, FULL_FRAME_PIXELS, CostModel
+from .film import render_film
 from .macro import MacroPipeline, MacroRunResult, MacroStageSpec, WorkItem
 from .metrics import RunMetrics, RunResult
 from .runner import CONFIGURATIONS, ENGINES, FILTER_KEYS, PipelineRunner
@@ -47,6 +48,7 @@ __all__ = [
     "CONFIGURATIONS",
     "ENGINES",
     "FILTER_KEYS",
+    "render_film",
     "CostModel",
     "FULL_FRAME_PIXELS",
     "FILTER_SECONDS_FULL_FRAME",

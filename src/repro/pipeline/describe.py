@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..filters import FILTER_ORDER
 from .arrangements import Placement, make_placement
 
 __all__ = ["CONFIGURATIONS", "FILTER_KEYS", "SIF_SOCKET", "SIF_CAPACITY",
@@ -25,8 +26,8 @@ __all__ = ["CONFIGURATIONS", "FILTER_KEYS", "SIF_SOCKET", "SIF_CAPACITY",
 CONFIGURATIONS = ("single_core", "one_renderer", "n_renderers",
                   "mcpc_renderer")
 
-#: pipeline stage order within a pipeline
-FILTER_KEYS = ("sepia", "blur", "scratch", "flicker", "swap")
+#: pipeline stage order within a pipeline (the filters' own order)
+FILTER_KEYS = FILTER_ORDER
 
 #: the MCPC host -> connect stage socket: a bounded queue of whole frames
 SIF_SOCKET = "sif-socket"

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Union
 
-import numpy as np
-
 from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
 from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
@@ -86,13 +84,13 @@ class PipelineRunner:
         octree profiles are computed once per process).
     chip_config, cost, mcpc_config:
         Model parameter overrides for ablations.
-    payload_mode:
-        Push real pixels through the stages (small runs only).
     power_trace_dt:
         When set, the result carries the SCC power trace sampled at this
         period (seconds).
     seed:
-        RNG seed for the stochastic filters in payload mode.
+        Root seed of the run's identity (``RunSpec.seed``).  Timing does
+        not depend on it; it seeds the film's stochastic filters
+        (:func:`repro.pipeline.film.render_film`).
     telemetry:
         An enabled :class:`~repro.telemetry.Telemetry` hub to instrument
         the run (events, counters, Chrome traces); available as
@@ -116,7 +114,6 @@ class PipelineRunner:
         chip_config: Optional[SCCConfig] = None,
         cost: Optional[CostModel] = None,
         mcpc_config: Optional[MCPCConfig] = None,
-        payload_mode: bool = False,
         power_trace_dt: Optional[float] = None,
         seed: int = 0,
         placement: Optional[Placement] = None,
@@ -161,7 +158,6 @@ class PipelineRunner:
                           and mcpc_config is None
                           and (workload is None or workload is
                                default_workload(self.frames, image_side)))
-        self.payload_mode = payload_mode
         self.power_trace_dt = power_trace_dt
         self.seed = seed
         self.placement_override = placement
@@ -205,7 +201,6 @@ class PipelineRunner:
             frames=self.frames,
             image_side=self.image_side,
             seed=self.seed,
-            payload_mode=self.payload_mode,
             power_trace_dt=self.power_trace_dt,
             frequency_plan=self.frequency_plan,
             placement=self.placement_override,
@@ -250,7 +245,7 @@ class PipelineRunner:
                              walkthrough_s=result.walkthrough_seconds,
                              sim_events=0)
                 return result
-            # declined (payload mode, sanitizers, sampled power — see
+            # declined (sanitizers, sampled power — see
             # BATCHED_DECLINE_REASONS; telemetry and tracing are
             # synthesized now) — the event engine is the one true result
         sim = Simulator()
@@ -271,7 +266,7 @@ class PipelineRunner:
         chip = SCCChip(sim, self.chip_config, telemetry=telemetry)
         comm = RCCEComm(chip)
         mcpc = MCPC(sim, self.mcpc_config)
-        viewer = VisualizationClient(sim, keep_payloads=self.payload_mode)
+        viewer = VisualizationClient(sim)
         downlink = UDPChannel(sim, DOWNLINK_CONFIG, name="scc-viewer")
         metrics = RunMetrics()
         graph = self._stage_graph()
@@ -284,13 +279,10 @@ class PipelineRunner:
             metrics=metrics,
             frames=self.frames,
             num_pipelines=max(graph.pipelines, 1),
-            payload_mode=self.payload_mode,
             viewer=viewer,
             downlink=downlink,
             uplink=mcpc.link,
             mcpc=mcpc,
-            rng=np.random.default_rng(self.seed),
-            seed=self.seed,
             trace=TraceRecorder() if self.trace else None,
             telemetry=telemetry,
         )

@@ -10,28 +10,16 @@ without local memory.  All stages share a :class:`StageContext` carrying
 the chip, the RCCE layer, the cost model, the workload and the metrics
 collector.
 
-Two fidelity levels coexist (DESIGN.md §2): with
-``ctx.payload_mode=True`` real numpy strips flow through the stages and
-the filters actually run; otherwise messages carry only byte counts and
-the DES advances by modeled times alone.
+Messages carry byte counts and frame indices only: the DES advances by
+modeled times alone.  The pixels the stages would draw are a pure
+function of the workload and seed (:mod:`repro.pipeline.film`).
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Generator, List, Optional
 
-import numpy as np
-
-from ..filters import (
-    BlurFilter,
-    FlickerFilter,
-    ImageFilter,
-    ScratchFilter,
-    SepiaFilter,
-    SwapFilter,
-)
 from ..host import MCPC, UDPChannel, VisualizationClient
 from ..rcce import RCCEComm
 from ..scc import SCCChip
@@ -53,17 +41,7 @@ __all__ = [
     "ConnectStage",
     "MCPCRenderProcess",
     "SingleCoreProcess",
-    "FILTER_CLASSES",
 ]
-
-#: functional-level filter implementations per stage key
-FILTER_CLASSES: Dict[str, type] = {
-    "sepia": SepiaFilter,
-    "blur": BlurFilter,
-    "scratch": ScratchFilter,
-    "flicker": FlickerFilter,
-    "swap": SwapFilter,
-}
 
 
 @dataclass
@@ -77,17 +55,12 @@ class StageContext:
     metrics: RunMetrics
     frames: int
     num_pipelines: int
-    payload_mode: bool = False
     viewer: Optional[VisualizationClient] = None
     #: SCC → MCPC link (transfer stage → visualization client)
     downlink: Optional[UDPChannel] = None
     #: MCPC → SCC link (host renderer → connect stage)
     uplink: Optional[UDPChannel] = None
     mcpc: Optional[MCPC] = None
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
-    #: root seed for per-stage RNG streams (payload mode)
-    seed: int = 0
     #: optional activity recorder (one track per stage instance)
     trace: Optional[TraceRecorder] = None
     #: the telemetry hub the stages report into; a private disabled hub
@@ -116,19 +89,6 @@ class StageContext:
     @property
     def sim(self):
         return self.chip.sim
-
-    def rng_for(self, stage_key: str, pipeline: int) -> np.random.Generator:
-        """An independent RNG stream for one stage instance.
-
-        Derived from the root seed via SeedSequence spawning, so the
-        stochastic filters' draws do not depend on event interleaving —
-        identical seeds give identical films for every arrangement.
-        """
-        # zlib.crc32 is stable across processes (unlike str hash()).
-        digest = zlib.crc32(f"{stage_key}/{pipeline}".encode("ascii"))
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed,
-                                   spawn_key=(digest,)))
 
 
 class Stage:
@@ -223,20 +183,10 @@ class SingleRendererStage(Stage):
             ctx.metrics.mark_frame_birth(frame, start)
             profile = ctx.workload.profile(frame)
             yield from self.compute(ctx.cost.render_seconds(profile))
-            image = None
-            if ctx.payload_mode:
-                camera = ctx.workload.path.camera_at(frame)
-                image = ctx.workload.renderer.render(
-                    camera, ctx.workload.viewport())
             for p, dst in enumerate(self.first_filter_cores):
-                nbytes = ctx.workload.strip_bytes(p, n)
-                payload = None
-                if image is not None:
-                    vp = ctx.workload.viewport(p, n)
-                    payload = image[vp.y_start:vp.y_start + vp.height]
-                yield from ctx.comm.send(self.core_id, dst, nbytes,
-                                         tag=frame,
-                                         payload=(frame, p, payload))
+                yield from ctx.comm.send(self.core_id, dst,
+                                         ctx.workload.strip_bytes(p, n),
+                                         tag=frame)
             self.record_busy(start, frame)
 
 
@@ -264,15 +214,9 @@ class StripRendererStage(Stage):
             profile = ctx.workload.profile(frame, p, n)
             yield from self.compute(
                 ctx.cost.render_seconds(profile, sort_first=True))
-            payload = None
-            if ctx.payload_mode:
-                camera = ctx.workload.path.camera_at(frame)
-                payload = ctx.workload.renderer.render(
-                    camera, ctx.workload.viewport(p, n),
-                    strip_index=p, num_strips=n)
             nbytes = ctx.workload.strip_bytes(p, n)
             yield from ctx.comm.send(self.core_id, self.next_core, nbytes,
-                                     tag=frame, payload=(frame, p, payload))
+                                     tag=frame)
             self.record_busy(start, frame)
 
 
@@ -298,13 +242,8 @@ class MCPCRenderProcess:
             # mcpc.compute() takes SCC-core-seconds and applies the
             # Xeon's speed-up internally.
             yield from ctx.mcpc.compute(ctx.cost.render_seconds(profile))
-            image = None
-            if ctx.payload_mode:
-                camera = ctx.workload.path.camera_at(frame)
-                image = ctx.workload.renderer.render(
-                    camera, ctx.workload.viewport())
             yield from ctx.uplink.transfer(ctx.workload.frame_bytes())
-            yield self.connect_queue.put((frame, image))
+            yield self.connect_queue.put(frame)
             if tel.enabled:
                 # Category "host", not "stage": the MCPC is no SCC core
                 # and must stay invisible to RunMetrics' stage sink.
@@ -339,7 +278,7 @@ class ConnectStage(Stage):
         connect_cost = ctx.cost.connect_seconds(datagrams, n)
         for _ in range(ctx.frames):
             wait_start = ctx.sim.now
-            frame, image = yield self.connect_queue.get()
+            frame = yield self.connect_queue.get()
             self.record_idle(ctx.sim.now - wait_start)
             start = ctx.sim.now
             # The frame enters the chip at the system interface router
@@ -351,14 +290,9 @@ class ConnectStage(Stage):
             yield from self.compute(connect_cost)
             yield from ctx.chip.memory.write_own(self.core_id, frame_bytes)
             for p, dst in enumerate(self.first_filter_cores):
-                nbytes = ctx.workload.strip_bytes(p, n)
-                payload = None
-                if image is not None:
-                    vp = ctx.workload.viewport(p, n)
-                    payload = image[vp.y_start:vp.y_start + vp.height]
-                yield from ctx.comm.send(self.core_id, dst, nbytes,
-                                         tag=frame,
-                                         payload=(frame, p, payload))
+                yield from ctx.comm.send(self.core_id, dst,
+                                         ctx.workload.strip_bytes(p, n),
+                                         tag=frame)
             self.record_busy(start, frame)
 
 
@@ -375,10 +309,6 @@ class FilterStage(Stage):
         self.pipeline = pipeline
         self.prev_core = prev_core
         self.next_core = next_core
-        self._filter: Optional[ImageFilter] = None
-        self._rng = ctx.rng_for(filter_key, pipeline)
-        if ctx.payload_mode:
-            self._filter = FILTER_CLASSES[filter_key]()
 
     def run(self) -> Generator[Any, Any, None]:
         ctx = self.ctx
@@ -396,15 +326,8 @@ class FilterStage(Stage):
             # self.compute(service) inlined: five filter stages per
             # pipeline make this the most-executed stage loop.
             yield sim.timeout(compute_time(core_id, service))
-            payload = msg.payload
-            if ctx.payload_mode and payload is not None:
-                frame, strip, image = payload
-                if image is not None and self._filter is not None:
-                    image = self._filter.apply(image, self._rng)
-                payload = (frame, strip, image)
             yield from ctx.comm.send(self.core_id, self.next_core,
-                                     msg.nbytes, tag=msg.tag,
-                                     payload=payload)
+                                     msg.nbytes, tag=msg.tag)
             self.record_busy(start, msg.tag)
 
 
@@ -454,23 +377,13 @@ class TransferStage(Stage):
             idle_cbs.append(self._wait_recorder(self.last_filter_cores[p])
                             if tel.enabled else None)
         for frame in range(ctx.frames):
-            strips: List[Any] = [None] * n
-            wait_start = ctx.sim.now
             for p, src in enumerate(self.last_filter_cores):
-                msg = yield from ctx.comm.recv(
-                    self.core_id, src, idle_cb=idle_cbs[p])
-                if msg.payload is not None:
-                    _, strip_idx, image = msg.payload
-                    strips[strip_idx] = image
+                yield from ctx.comm.recv(self.core_id, src,
+                                         idle_cb=idle_cbs[p])
             start = ctx.sim.now
             yield from self.compute(assemble_cost)
-            assembled = None
-            if ctx.payload_mode and all(s is not None for s in strips):
-                # Strips arrive swap-flipped (top-down); the frame is
-                # stacked in reverse strip order to stay top-down overall.
-                assembled = np.vstack(list(reversed(strips)))
             yield from ctx.downlink.transfer(frame_bytes)
-            ctx.viewer.display(frame, assembled)
+            ctx.viewer.display(frame)
             ctx.metrics.record_frame_done(frame, ctx.sim.now)
             self.record_busy(start, frame)
 
@@ -499,14 +412,7 @@ class SingleCoreProcess(Stage):
             profile = ctx.workload.profile(frame)
             yield from self.compute(
                 ctx.cost.single_core_frame_seconds(profile))
-            image = None
-            if ctx.payload_mode:
-                camera = ctx.workload.path.camera_at(frame)
-                image = ctx.workload.renderer.render(
-                    camera, ctx.workload.viewport())
-                for key in ("sepia", "blur", "scratch", "flicker", "swap"):
-                    image = FILTER_CLASSES[key]().apply(image, ctx.rng)
             yield from ctx.downlink.transfer(frame_bytes)
-            ctx.viewer.display(frame, image)
+            ctx.viewer.display(frame)
             ctx.metrics.record_frame_done(frame, ctx.sim.now)
             self.record_busy(start, frame)

@@ -34,8 +34,8 @@ __all__ = ["sweep_pipelines", "sweep_arrangements", "sweep_image_sizes",
 #: PipelineRunner kwargs a RunSpec can express (anything else forces the
 #: serial fallback — live objects cannot cross a process boundary or be
 #: content-hashed)
-_SPEC_KEYS = frozenset({"seed", "payload_mode", "power_trace_dt",
-                        "image_side", "frequency_plan", "placement"})
+_SPEC_KEYS = frozenset({"seed", "power_trace_dt", "image_side",
+                        "frequency_plan", "placement"})
 
 
 def _run_specs(points: Sequence[dict], runner_kwargs: dict, jobs: int,

@@ -2,11 +2,12 @@
 
 Three layers of the contract from docs/performance.md:
 
-* **fallback is bit-identical** — every golden scenario runs in payload
-  mode, which the batched engine declines; ``engine="batched"`` must
-  then return the event engine's exact floats, field for field;
-* **timing mode is tolerance-clean** — the same scenario matrix without
-  payloads exercises the coarse scheduler and (where the run turns
+* **fallback is bit-identical** — every golden scenario runs with a
+  sampled power trace, which the batched engine declines;
+  ``engine="batched"`` must then return the event engine's exact
+  floats, field for field;
+* **timing mode is tolerance-clean** — the same scenario matrix at 20
+  frames exercises the coarse scheduler and (where the run turns
   periodic) the frame-wave jump; ``diff_snapshots`` under the committed
   ``metrics-tolerances.json`` must report zero regressions;
 * **a Hypothesis sweep** over frames x pipelines x DVFS plans keeps the
@@ -34,8 +35,8 @@ TOLERANCES = Tolerances.from_dict(
     json.loads((REPO_ROOT / "metrics-tolerances.json").read_text()))
 
 
-def _runner(scenario: str, *, payload: bool, engine: str,
-            frames: int = FRAMES) -> PipelineRunner:
+def _runner(scenario: str, *, engine: str, frames: int = FRAMES,
+            power_trace_dt=None) -> PipelineRunner:
     spec = SCENARIOS[scenario]
     return PipelineRunner(
         config=spec["config"],
@@ -44,7 +45,7 @@ def _runner(scenario: str, *, payload: bool, engine: str,
         frames=frames,
         image_side=IMAGE_SIDE,
         workload=_workload(frames, IMAGE_SIDE),
-        payload_mode=payload,
+        power_trace_dt=power_trace_dt,
         seed=SEED,
         frequency_plan=spec.get("frequency_plan"),
         engine=engine,
@@ -61,10 +62,12 @@ def _assert_identical(event_result, batched_result):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_golden_scenarios_fallback_bit_identical(scenario):
-    """Payload mode declines -> the event kernel answers both calls."""
-    batched = _runner(scenario, payload=True, engine="batched")
+    """A sampled power trace declines -> the event kernel answers both
+    calls."""
+    batched = _runner(scenario, engine="batched", power_trace_dt=0.01)
     assert batched_decline_reason(batched) is not None
-    event_result = _runner(scenario, payload=True, engine="event").run()
+    event_result = _runner(scenario, engine="event",
+                           power_trace_dt=0.01).run()
     _assert_identical(event_result, batched.run())
 
 
@@ -76,11 +79,9 @@ def test_golden_scenarios_timing_mode_within_tolerances(scenario):
     this exercises the frame-wave jump, not just the coarse scheduler.
     """
     frames = 20
-    batched = _runner(scenario, payload=False, engine="batched",
-                      frames=frames)
+    batched = _runner(scenario, engine="batched", frames=frames)
     assert batched_decline_reason(batched) is None
-    event_result = _runner(scenario, payload=False, engine="event",
-                           frames=frames).run()
+    event_result = _runner(scenario, engine="event", frames=frames).run()
     diff = diff_snapshots(snapshot_from_result(event_result),
                           snapshot_from_result(batched.run()),
                           TOLERANCES)
@@ -111,8 +112,6 @@ def test_jump_engages_and_stays_within_tolerances():
 def test_decline_reasons():
     base = dict(config="one_renderer", pipelines=1, frames=3, image_side=16)
     assert batched_decline_reason(
-        PipelineRunner(payload_mode=True, **base)) is not None
-    assert batched_decline_reason(
         PipelineRunner(power_trace_dt=0.1, **base)) is not None
     # telemetry and tracing are synthesized now — no longer declined
     assert batched_decline_reason(
@@ -123,8 +122,7 @@ def test_decline_reasons():
         PipelineRunner(telemetry=Telemetry(enabled=False), **base)) is None
     assert batched_decline_reason(PipelineRunner(**base)) is None
     # the decline surface is a closed registry: exactly these remain
-    assert set(BATCHED_DECLINE_REASONS) == {"payload_mode", "sanitizers",
-                                            "power_trace"}
+    assert set(BATCHED_DECLINE_REASONS) == {"sanitizers", "power_trace"}
 
 
 @settings(max_examples=12, deadline=None,

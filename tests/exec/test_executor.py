@@ -32,10 +32,9 @@ def test_hpc_spec_pins_arrangement():
 
 
 def test_spec_coerces_scalar_types():
-    spec = RunSpec(pipelines="3", frames=10.0, payload_mode=1)
+    spec = RunSpec(pipelines="3", frames=10.0)
     assert spec.pipelines == 3 and isinstance(spec.pipelines, int)
     assert spec.frames == 10 and isinstance(spec.frames, int)
-    assert spec.payload_mode is True
 
 
 def test_from_dict_ignores_unknown_keys():

@@ -17,18 +17,18 @@ from repro.exec.hashing import CACHE_SCHEMA, engine_fingerprint
 FIXED_FP = "0" * 64
 
 PINNED = {
-    RunSpec(): "fc3abc257926a288632f65638278395e8dc3ee724f6375162"
-               "0129f4eb6aa879a",
+    RunSpec(): "4882a9a3c38bcc378fbb6192cd1420647265629e8b252a633"
+               "ffc91337ab21611",
     RunSpec(platform="hpc", config="single_renderer", pipelines=3):
-        "5c0f47be02b3c08c3c2624d6fa9b907e3262dc19bc4361073f585dd053e43c06",
+        "3be14328a712cd42e5ec751199227e93baae94ad3059dc29f73fac637b92fd89",
     RunSpec(config="mcpc_renderer", pipelines=5, arrangement="flipped",
             frames=100, seed=7,
             frequency_plan={"blur": 400.0, "render": 800.0}):
-        "af37c5986f46608cd0c4e6b1817c8874aa7ac97987c2cbf1fb1df1a70caf68e1",
+        "bc70e9bdabce2d4f16ac339fd888b49fd3db4213bb959af3639dc6cf0a2a4f65",
     # the engine is part of the identity: batched results never alias
     # event results in the cache
     RunSpec(engine="batched"):
-        "588f51afe4ceba9ec0f6da44dbe86f7f36fa89c4cde0dbf9e6a3d2b9128954c2",
+        "e2dc0f884c7a20b89e34b08e7125c54c2cf325c159a2f4899125adde46a779b6",
 }
 
 

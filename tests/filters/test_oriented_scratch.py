@@ -85,19 +85,22 @@ def test_cost_descriptor_sparse():
     assert cost.pattern == "strided"
 
 
-def test_usable_in_pipeline_payload_mode():
-    """Swapping the oriented filter into the stage registry works."""
-    from repro.pipeline import PipelineRunner, WalkthroughWorkload
-    from repro.pipeline.stage import FILTER_CLASSES
+def test_usable_in_pipeline_payload_mode(monkeypatch):
+    """Swapping the oriented filter into the film's chain works."""
+    import repro.pipeline.film as film
+    from repro.filters import default_filter_chain
+    from repro.pipeline import WalkthroughWorkload
 
-    original = FILTER_CLASSES["scratch"]
-    FILTER_CLASSES["scratch"] = OrientedScratchFilter
-    try:
-        workload = WalkthroughWorkload(frames=2, image_side=32)
-        runner = PipelineRunner(config="one_renderer", pipelines=1,
-                                frames=2, image_side=32, workload=workload,
-                                payload_mode=True)
-        runner.run()
-        assert runner.last_viewer.frames_displayed == 2
-    finally:
-        FILTER_CLASSES["scratch"] = original
+    def oriented_chain():
+        return [OrientedScratchFilter() if f.key == "scratch" else f
+                for f in default_filter_chain()]
+
+    workload = WalkthroughWorkload(frames=2, image_side=32)
+    plain = film.render_film(workload, "one_renderer", 1, 2)
+    monkeypatch.setattr(film, "default_filter_chain", oriented_chain)
+    oriented = film.render_film(workload, "one_renderer", 1, 2)
+    assert len(oriented) == 2
+    for frame in oriented:
+        assert frame.shape == (32, 32, 3)
+        assert np.all(frame >= 0.0) and np.all(frame <= 1.0)
+    assert any(not np.array_equal(a, b) for a, b in zip(plain, oriented))

@@ -2,9 +2,12 @@
 
 The dict contains only *model-level observables* — frame checksums,
 per-stage busy/idle statistics, message and byte counts, virtual time,
-energy.  It deliberately excludes kernel internals (e.g. the number of
-events the simulator processed): an engine optimisation may change how
-the calendar is driven, but must never change what the model computes.
+energy.  The timing fields come from a plain run; the checksums come
+from :func:`repro.pipeline.film.render_film`, since the pixels do not
+depend on timing.  It deliberately excludes kernel internals (e.g. the
+number of events the simulator processed): an engine optimisation may
+change how the calendar is driven, but must never change what the model
+computes.
 
 All scalars are either ints or Python floats produced by the
 deterministic DES arithmetic, so JSON round-trips them exactly and the
@@ -22,7 +25,8 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.pipeline import PipelineRunner
+from repro.engine import batched_decline_code
+from repro.pipeline import PipelineRunner, render_film
 from repro.pipeline.workload import WalkthroughWorkload
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
@@ -40,13 +44,19 @@ SCENARIOS["one_renderer-ordered-dvfs800"] = {
     "frequency_plan": {"blur": 800},
 }
 
-#: shared scenario geometry: small enough that payload mode (real pixels
+#: shared scenario geometry: small enough that the film (real pixels
 #: through the real filters) stays fast, large enough that every stage
 #: does real work on every strip
 FRAMES = 3
 IMAGE_SIDE = 40
 PIPELINES = 2
 SEED = 11
+
+#: the snapshot fields the batched engine reproduces bit for bit (its
+#: coarse chip keeps no mesh or memory-controller counters)
+BATCHED_FIELDS = ("virtual_time", "busy", "idle", "frame_completions",
+                  "scc_energy_j", "scc_avg_power_w",
+                  "mcpc_energy_above_idle_j", "latency_quartiles")
 
 _workloads: Dict[tuple, WalkthroughWorkload] = {}
 
@@ -76,26 +86,49 @@ def _stat_dict(accs) -> Dict[str, Any]:
     }
 
 
-def capture(scenario: str, frames: int = FRAMES,
-            image_side: int = IMAGE_SIDE,
-            pipelines: int = PIPELINES, seed: int = SEED) -> Dict[str, Any]:
-    """Run one scenario and return its golden dict."""
+def _timing(runner: PipelineRunner) -> Dict[str, Any]:
+    """The :data:`BATCHED_FIELDS` of one run."""
+    result = runner.run()
+    metrics = runner.last_metrics
+    return {
+        "virtual_time": result.walkthrough_seconds,
+        "busy": _stat_dict(metrics.busy),
+        "idle": _stat_dict(metrics.idle),
+        "frame_completions": [[f, t] for f, t in metrics.frame_completions],
+        "scc_energy_j": result.scc_energy_j,
+        "scc_avg_power_w": result.scc_avg_power_w,
+        "mcpc_energy_above_idle_j": result.mcpc_energy_above_idle_j,
+        "latency_quartiles": (list(result.latency_quartiles)
+                              if result.latency_quartiles else None),
+    }
+
+
+def _runner(scenario: str, frames: int, image_side: int, pipelines: int,
+            seed: int, engine: str) -> PipelineRunner:
     spec = SCENARIOS[scenario]
-    runner = PipelineRunner(
+    return PipelineRunner(
         config=spec["config"],
         pipelines=pipelines,
         arrangement=spec["arrangement"],
         frames=frames,
         image_side=image_side,
         workload=_workload(frames, image_side),
-        payload_mode=True,
         seed=seed,
         frequency_plan=spec.get("frequency_plan"),
+        engine=engine,
     )
-    result = runner.run()
+
+
+def capture(scenario: str, frames: int = FRAMES,
+            image_side: int = IMAGE_SIDE,
+            pipelines: int = PIPELINES, seed: int = SEED) -> Dict[str, Any]:
+    """Run one scenario on the event engine and return its golden dict."""
+    spec = SCENARIOS[scenario]
+    runner = _runner(scenario, frames, image_side, pipelines, seed, "event")
+    timing = _timing(runner)
+    film = render_film(_workload(frames, image_side), spec["config"],
+                       pipelines, frames, seed)
     chip = runner.last_chip
-    metrics = runner.last_metrics
-    viewer = runner.last_viewer
     mesh = chip.mesh
     golden: Dict[str, Any] = {
         "scenario": scenario,
@@ -105,25 +138,26 @@ def capture(scenario: str, frames: int = FRAMES,
         "image_side": image_side,
         "pipelines": pipelines,
         "seed": seed,
-        "virtual_time": result.walkthrough_seconds,
-        "frames_displayed": viewer.frames_displayed,
-        "frame_checksums": [_checksum(f) for f in viewer.frames],
-        "busy": _stat_dict(metrics.busy),
-        "idle": _stat_dict(metrics.idle),
-        "frame_completions": [[f, t] for f, t in metrics.frame_completions],
+        "frames_displayed": runner.last_viewer.frames_displayed,
+        "frame_checksums": [_checksum(f) for f in film],
         "mesh_messages": mesh.messages,
         "mesh_bytes": mesh.bytes_moved,
         "link_messages_total": sum(
             link.messages for link in mesh._links.values()),
         "mc_bytes_served": [mc.bytes_served for mc in chip.memory.controllers],
         "mc_requests": [mc.requests for mc in chip.memory.controllers],
-        "scc_energy_j": result.scc_energy_j,
-        "scc_avg_power_w": result.scc_avg_power_w,
-        "mcpc_energy_above_idle_j": result.mcpc_energy_above_idle_j,
-        "latency_quartiles": (list(result.latency_quartiles)
-                              if result.latency_quartiles else None),
+        **timing,
     }
     return golden
+
+
+def capture_batched(scenario: str, frames: int = FRAMES,
+                    image_side: int = IMAGE_SIDE, pipelines: int = PIPELINES,
+                    seed: int = SEED) -> Dict[str, Any]:
+    """The scenario's :data:`BATCHED_FIELDS` from the batched engine."""
+    runner = _runner(scenario, frames, image_side, pipelines, seed, "batched")
+    assert batched_decline_code(runner) is None, "batched engine declined"
+    return _timing(runner)
 
 
 def snapshot_path(scenario: str) -> Path:

@@ -184,16 +184,6 @@ def test_viewer_detects_out_of_order():
     assert viewer.out_of_order_count == 1
 
 
-def test_viewer_keeps_payloads_when_asked():
-    sim = Simulator()
-    viewer = VisualizationClient(sim, keep_payloads=True)
-    viewer.display(0, payload="pixels")
-    assert viewer.frames == ["pixels"]
-    viewer2 = VisualizationClient(sim)
-    viewer2.display(0, payload="pixels")
-    assert viewer2.frames == []
-
-
 def test_viewer_statistics_require_frames():
     viewer = VisualizationClient(Simulator())
     with pytest.raises(ValueError):

@@ -1,16 +1,17 @@
-"""Integration: payload mode pushes *real pixels* through the pipeline.
+"""Integration: the film the pipeline draws — *real pixels*.
 
-The same event graph that produces the timing results can carry actual
-numpy frames: the renderer rasterizes, the filters run their real
-kernels, the transfer stage reassembles — and the result must equal the
-sequential reference computation.
+The film is a pure function of the workload, configuration, pipeline
+count and seed (:func:`repro.pipeline.film.render_film`): the renderer
+rasterizes, the filters run their real kernels on every strip, the
+strips are reassembled — and the result must equal the sequential
+reference computation where the two are comparable.
 """
 
 import numpy as np
 import pytest
 
 from repro.filters import default_filter_chain
-from repro.pipeline import PipelineRunner, WalkthroughWorkload
+from repro.pipeline import PipelineRunner, WalkthroughWorkload, render_film
 
 FRAMES = 4
 SIDE = 64
@@ -34,16 +35,8 @@ def reference_frames(workload, seed=0):
     return frames
 
 
-def run_payload(config, pipelines, workload, seed=0):
-    runner = PipelineRunner(config=config, pipelines=pipelines,
-                            frames=FRAMES, image_side=SIDE,
-                            workload=workload, payload_mode=True, seed=seed)
-    runner.run()
-    return runner.last_viewer.frames
-
-
 def test_single_core_payload_matches_reference(workload):
-    frames = run_payload("single_core", 1, workload)
+    frames = render_film(workload, "single_core", 1, FRAMES)
     ref = reference_frames(workload)
     assert len(frames) == FRAMES
     for got, want in zip(frames, ref):
@@ -54,7 +47,7 @@ def test_single_core_payload_matches_reference(workload):
 def test_parallel_pipeline_payload_geometry(workload):
     """With n pipelines the assembled frames must be complete images of
     the right shape, independent of the strip split."""
-    frames = run_payload("one_renderer", 3, workload)
+    frames = render_film(workload, "one_renderer", 3, FRAMES)
     assert len(frames) == FRAMES
     for img in frames:
         assert img.shape == (SIDE, SIDE, 3)
@@ -63,18 +56,15 @@ def test_parallel_pipeline_payload_geometry(workload):
 
 
 def test_parallel_payload_deterministic_content_matches_render(workload):
-    """The deterministic stages (render, sepia, blur, swap) commute with
-    strip splitting; only scratch/flicker are stochastic.  Disable the
-    stochastic filters' effect by comparing two parallel runs with the
-    same seed: they must agree exactly."""
-    a = run_payload("one_renderer", 2, workload, seed=7)
-    b = run_payload("one_renderer", 2, workload, seed=7)
+    """Two parallel films with the same seed must agree exactly."""
+    a = render_film(workload, "one_renderer", 2, FRAMES, seed=7)
+    b = render_film(workload, "one_renderer", 2, FRAMES, seed=7)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
 def test_mcpc_payload_runs_end_to_end(workload):
-    frames = run_payload("mcpc_renderer", 2, workload)
+    frames = render_film(workload, "mcpc_renderer", 2, FRAMES)
     assert len(frames) == FRAMES
     for img in frames:
         assert img.shape == (SIDE, SIDE, 3)
@@ -85,7 +75,7 @@ def test_n_renderers_payload_covers_every_strip(workload):
     full frame whose content matches a full render in the deterministic
     prefix (render+sepia only regions won't match exactly because blur
     mixes rows across strip borders — so check coverage, not equality)."""
-    frames = run_payload("n_renderers", 2, workload)
+    frames = render_film(workload, "n_renderers", 2, FRAMES)
     for img in frames:
         assert img.shape == (SIDE, SIDE, 3)
         # Both halves contain scene content (not all background).
@@ -97,7 +87,7 @@ def test_n_renderers_payload_covers_every_strip(workload):
 def test_viewer_receives_frames_in_order(workload):
     runner = PipelineRunner(config="one_renderer", pipelines=2,
                             frames=FRAMES, image_side=SIDE,
-                            workload=workload, payload_mode=True)
+                            workload=workload)
     runner.run()
     assert runner.last_viewer.out_of_order_count == 0
     indices = [f for f, _ in runner.last_viewer.arrivals]
@@ -105,31 +95,29 @@ def test_viewer_receives_frames_in_order(workload):
 
 
 def test_film_identical_across_arrangements(workload):
-    """Per-stage RNG streams make the film a pure function of the seed:
-    changing the core placement (arrangement) must not change a pixel."""
-    films = {}
-    for arrangement in ("unordered", "ordered", "flipped"):
-        runner = PipelineRunner(config="one_renderer", pipelines=2,
-                                frames=FRAMES, image_side=SIDE,
-                                workload=workload, payload_mode=True,
-                                arrangement=arrangement, seed=5)
-        runner.run()
-        films[arrangement] = runner.last_viewer.frames
-    for a, b in zip(films["unordered"], films["ordered"]):
-        assert np.array_equal(a, b)
-    for a, b in zip(films["ordered"], films["flipped"]):
+    """The film takes no arrangement: placement only moves timing.  The
+    two configurations that differ only in where the full frame is
+    rendered (an SCC core or the MCPC) draw the same film."""
+    scc = render_film(workload, "one_renderer", 2, FRAMES, seed=5)
+    host = render_film(workload, "mcpc_renderer", 2, FRAMES, seed=5)
+    for a, b in zip(scc, host):
         assert np.array_equal(a, b)
 
 
 def test_film_changes_with_seed(workload):
     """Different seeds give different scratches/flicker."""
-    def film(seed):
-        runner = PipelineRunner(config="one_renderer", pipelines=1,
-                                frames=FRAMES, image_side=SIDE,
-                                workload=workload, payload_mode=True,
-                                seed=seed)
-        runner.run()
-        return runner.last_viewer.frames
-
-    a, b = film(1), film(2)
+    a = render_film(workload, "one_renderer", 1, FRAMES, seed=1)
+    b = render_film(workload, "one_renderer", 1, FRAMES, seed=2)
     assert any(not np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("config, pipelines, frames", [
+    ("dual_core", 2, FRAMES),
+    ("one_renderer", 2, 0),
+    ("one_renderer", 2, FRAMES + 1),
+    ("one_renderer", 0, FRAMES),
+])
+def test_render_film_rejects_bad_arguments(workload, config, pipelines,
+                                           frames):
+    with pytest.raises(ValueError):
+        render_film(workload, config, pipelines, frames)

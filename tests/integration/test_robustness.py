@@ -105,13 +105,9 @@ def test_runner_always_completes_all_frames(n, arrangement):
 @settings(max_examples=10, deadline=None)
 def test_payload_runs_valid_for_any_seed(seed):
     """Stochastic filters never push pixels out of range."""
-    from repro.pipeline import WalkthroughWorkload
+    from repro.pipeline import WalkthroughWorkload, render_film
 
     workload = WalkthroughWorkload(frames=2, image_side=24)
-    runner = PipelineRunner(config="one_renderer", pipelines=1, frames=2,
-                            image_side=24, workload=workload,
-                            payload_mode=True, seed=seed)
-    runner.run()
-    for frame in runner.last_viewer.frames:
+    for frame in render_film(workload, "one_renderer", 1, 2, seed=seed):
         assert frame.dtype == np.float32
         assert np.all(frame >= 0.0) and np.all(frame <= 1.0)

@@ -49,8 +49,7 @@ def feed(ctx, src, dst, frames=FRAMES, nbytes=1000):
     """A producer process sending `frames` messages src -> dst."""
     def producer():
         for frame in range(frames):
-            yield from ctx.comm.send(src, dst, nbytes, tag=frame,
-                                     payload=(frame, 0, None))
+            yield from ctx.comm.send(src, dst, nbytes, tag=frame)
     return producer
 
 
@@ -128,7 +127,7 @@ def test_connect_stage_distributes_strips(ctx):
 
     def host_feed():
         for frame in range(FRAMES):
-            yield queue.put((frame, None))
+            yield queue.put(frame)
 
     ctx.sim.process(host_feed())
     stage.start()
@@ -149,7 +148,7 @@ def test_mcpc_render_process_pushes_frames(ctx):
 
     def consumer():
         for _ in range(FRAMES):
-            frame, _ = yield queue.get()
+            frame = yield queue.get()
             got.append(frame)
 
     proc.start()
