@@ -571,7 +571,7 @@ def _label_at(tiles: List[_Interval], starts: List[float],
 
 
 def _attribution(track: str, core: Optional[int], tiles: List[_Interval],
-                 subs: List[_Interval], T: float,
+                 tile_starts: List[float], subs: List[_Interval], T: float,
                  upstream: Optional[str]) -> StageAttribution:
     points = {0.0, T}
     for a, b, _ in tiles:
@@ -582,7 +582,6 @@ def _attribution(track: str, core: Optional[int], tiles: List[_Interval],
             points.add(max(a, 0.0))
             points.add(min(b, T))
     ordered = sorted(points)
-    tile_starts = [t[0] for t in tiles]
     sub_starts = [s[0] for s in subs]
     intervals: List[_Interval] = []
     for a, b in zip(ordered, ordered[1:]):
@@ -613,8 +612,10 @@ def _attribution(track: str, core: Optional[int], tiles: List[_Interval],
 
 def _starved_by(att: StageAttribution, col: _Collected,
                 base_tiles: Dict[str, List[_Interval]],
+                tile_starts: Dict[str, List[float]],
                 upstream: Dict[str, Optional[str]]) -> Dict[str, float]:
-    """Intersect starvation windows with the producer's timeline."""
+    """Intersect starvation windows with the producer's timeline
+    (``tile_starts`` holds each track's tile start times)."""
     windows: List[Tuple[float, float, Optional[str]]] = []
     for t0, t1, name, fields in col.spans.get(att.track, []):
         if name == "idle":
@@ -630,8 +631,7 @@ def _starved_by(att: StageAttribution, col: _Collected,
             out.setdefault("source", []).append(t1 - t0)
             continue
         tiles = base_tiles[producer]
-        starts = [t[0] for t in tiles]
-        i = max(bisect_right(starts, t0) - 1, 0)
+        i = max(bisect_right(tile_starts[producer], t0) - 1, 0)
         while i < len(tiles) and tiles[i][0] < t1:
             a, b, label = tiles[i]
             lo, hi = max(a, t0), min(b, t1)
@@ -738,13 +738,14 @@ def analyze_events(events: Iterable[TelemetryEvent],
     track_core = {track: core for core, track in col.core_track.items()}
     tiles = {track: _base_tiles(spans, makespan, track)
              for track, spans in col.spans.items()}
+    tile_starts = {track: [t[0] for t in ts] for track, ts in tiles.items()}
     tracks: Dict[str, StageAttribution] = {}
     for track, spans in col.spans.items():
         core = track_core.get(track)
         subs = col.subs.get(core, []) if core is not None else []
-        att = _attribution(track, core, tiles[track], subs, makespan,
-                           upstream.get(track))
-        att.starved_by = _starved_by(att, col, tiles, upstream)
+        att = _attribution(track, core, tiles[track], tile_starts[track],
+                           subs, makespan, upstream.get(track))
+        att.starved_by = _starved_by(att, col, tiles, tile_starts, upstream)
         tracks[track] = att
 
     kind_seconds: Dict[str, Dict[str, List[float]]] = {}

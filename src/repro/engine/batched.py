@@ -7,14 +7,17 @@ warm-up frames fill the pipeline, every stage repeats the *same*
 sequence of operations once per frame, at times that advance by one
 constant period Δ.  This engine exploits that structure twice:
 
-1. **Coarse operations.**  Each stage runs as a generator of *fused
-   programs*: a whole DRAM access (command trip over the mesh, memory
-   controller occupancy, payload trip, core-side copy) is one
-   precomputed list of ``(resource, hold)`` steps executed in a tight
-   loop, instead of ~10 separate heap events.  Resources are plain
-   ``free_at`` floats; a grant is ``max(now, free_at)`` — the identical
-   arithmetic the event kernel performs via request/release events, so
-   uncontended and FIFO-contended timings are reproduced bit-for-bit.
+1. **Coarse operations.**  Each stage runs as a generator of coarse
+   ops, and one scheduler loop executes them in place: a compute, a
+   store get or put, a *fused program* — a whole DRAM access (command
+   trip over the mesh, memory controller occupancy, payload trip,
+   core-side copy) is one precomputed list of ``(resource, hold)``
+   steps instead of ~10 separate heap events — and the compound RCCE
+   send (token wait, write program, data-ready put).  Resources are
+   plain ``free_at`` floats; a grant is ``max(now, free_at)`` — the
+   identical arithmetic the event kernel performs via request/release
+   events, so uncontended and FIFO-contended timings are reproduced
+   bit-for-bit.
 
 2. **Windowed frame-wave jumps.**  The completion stage (transfer, or
    the lone single-core stage) takes a snapshot every frame: per-stage
@@ -43,10 +46,15 @@ constant period Δ.  This engine exploits that structure twice:
 
 Telemetry and tracing do **not** decline: :mod:`repro.engine.telsynth`
 re-derives the event engine's span/counter stream from the coarse-op
-grant arithmetic (bit-identical floats while executing live) and a wave
+grant arithmetic (bit-identical floats while executing live), and a wave
 jump advances the stream analytically — the captured period becomes a
 periodic block on the hub and counters move in closed form, so the jump
-stays O(1) regardless of how many frames it skips.
+stays O(1) regardless of how many frames it skips.  The same scheduler
+loop serves plain and telemetry runs: a program step emits only when it
+carries metadata, which only detail synthesis builds.  Telemetry never
+changes a scheduling decision.
+
+Why frames were not jumped is counted in :attr:`BatchedEngine.lock_misses`.
 
 Pixels never enter either engine: the film is a pure function of the
 workload and seed (:func:`repro.pipeline.film.render_film`).  Sanitizers
@@ -58,7 +66,7 @@ the event engine, whose results are then bit-identical by construction.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from heapq import heapify, heappush, heappop
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -180,9 +188,6 @@ class _Store:
         #: renumbers a queued item's frame tag across a wave jump
         self.shift = shift
 
-    def signature(self) -> Tuple[int, int, int]:
-        return (len(self.items), len(self.getters), len(self.putters))
-
 
 class _Chan:
     """Rendezvous state of one ordered (src, dst) core pair — mirrors
@@ -260,6 +265,9 @@ class _Actor:
         self.core_id = core_id
         self.t = 0.0
         self.frame = 0
+        #: frame tag of the message the stage is handling (what its sends
+        #: stamp); the jump renumbers it with the frames in flight
+        self.tag = 0
         #: op counter since the last anchor (part of the phase signature)
         self.op_i = 0
         self.done = False
@@ -267,7 +275,13 @@ class _Actor:
         #: renumbers ``resume`` across a jump (the shift fn of the store
         #: the pending wake-up value came from)
         self.resume_shift: Optional[Callable[[Any, int], Any]] = None
-        self.pending: Any = None
+        #: where a parked actor continues: the op to run again (None =
+        #: take the next op), and for a program the step to resume at
+        self.op: Optional[Op] = None
+        self.pc = 0
+        #: the compound send in progress and its next phase
+        self.send: Optional[Op] = None
+        self.phase = 0
         self.gen: Any = None
         self.anchor_t: Optional[float] = None
         self.prev_anchor_t: Optional[float] = None
@@ -275,6 +289,8 @@ class _Actor:
         # across a yield — the jump shifts these attributes instead
         self.wait_start: Optional[float] = None
         self.span_start: Optional[float] = None
+        #: when the last send's rendezvous token was granted
+        self.token_t: Optional[float] = None
 
     def anchor(self) -> None:
         """Mark the top of a frame loop (the periodicity reference)."""
@@ -290,21 +306,21 @@ class _Actor:
         """Advance every absolute time by ``s`` and renumber frames."""
         self.t += s
         for attr in ("wait_start", "span_start", "anchor_t",
-                     "prev_anchor_t"):
+                     "prev_anchor_t", "token_t"):
             v = getattr(self, attr)
             if v is not None:
                 setattr(self, attr, v + s)
         self.frame += j
+        self.tag += j
         # Frame-tagged values in flight through the scheduler renumber
         # with the jump, exactly like queued store items do:
         if self.resume is not None and self.resume_shift is not None:
             self.resume = self.resume_shift(self.resume, j)
-        pend = self.pending
-        if pend is not None and pend[0] == 1 and pend[1][0] == "p":
-            op = pend[1]
+        op = self.op
+        if op is not None and op[0] == "p":
             store: _Store = op[1]
             if store.shift is not None and op[2] is not None:
-                self.pending = (1, (op[0], store, store.shift(op[2], j)))
+                self.op = ("p", store, store.shift(op[2], j))
 
     def max_jump(self, limit: int, delta: float, k: int) -> int:
         """Most frames (``<= limit``) a jump locked on a ``k``-frame
@@ -323,27 +339,19 @@ class _Actor:
                 f"t={self.t:.6f} frame={self.frame}>")
 
 
-def _send_ops(actor: _Actor, chan: _Chan, write_prog: Prog, nbytes: int,
-              tag_of: Callable[[], int]) -> Generator[Op, Any, None]:
-    """RCCE send: rendezvous token, deposit payload, signal data-ready.
+def _send_op(chan: _Chan, write_prog: Prog, nbytes: int) -> Op:
+    """The compound RCCE send: rendezvous token, deposit payload, signal
+    data-ready.
 
-    ``tag_of`` is read at each use point rather than captured by value:
-    a wave jump renumbers in-flight frames (``f -> f+j``), and a sender
-    parked mid-send must stamp the *renumbered* tag on the message and
-    its telemetry, exactly as the event engine (whose stages would be
+    The scheduler loop runs it in place as its three phases (see
+    :meth:`BatchedEngine._run_loop`).  The message carries the sender's
+    ``tag``, read when the message is stamped rather than when the send
+    starts: a wave jump renumbers in-flight frames (``f -> f+j``), and a
+    sender parked mid-send must stamp the *renumbered* tag on the message
+    and its telemetry, exactly as the event engine (whose stages would be
     ``j`` frames further along) would have.
     """
-    synth = actor.eng.synth
-    actor.wait_start = actor.t
-    yield ("g", chan.recv_posted)
-    if synth is not None:
-        assert actor.wait_start is not None
-        synth.rendezvous(chan.src, chan.dst, actor.wait_start, actor.t,
-                         nbytes, tag_of())
-    yield ("s", write_prog)
-    yield ("p", chan.data_ready, (nbytes, tag_of()))
-    if synth is not None:
-        synth.delivered(nbytes)
+    return ("x", ("g", chan.recv_posted), ("s", write_prog), chan, nbytes)
 
 
 class _FilterActor(_Actor):
@@ -355,14 +363,11 @@ class _FilterActor(_Actor):
                  nbytes: int) -> None:
         super().__init__(eng, key, core_id)
         self.span_key = span_key
-        self.in_chan = in_chan
-        self.out_chan = out_chan
-        self.read_prog = read_prog
-        self.compute_d = compute_d
-        self.write_prog = write_prog
-        self.nbytes = nbytes
-        #: in-flight message (nbytes, tag); the jump renumbers its tag
-        self.cur_item: Optional[Tuple[int, int]] = None
+        self.post_op: Op = ("p", in_chan.recv_posted, None)
+        self.recv_op: Op = ("g", in_chan.data_ready)
+        self.read_op: Op = ("s", read_prog)
+        self.compute_op: Op = ("d", compute_d)
+        self.send_op = _send_op(out_chan, write_prog, nbytes)
 
     def body(self) -> Generator[Op, Any, None]:
         eng = self.eng
@@ -372,34 +377,24 @@ class _FilterActor(_Actor):
         while self.frame < eng.frames:
             self.anchor()
             # recv: post the token, wait for data, fetch from partition
-            yield ("p", self.in_chan.recv_posted, None)
+            yield self.post_op
             self.wait_start = self.t
-            item = yield ("g", self.in_chan.data_ready)
-            self.cur_item = item
+            item = yield self.recv_op
+            self.tag = item[1]
             idle.append(_idle_value(self.t, self.wait_start))
             if synth is not None:
                 assert self.wait_start is not None
                 synth.stage_idle(self.span_key, self.t, self.wait_start)
-            yield ("s", self.read_prog)
+            yield self.read_op
             self.span_start = self.t
-            yield ("d", self.compute_d)
-            yield from _send_ops(self, self.out_chan, self.write_prog,
-                                 self.nbytes, self._cur_tag)
+            yield self.compute_op
+            yield self.send_op
             busy.append(self.t - self.span_start)
             if synth is not None:
                 assert self.span_start is not None
                 synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.cur_item[1])
+                                 self.tag)
             self.frame += 1
-
-    def _cur_tag(self) -> int:
-        assert self.cur_item is not None
-        return self.cur_item[1]
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.cur_item is not None:
-            self.cur_item = (self.cur_item[0], self.cur_item[1] + j)
 
 
 class _TransferActor(_Actor):
@@ -413,25 +408,27 @@ class _TransferActor(_Actor):
                  in_chans: List[_Chan], read_progs: List[Prog],
                  assemble_d: float, downlink_prog: Prog) -> None:
         super().__init__(eng, "transfer", core_id)
-        self.in_chans = in_chans
-        self.read_progs = read_progs
-        self.assemble_d = assemble_d
-        self.downlink_prog = downlink_prog
+        #: per pipeline: (source core, post token, wait data, read strip)
+        self.strips: List[Tuple[int, Op, Op, Op]] = [
+            (chan.src, ("p", chan.recv_posted, None), ("g", chan.data_ready),
+             ("s", prog))
+            for chan, prog in zip(in_chans, read_progs)]
+        self.assemble_op: Op = ("d", assemble_d)
+        self.downlink_op: Op = ("s", downlink_prog)
 
     def body(self) -> Generator[Op, Any, None]:
         eng = self.eng
         synth = eng.synth
         idle = eng.idle_samples[self.key]
         busy = eng.busy_samples[self.key]
-        n = len(self.in_chans)
         while self.frame < eng.frames:
             self.anchor()
             eng.on_trigger_anchor(self)
-            for p in range(n):
-                chan = self.in_chans[p]
-                yield ("p", chan.recv_posted, None)
+            for p, (src, post_op, recv_op, read_op) in enumerate(
+                    self.strips):
+                yield post_op
                 self.wait_start = self.t
-                yield ("g", chan.data_ready)
+                yield recv_op
                 if p == 0:
                     # Fig. 15 idle counts only the first strip's wait;
                     # later strips' waits are span-only (ignored when
@@ -444,11 +441,11 @@ class _TransferActor(_Actor):
                 elif synth is not None:
                     assert self.wait_start is not None
                     synth.transfer_wait(self.span_key, self.t,
-                                        self.wait_start, chan.src)
-                yield ("s", self.read_progs[p])
+                                        self.wait_start, src)
+                yield read_op
             self.span_start = self.t
-            yield ("d", self.assemble_d)
-            yield ("s", self.downlink_prog)
+            yield self.assemble_op
+            yield self.downlink_op
             eng.record_completion(self.frame, self.t)
             busy.append(self.t - self.span_start)
             if synth is not None:
@@ -466,54 +463,39 @@ class _ConnectActor(_Actor):
                  out_chans: List[_Chan], write_progs: List[Prog],
                  strip_nbytes: List[int]) -> None:
         super().__init__(eng, "connect", core_id)
-        self.queue = queue
-        self.sif_prog = sif_prog
-        self.compute_d = compute_d
-        self.write_own_prog = write_own_prog
-        self.out_chans = out_chans
-        self.write_progs = write_progs
-        self.strip_nbytes = strip_nbytes
-        #: in-flight queue item (frame, img); the jump renumbers its frame
-        self.cur_item: Optional[Tuple[int, Any]] = None
-
-    def _cur_frame(self) -> int:
-        assert self.cur_item is not None
-        return self.cur_item[0]
+        self.recv_op: Op = ("g", queue)
+        self.sif_op: Op = ("s", sif_prog)
+        self.compute_op: Op = ("d", compute_d)
+        self.write_own_op: Op = ("s", write_own_prog)
+        self.send_ops = [_send_op(*send) for send in zip(
+            out_chans, write_progs, strip_nbytes)]
 
     def body(self) -> Generator[Op, Any, None]:
         eng = self.eng
         synth = eng.synth
         idle = eng.idle_samples[self.key]
         busy = eng.busy_samples[self.key]
-        n = len(self.out_chans)
         while self.frame < eng.frames:
             self.anchor()
             self.wait_start = self.t
-            item = yield ("g", self.queue)
-            self.cur_item = item
+            item = yield self.recv_op
+            self.tag = item[0]
             idle.append(_idle_value(self.t, self.wait_start))
             if synth is not None:
                 assert self.wait_start is not None
                 synth.stage_idle(self.span_key, self.t, self.wait_start)
             self.span_start = self.t
-            yield ("s", self.sif_prog)
-            yield ("d", self.compute_d)
-            yield ("s", self.write_own_prog)
-            for p in range(n):
-                yield from _send_ops(self, self.out_chans[p],
-                                     self.write_progs[p],
-                                     self.strip_nbytes[p], self._cur_frame)
+            yield self.sif_op
+            yield self.compute_op
+            yield self.write_own_op
+            for send_op in self.send_ops:
+                yield send_op
             busy.append(self.t - self.span_start)
             if synth is not None:
                 assert self.span_start is not None
                 synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self._cur_frame())
+                                 self.tag)
             self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.cur_item is not None:
-            self.cur_item = (self.cur_item[0] + j, self.cur_item[1])
 
 
 class _CostedActor(_Actor):
@@ -566,9 +548,8 @@ class _SingleRendererActor(_CostedActor):
                  out_chans: List[_Chan], write_progs: List[Prog],
                  strip_nbytes: List[int]) -> None:
         super().__init__(eng, key, core_id)
-        self.out_chans = out_chans
-        self.write_progs = write_progs
-        self.strip_nbytes = strip_nbytes
+        self.send_ops = [_send_op(*send) for send in zip(
+            out_chans, write_progs, strip_nbytes)]
         self.first_arr: Optional[float] = None
 
     def _frame_compute(self, frame: int) -> float:
@@ -583,35 +564,23 @@ class _SingleRendererActor(_CostedActor):
         busy = eng.busy_samples[self.key]
         births = eng.births
         costs = self._cost_table()
-        n = len(self.out_chans)
+        first_send, *other_sends = self.send_ops
         while self.frame < eng.frames:
             self.anchor()
             self.span_start = self.t
+            self.tag = self.frame
             births.setdefault(self.frame, self.t)
             yield ("d", costs[self.frame])
             self.first_arr = self.t
-            for p in range(n):
-                chan = self.out_chans[p]
-                self.wait_start = self.t
-                yield ("g", chan.recv_posted)
-                if p == 0:
-                    # the downstream token arrives at a pinned period
-                    self.windows.append(self.t - self.span_start
-                                        if self.t > self.first_arr
-                                        else None)
-                if synth is not None:
-                    assert self.wait_start is not None
-                    synth.rendezvous(chan.src, chan.dst, self.wait_start,
-                                     self.t, self.strip_nbytes[p],
-                                     self.frame)
-                yield ("s", self.write_progs[p])
-                yield ("p", chan.data_ready,
-                       (self.strip_nbytes[p], self.frame))
-                if synth is not None:
-                    synth.delivered(self.strip_nbytes[p])
+            yield first_send
+            # the downstream token arrives at a pinned period
+            assert self.token_t is not None
+            self.windows.append(self.token_t - self.span_start
+                                if self.token_t > self.first_arr else None)
+            for send_op in other_sends:
+                yield send_op
             busy.append(self.t - self.span_start)
             if synth is not None:
-                assert self.span_start is not None
                 synth.stage_busy(self.span_key, self.span_start, self.t,
                                  self.frame)
             self.frame += 1
@@ -647,7 +616,7 @@ class _MCPCActor(_CostedActor):
                  uplink_prog: Prog, uplink_seconds: float) -> None:
         super().__init__(eng, "mcpc-render", -1)
         self.queue = queue
-        self.uplink_prog = uplink_prog
+        self.uplink_op: Op = ("s", uplink_prog)
         #: static uplink occupancy + latency per frame
         self.slack = uplink_seconds
         self.in_compute = False
@@ -681,7 +650,7 @@ class _MCPCActor(_CostedActor):
             # the frame's own cost: a jump may have renamed this compute
             # (its timing absorbed by the blocking window)
             eng.mcpc_segments.append((self.seg_start, costs[self.frame]))
-            yield ("s", self.uplink_prog)
+            yield self.uplink_op
             self.post_t = self.t
             yield ("p", self.queue, (self.frame, None))
             if synth is not None:
@@ -737,7 +706,7 @@ class _SingleCoreActor(_CostedActor):
     def __init__(self, eng: "BatchedEngine", core_id: int,
                  downlink_prog: Prog) -> None:
         super().__init__(eng, "single-core", core_id)
-        self.downlink_prog = downlink_prog
+        self.downlink_op: Op = ("s", downlink_prog)
 
     def _frame_compute(self, frame: int) -> float:
         eng = self.eng
@@ -757,7 +726,7 @@ class _SingleCoreActor(_CostedActor):
             births.setdefault(self.frame, self.t)
             yield ("d", costs[self.frame])
             eng.on_trigger_anchor(self)
-            yield ("s", self.downlink_prog)
+            yield self.downlink_op
             eng.record_completion(self.frame, self.t)
             busy.append(self.t - self.span_start)
             if synth is not None:
@@ -781,7 +750,7 @@ class _Snapshot:
                  ops: Tuple[int, ...], deltas: np.ndarray,
                  stores: Tuple[Tuple[int, int, int], ...],
                  res_off: np.ndarray, birth_off: np.ndarray,
-                 mc_busy: np.ndarray, lens: Dict[Tuple[str, str], int],
+                 mc_busy: np.ndarray, lens: Tuple[int, ...],
                  tel: Optional[Any] = None) -> None:
         self.T = T
         self.frames = frames
@@ -793,6 +762,7 @@ class _Snapshot:
         #: their pattern past the head frame, so they must repeat too
         self.birth_off = birth_off
         self.mc_busy = mc_busy
+        #: every sample list's length, in ``BatchedEngine._samples`` order
         self.lens = lens
         #: telsynth phase signature (event count + counter/gauge state)
         self.tel = tel
@@ -831,7 +801,6 @@ class BatchedEngine:
             telemetry=(self.synth.hub if self._step_synth is not None
                        else None))
         self.heap: List[Tuple[float, int, _Actor]] = []
-        self._seq = 0
         self.actors: List[_Actor] = []
         self.stores: List[_Store] = []
         self._link_res: Dict[int, _Res] = {}
@@ -841,6 +810,8 @@ class BatchedEngine:
         self._chans: Dict[Tuple[int, int], _Chan] = {}
         self.idle_samples: Dict[str, List[float]] = {}
         self.busy_samples: Dict[str, List[float]] = {}
+        #: every sample list, idle then busy (the snapshots' fixed order)
+        self._samples: List[List[float]] = []
         self.births: Dict[int, float] = {}
         self.completions: List[Tuple[int, float]] = []
         self.latency_samples: List[float] = []
@@ -852,6 +823,10 @@ class BatchedEngine:
         self.jumps: List[Tuple[int, int, float]] = []
         self.strides: List[int] = []
         self.frames_simulated = 0
+        #: why frames were not jumped: steady-state rejections by the
+        #: criterion that failed first, and ``prefix`` for a lock with no
+        #: admissible jump (diagnostics only: not part of the result)
+        self.lock_misses: Counter[str] = Counter()
         #: the last 2·_MAX_K + 1 snapshots, oldest first
         self._hist: deque = deque(maxlen=2 * _MAX_K + 1)
         self._build()
@@ -1050,6 +1025,8 @@ class BatchedEngine:
                     self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
             self.actors.append(actor)
 
+        self._samples = (list(self.idle_samples.values())
+                         + list(self.busy_samples.values()))
         synth = self.synth
         if synth is not None:
             # Track -> core bindings in the runner's stage-start order
@@ -1059,180 +1036,187 @@ class BatchedEngine:
                     synth.bind(actor.span_key, actor.core_id, self.sim.now)
 
     # -- scheduler ---------------------------------------------------------
-    def _push(self, t: float, actor: _Actor) -> None:
-        heappush(self.heap, (t, self._seq, actor))
-        self._seq += 1
+    def _run_loop(self) -> None:
+        """Run every actor to completion: the one scheduler loop.
 
-    def _run_prog(self, actor: _Actor, prog: Prog, i: int) -> bool:
-        """Execute a fused step program; False = reparked mid-program.
-
-        Two bodies, one grant discipline: the plain loop is the hot path
-        (no synthesis, no per-step branches beyond the kernel's own);
-        the synth loop adds the ``synth.step`` emissions.  Any change to
-        the grant/hold arithmetic must land in BOTH loops — the
-        differential suite will catch a drift, but keep them in sync.
+        It pops the earliest actor (ties in push order) and runs its ops
+        in place — computes ``("d", hold)``, fused programs ``("s",
+        prog)``, store gets and puts ``("g"/"p", store, …)`` and the
+        compound send ``("x", …)`` — until the actor parks.  An actor
+        yields the floor whenever its clock passes the next actor's,
+        strictly, where the event kernel would interleave: after a
+        compute or a program, before a store op and before a resource
+        step; a program resumed mid-way goes straight on to the next op.
+        ``actor.t`` is written back where the actor parks and before its
+        body runs, and re-read after it: a jump inside the trigger's body
+        shifts it.
         """
         heap = self.heap
-        synth = self._step_synth
-        t = actor.t
-        n = len(prog)
-        if synth is None:
-            while i < n:
-                res, hold, _ = prog[i]
-                if res is None:
-                    t += hold
-                else:
-                    if heap and t > heap[0][0]:
-                        actor.t = t
-                        actor.pending = (0, prog, i)
-                        self._push(t, actor)
-                        return False
-                    fa = res.free_at
-                    if t < fa:
-                        grant = fa
-                    else:
-                        if res.acct:
-                            bs = res.busy_since
-                            if bs is not None:
-                                res.busy_time += fa - bs  # lint: disable=DET007
-                            res.busy_since = t
-                        grant = t
-                    t = grant + hold
-                    res.free_at = t
-                i += 1
-            actor.t = t
-            return True
-        while i < n:
-            res, hold, meta = prog[i]
-            if res is None:
-                nt = t + hold
-                if meta is not None:
-                    synth.step(meta, t, t, nt)
-                t = nt
-            else:
-                if heap and t > heap[0][0]:
-                    actor.t = t
-                    actor.pending = (0, prog, i)
-                    self._push(t, actor)
-                    return False
-                fa = res.free_at
-                if t < fa:
-                    # queued behind the current holder: granted at the
-                    # exact release float, interval stays open
-                    grant = fa
-                else:
-                    if res.acct:
-                        bs = res.busy_since
-                        if bs is not None:
-                            # the event kernel's interval-close add,
-                            # reproduced bit-for-bit:
-                            res.busy_time += fa - bs  # lint: disable=DET007
-                        res.busy_since = t
-                    grant = t
-                nt = grant + hold
-                res.free_at = nt
-                if meta is not None:
-                    synth.step(meta, t, grant, nt)
-                t = nt
-            i += 1
-        actor.t = t
-        return True
-
-    def _drive(self, actor: _Actor) -> None:
-        heap = self.heap
-        gen = actor.gen
-        val = actor.resume
-        actor.resume = None
-        actor.resume_shift = None
-        op: Optional[Op] = None
-        pend = actor.pending
-        if pend is not None:
-            actor.pending = None
-            if pend[0] == 0:
-                if not self._run_prog(actor, pend[1], pend[2]):
-                    return
-            elif pend[0] == 1:
-                op = pend[1]
-            # pend[0] == 2: plain continue
-        while True:
-            if op is None:
-                try:
-                    op = gen.send(val)
-                except StopIteration:
-                    actor.done = True
-                    if actor.t > self.end_time:
-                        self.end_time = actor.t
-                    return
-                val = None
-                actor.op_i += 1
-            kind = op[0]
-            if kind == "d":
-                actor.t += op[1]
-                op = None
-                if heap and actor.t > heap[0][0]:
-                    actor.pending = (2,)
-                    self._push(actor.t, actor)
-                    return
-            elif kind == "s":
-                if not self._run_prog(actor, op[1], 0):
-                    return
-                op = None
-                if heap and actor.t > heap[0][0]:
-                    actor.pending = (2,)
-                    self._push(actor.t, actor)
-                    return
-            elif kind == "g":
-                if heap and actor.t > heap[0][0]:
-                    actor.pending = (1, op)
-                    self._push(actor.t, actor)
-                    return
-                store = op[1]
-                if store.items:
-                    val = store.items.popleft()
-                    while (store.putters
-                           and len(store.items) < store.capacity):
-                        p_actor, item = store.putters.popleft()
-                        store.items.append(item)
-                        p_actor.pending = (2,)
-                        self._push(actor.t, p_actor)
-                    op = None
-                else:
-                    store.getters.append(actor)
-                    return
-            elif kind == "p":
-                if heap and actor.t > heap[0][0]:
-                    actor.pending = (1, op)
-                    self._push(actor.t, actor)
-                    return
-                store = op[1]
-                if len(store.items) < store.capacity:
-                    if store.getters:
-                        getter = store.getters.popleft()
-                        getter.resume = op[2]
-                        getter.resume_shift = store.shift
-                        # the event kernel resumes the woken receiver
-                        # before the sender continues — same order here
-                        self._push(actor.t, getter)
-                        actor.pending = (2,)
-                        self._push(actor.t, actor)
-                        return
-                    store.items.append(op[2])
-                    op = None
-                else:
-                    store.putters.append((actor, op[2]))
-                    return
-            else:  # pragma: no cover - op vocabulary is closed
-                raise AssertionError(f"unknown op {op!r}")
-
-    def _run_loop(self) -> None:
+        push = heappush
+        pop = heappop
+        seq = 0
         for actor in self.actors:
             actor.gen = actor.body()
-            self._push(0.0, actor)
-        heap = self.heap
+            push(heap, (0.0, seq, actor))
+            seq += 1
+        synth = self.synth
+        step_synth = self._step_synth
         while heap:
-            t, _, actor = heappop(heap)
+            t, _, actor = pop(heap)
+            requeue = True
+            op = actor.op
+            if op is None:
+                pc = -1
+                val = actor.resume
+                if val is not None:
+                    actor.resume = None
+                    actor.resume_shift = None
+            else:
+                # parked before a store op, or mid-program at step pc
+                actor.op = None
+                pc = actor.pc
+                val = None
+            while True:
+                if op is None:
+                    snd = actor.send
+                    if snd is None:
+                        actor.t = t
+                        try:
+                            op = actor.gen.send(val)
+                        except StopIteration:
+                            actor.done = True
+                            t = actor.t
+                            if t > self.end_time:
+                                self.end_time = t
+                            requeue = False
+                            break
+                        t = actor.t
+                        val = None
+                    else:
+                        chan = snd[3]
+                        phase = actor.phase
+                        if phase == 1:
+                            # token granted: deposit the payload
+                            actor.token_t = t
+                            if synth is not None:
+                                assert actor.wait_start is not None
+                                synth.rendezvous(chan.src, chan.dst,
+                                                 actor.wait_start, t, snd[4],
+                                                 actor.tag)
+                            actor.phase = 2
+                            op = snd[2]
+                        elif phase == 2:
+                            # payload written: signal data-ready
+                            actor.phase = 3
+                            op = ("p", chan.data_ready, (snd[4], actor.tag))
+                        else:
+                            if synth is not None:
+                                synth.delivered(snd[4])
+                            actor.send = None
+                            continue
+                    actor.op_i += 1
+                    pc = -1
+                kind = op[0]
+                if kind == "s":
+                    prog = op[1]
+                    n = len(prog)
+                    i = 0 if pc < 0 else pc
+                    while i < n:
+                        res, hold, meta = prog[i]
+                        if res is None:
+                            nt = t + hold
+                            if meta is not None and step_synth is not None:
+                                step_synth.step(meta, t, t, nt)
+                        else:
+                            if heap and t > heap[0][0]:
+                                break
+                            fa = res.free_at
+                            if t < fa:
+                                # queued behind the current holder: granted
+                                # at the exact release float, interval
+                                # stays open
+                                grant = fa
+                            else:
+                                if res.acct:
+                                    bs = res.busy_since
+                                    if bs is not None:
+                                        # the event kernel's interval-close
+                                        # add, reproduced bit-for-bit:
+                                        res.busy_time += fa - bs  # lint: disable=DET007
+                                    res.busy_since = t
+                                grant = t
+                            nt = grant + hold
+                            res.free_at = nt
+                            if meta is not None and step_synth is not None:
+                                step_synth.step(meta, t, grant, nt)
+                        t = nt
+                        i += 1
+                    else:
+                        op = None
+                        if pc < 0 and heap and t > heap[0][0]:
+                            break
+                        continue
+                    # reparked mid-program
+                    actor.op = op
+                    actor.pc = i
+                    break
+                if kind == "d":
+                    t += op[1]
+                    op = None
+                    if heap and t > heap[0][0]:
+                        break
+                    continue
+                if kind == "x":
+                    # the send starts with the rendezvous token wait
+                    actor.send = op
+                    actor.phase = 1
+                    actor.wait_start = t
+                    op = op[1]
+                    continue
+                # a store op waits its turn
+                if heap and t > heap[0][0]:
+                    actor.op = op
+                    break
+                store = op[1]
+                if kind == "g":
+                    items = store.items
+                    if items:
+                        val = items.popleft()
+                        putters = store.putters
+                        while putters and len(items) < store.capacity:
+                            p_actor, item = putters.popleft()
+                            items.append(item)
+                            push(heap, (t, seq, p_actor))
+                            seq += 1
+                        op = None
+                        continue
+                    store.getters.append(actor)
+                    requeue = False
+                    break
+                if kind == "p":
+                    if len(store.items) < store.capacity:
+                        getters = store.getters
+                        if getters:
+                            getter = getters.popleft()
+                            getter.resume = op[2]
+                            getter.resume_shift = store.shift
+                            # the event kernel resumes the woken receiver
+                            # before the sender continues — same order here
+                            push(heap, (t, seq, getter))
+                            seq += 1
+                            break
+                        store.items.append(op[2])
+                        op = None
+                        continue
+                    store.putters.append((actor, op[2]))
+                    requeue = False
+                    break
+                raise AssertionError(  # pragma: no cover - closed vocabulary
+                    f"unknown op {op!r}")
             actor.t = t
-            self._drive(actor)
+            if requeue:
+                push(heap, (t, seq, actor))
+                seq += 1
         stuck = [a for a in self.actors if not a.done]
         if stuck:  # pragma: no cover - would mirror an event deadlock
             raise RuntimeError(f"batched engine deadlock: {stuck}")
@@ -1254,72 +1238,69 @@ class BatchedEngine:
                                and a.prev_anchor_t is not None)
                            else np.nan
                            for a in self.actors])
-        stores = tuple(s.signature() for s in self.stores)
-        res_off = np.array([r.free_at - T for r in self._all_res])
+        stores = tuple([(len(s.items), len(s.getters), len(s.putters))
+                        for s in self.stores])
+        res_off = np.array([r.free_at for r in self._all_res]) - T
         births = self.births
         head = max(frames)
         birth_off = np.array([births.get(f, np.nan) - T
                               for f in range(head - _MAX_K + 1, head + 1)])
         mc_busy = np.array([r.busy_until(T) for r in self._mc_res])
-        lens = {("i", k): len(v) for k, v in self.idle_samples.items()}
-        lens.update({("b", k): len(v)
-                     for k, v in self.busy_samples.items()})
+        lens = tuple([len(v) for v in self._samples])
         tel = self.synth.phase_sig() if self.synth is not None else None
         return _Snapshot(T, frames, ops, deltas, stores, res_off, birth_off,
                          mc_busy, lens, tel)
 
     def _slices_match(self, snap: _Snapshot, prev: _Snapshot,
                       prev2: _Snapshot) -> bool:
-        for tag, samples in (("i", self.idle_samples),
-                             ("b", self.busy_samples)):
-            for key, lst in samples.items():
-                k = (tag, key)
-                l2, l1, l0 = prev2.lens[k], prev.lens[k], snap.lens[k]
-                if l0 - l1 != l1 - l2:
+        for lst, l2, l1, l0 in zip(self._samples, prev2.lens, prev.lens,
+                                   snap.lens):
+            if l0 - l1 != l1 - l2:
+                return False
+            # a period's slice is a handful of floats: plain Python
+            # beats numpy's per-call overhead here
+            for a, b in zip(lst[l1:l0], lst[l2:l1]):
+                if abs(a - b) > _ATOL + _RTOL * abs(b):
                     return False
-                # a period's slice is a handful of floats: plain Python
-                # beats numpy's per-call overhead here
-                for a, b in zip(lst[l1:l0], lst[l2:l1]):
-                    if abs(a - b) > _ATOL + _RTOL * abs(b):
-                        return False
         return True
 
-    def _steady(self, snap: _Snapshot, prev: _Snapshot, prev2: _Snapshot,
-                k: int) -> Optional[float]:
-        """Locked period ``D`` when three snapshots ``k`` frames apart
-        agree, else None."""
+    def _steady_miss(self, snap: _Snapshot, prev: _Snapshot,
+                     prev2: _Snapshot, k: int) -> Optional[str]:
+        """The first steady-state criterion three snapshots ``k`` frames
+        apart fail, or None when they agree: a lock on the period
+        ``D = snap.T - prev.T``."""
         delta = snap.T - prev.T
         if delta <= 0.0 or not math.isclose(prev.T - prev2.T, delta,
                                             rel_tol=_RTOL, abs_tol=_ATOL):
-            return None
+            return "period"
         for new, old in ((snap, prev), (prev, prev2)):
             if any(nf - of != k for nf, of in zip(new.frames, old.frames)):
-                return None
+                return "frames"
         if snap.ops != prev.ops or prev.ops != prev2.ops:
-            return None
+            return "ops"
         atol = _ATOL * max(1.0, delta)
         # every stage's last frame took Δ (k = 1), or the per-frame
         # spacings repeat with the super-period (k > 1)
         spacing = delta if k == 1 else prev.deltas
         if not _close(snap.deltas, spacing, atol).all():
-            return None
+            return "spacing"
         if snap.stores != prev.stores:
-            return None
+            return "stores"
         # resources either repeat their phase offset or are long idle
         off_ok = (_close(snap.res_off, prev.res_off, atol)
                   | ((snap.res_off < -delta) & (prev.res_off < -delta)))
         if not off_ok.all():
-            return None
+            return "resources"
         if not _close(snap.birth_off[-k:], prev.birth_off[-k:], atol).all():
-            return None
+            return "births"
         if not self._slices_match(snap, prev, prev2):
-            return None
+            return "samples"
         if self.synth is not None and not TelemetrySynth.periodic_ok(
                 prev2.tel, prev.tel, snap.tel):
             # the telemetry stream itself must repeat before its period
             # can be captured and replayed symbolically
-            return None
-        return delta
+            return "telemetry"
+        return None
 
     def on_trigger_anchor(self, trig: _Actor) -> None:
         self.frames_simulated += 1
@@ -1328,22 +1309,25 @@ class BatchedEngine:
         hist.append(snap)
         if any(a.done for a in self.actors):
             return
-        period: Optional[float] = None
         for k in range(1, _MAX_K + 1):
             if len(hist) < 2 * k + 1:
                 return
-            period = self._steady(snap, hist[-1 - k], hist[-1 - 2 * k], k)
-            if period is not None:
+            prev = hist[-1 - k]
+            miss = self._steady_miss(snap, prev, hist[-1 - 2 * k], k)
+            if miss is None:
                 break
-        if period is None:
+            self.lock_misses[miss] += 1
+        else:
             return
+        period = snap.T - prev.T
         # the windowed jump: every stage's longest admissible prefix
         j = min(self.frames - 1 - a.frame for a in self.actors)
         for a in self.actors:
             j = a.max_jump(j, period / k, k)
             if j < max(2, k):
+                self.lock_misses["prefix"] += 1
                 return
-        self._jump(trig, j // k, k, period, snap, hist[-1 - k])
+        self._jump(trig, j // k, k, period, snap, prev)
 
     # -- the wave jump ----------------------------------------------------
     def _jump(self, trig: _Actor, waves: int, k: int, period: float,
@@ -1356,13 +1340,10 @@ class BatchedEngine:
         self.strides.append(k)
 
         # 1. repeat the locked period's metric samples
-        for tag, samples in (("i", self.idle_samples),
-                             ("b", self.busy_samples)):
-            for key, lst in samples.items():
-                lk = (tag, key)
-                sl = lst[prev.lens[lk]:snap.lens[lk]]
-                if sl:
-                    lst.extend(sl * waves)
+        for lst, lo, hi in zip(self._samples, prev.lens, snap.lens):
+            sl = lst[lo:hi]
+            if sl:
+                lst.extend(sl * waves)
 
         # 2. actor-specific synthesis (MCPC power segments)
         for a in self.actors:
@@ -1407,7 +1388,7 @@ class BatchedEngine:
         # 6. shift every clock: actors, heap entries, queued store items
         for a in self.actors:
             a.shift(s, j)
-        # In place: _drive/_run_prog hold references to this very list.
+        # In place: the scheduler loop holds this very list.
         self.heap[:] = [(t + s, seq, a) for (t, seq, a) in self.heap]
         heapify(self.heap)
         for store in self.stores:
