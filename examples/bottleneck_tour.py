@@ -3,9 +3,11 @@
 
 For every renderer configuration this example:
 
-1. predicts the pipeline period analytically (``repro.analysis``) and
-   names the bottleneck stage;
-2. runs the discrete-event simulation and compares;
+1. runs the walkthrough on the batched engine with telemetry and reads
+   the trace insights (``repro.analysis.analyze_telemetry``): the
+   whole-run bottleneck verdict and the per-pipeline filter verdict;
+2. prints how each stage kind splits its time into compute, blocked
+   hand-offs and starvation;
 3. draws an ASCII Gantt chart of the first pipeline's stages so the
    bottleneck is literally visible (the busy bars of the slow stage
    touch; everything downstream shows gaps).
@@ -15,9 +17,10 @@ Run:  python examples/bottleneck_tour.py [--pipelines 5] [--frames 60]
 
 import argparse
 
-from repro.analysis import PeriodPredictor
+from repro.analysis import analyze_telemetry
 from repro.pipeline import PipelineRunner
 from repro.sim import render_gantt
+from repro.telemetry import Telemetry
 
 
 def main() -> None:
@@ -26,19 +29,25 @@ def main() -> None:
     parser.add_argument("--frames", type=int, default=60)
     args = parser.parse_args()
 
-    predictor = PeriodPredictor()
     for config in ("one_renderer", "n_renderers", "mcpc_renderer"):
         print("=" * 72)
-        print(predictor.explain(config, args.pipelines))
-
+        telemetry = Telemetry()
         runner = PipelineRunner(config=config, pipelines=args.pipelines,
-                                frames=args.frames, trace=True)
+                                frames=args.frames, telemetry=telemetry,
+                                trace=True, engine="batched")
         result = runner.run()
-        predicted = predictor.predict_period(config, args.pipelines)
-        print(f"\n  DES period: {result.seconds_per_frame * 1e3:.1f} ms "
-              f"(analytic {predicted * 1e3:.1f} ms, "
-              f"{100 * (result.seconds_per_frame / predicted - 1):+.1f}% "
-              "from queueing/rendezvous)")
+        insight = analyze_telemetry(telemetry, result)
+        print(f"{config}, {args.pipelines} pipeline(s): "
+              f"{result.seconds_per_frame * 1e3:.1f} ms per frame")
+        print(f"  bottleneck     : {insight.verdict.describe()}")
+        print(f"  pipeline filter: {insight.filter_verdict().describe()}")
+        print("  seconds per stage kind, summed over its instances:")
+        for kind in sorted(insight.kind_utilization,
+                           key=lambda k: -insight.kind_utilization[k]):
+            sec = insight.kind_seconds[kind]
+            print(f"  {kind:>12}  compute {sec.get('compute', 0.0):7.2f} s"
+                  f"  blocked {sec.get('blocked', 0.0):6.2f} s"
+                  f"  starved {sec.get('starved', 0.0):7.2f} s")
         if result.latency_quartiles:
             print(f"  frame latency: "
                   f"{result.latency_quartiles[1] * 1e3:.0f} ms median")

@@ -1,11 +1,9 @@
-"""Analytic companions to the simulation: bottleneck/period prediction,
-the post-run trace insight engine (:mod:`repro.analysis.insights`),
-metrics snapshots and the regression gate
+"""Analysis around the simulation: the post-run trace insight engine
+(:mod:`repro.analysis.insights`), metrics snapshots and the regression gate
 (:mod:`repro.analysis.metrics_snapshot`), static determinism lints
 (:mod:`repro.analysis.lints`) and runtime sanitizers
 (:mod:`repro.analysis.sanitizers`)."""
 
-from .bottleneck import PeriodPredictor, StageLoad
 from .insights import (
     ATTRIBUTION_CATEGORIES,
     BottleneckVerdict,
@@ -32,8 +30,6 @@ from .metrics_snapshot import (
 from .sanitizers import Diagnostic, SanitizerSuite
 
 __all__ = [
-    "PeriodPredictor",
-    "StageLoad",
     "Diagnostic",
     "SanitizerSuite",
     "ATTRIBUTION_CATEGORIES",

@@ -35,7 +35,8 @@ Subcommands
 ``dvfs``
     The §VI-D frequency-tuning study (Figs 16/17).
 ``explain``
-    Analytic per-stage breakdown and bottleneck for a configuration.
+    Bottleneck verdicts and per-stage attribution of one exact
+    400-frame batched walkthrough (the ``repro analyze`` report).
 ``analyze``
     Post-run trace insights: critical path, per-stage wall-time
     attribution, upstream starvation causes and a bottleneck verdict —
@@ -65,7 +66,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from .analysis import PeriodPredictor
 from .exec import ResultCache, RunSpec, SweepExecutor, default_cache_dir
 from .pipeline import (ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner,
                        render_film)
@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dvfs", help="the frequency-tuning study (Figs 16/17)")
 
     explain = sub.add_parser("explain",
-                             help="analytic bottleneck breakdown")
+                             help="bottleneck report of one batched "
+                                  "400-frame run")
     explain.add_argument("--config",
                          choices=[c for c in CONFIGURATIONS
                                   if c != "single_core"],
@@ -895,11 +896,21 @@ def _cmd_dvfs(_args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    predictor = PeriodPredictor()
-    print(predictor.explain(args.config, args.pipelines))
-    print(f"\npredicted walkthrough: "
-          f"{predictor.predict_walkthrough(args.config, args.pipelines):.1f} s"
-          " (analytic; the DES adds queueing/rendezvous effects)")
+    from .analysis import analyze_telemetry
+
+    telemetry = Telemetry()
+    try:
+        runner = PipelineRunner(config=args.config, pipelines=args.pipelines,
+                                frames=400, telemetry=telemetry,
+                                engine="batched")
+        result = runner.run()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{args.config}, {args.pipelines} pipeline(s), 400 frames "
+          f"(batched engine): walkthrough "
+          f"{result.walkthrough_seconds:.1f} s\n")
+    print(analyze_telemetry(telemetry, result).format_text())
     return 0
 
 

@@ -8,7 +8,7 @@ the timing model consumes.
 from .base import FilterCost, ImageFilter, clamp01, validate_image
 from .blur import BlurFilter
 from .flicker import FlickerFilter
-from .scratch import OrientedScratchFilter, ScratchFilter
+from .scratch import ScratchFilter
 from .sepia import LUMA_WEIGHTS, S1, S2, SepiaFilter
 from .swap import SwapFilter, swap_rows_inplace
 
@@ -30,7 +30,6 @@ __all__ = [
     "SepiaFilter",
     "BlurFilter",
     "ScratchFilter",
-    "OrientedScratchFilter",
     "FlickerFilter",
     "SwapFilter",
     "swap_rows_inplace",

@@ -39,7 +39,7 @@ class FilterCost:
     """How a stage touches its strip, per pixel.
 
     ``pattern`` is one of ``"sequential"``, ``"strided"``, ``"sparse"``
-    — the classes the analytic cache model distinguishes.
+    — a descriptive access-pattern class; no cost term reads it.
     ``touched_fraction`` scales the per-pixel terms for stages that skip
     most pixels (the scratch stage).
     """

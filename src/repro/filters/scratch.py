@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import FilterCost, ImageFilter, validate_image
 
-__all__ = ["ScratchFilter", "OrientedScratchFilter"]
+__all__ = ["ScratchFilter"]
 
 
 class ScratchFilter(ImageFilter):
@@ -58,65 +58,3 @@ class ScratchFilter(ImageFilter):
         return FilterCost(name="scratch", reads_per_pixel=0.0,
                           writes_per_pixel=1.0, pattern="strided",
                           touched_fraction=0.02)
-
-
-class OrientedScratchFilter(ImageFilter):
-    """Scratches of arbitrary orientation and length.
-
-    The paper notes its vertical-only filter "can be easily extended to
-    allow scratches of arbitrary orientation and length" — this is that
-    extension.  Each scratch is a line segment with a random anchor,
-    angle (within ``max_tilt_deg`` of vertical, as film scratches run
-    along the transport direction) and length; segments are drawn with a
-    dense sample walk (DDA) so they stay connected at any angle.
-    """
-
-    key = "scratch"
-
-    def __init__(self, max_scratches: int = 6, max_tilt_deg: float = 25.0,
-                 min_length_frac: float = 0.3,
-                 max_length_frac: float = 1.0) -> None:
-        if max_scratches < 0:
-            raise ValueError("max_scratches must be >= 0")
-        if not 0.0 <= max_tilt_deg <= 90.0:
-            raise ValueError("max_tilt_deg must be in [0, 90]")
-        if not 0.0 < min_length_frac <= max_length_frac <= 1.0:
-            raise ValueError("need 0 < min_length_frac <= max_length_frac <= 1")
-        self.max_scratches = max_scratches
-        self.max_tilt_deg = max_tilt_deg
-        self.min_length_frac = min_length_frac
-        self.max_length_frac = max_length_frac
-
-    def apply(self, image: np.ndarray,
-              rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        image = validate_image(image)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        out = image.copy()
-        h, w, _ = image.shape
-        n = int(rng.integers(0, self.max_scratches + 1))
-        if n == 0:
-            return out
-        shade = np.float32(rng.uniform(0.6, 1.0))
-        color = np.array([shade, shade, shade], dtype=np.float32)
-        for _ in range(n):
-            x0 = rng.uniform(0, w)
-            y0 = rng.uniform(0, h)
-            tilt = np.radians(rng.uniform(-self.max_tilt_deg,
-                                          self.max_tilt_deg))
-            length = h * rng.uniform(self.min_length_frac,
-                                     self.max_length_frac)
-            # Direction near-vertical: (sin tilt, cos tilt).
-            steps = max(int(np.ceil(length * 2)), 2)
-            t = np.linspace(0.0, length, steps)
-            xs = np.clip((x0 + t * np.sin(tilt)).astype(np.int64), 0, w - 1)
-            ys = np.clip((y0 + t * np.cos(tilt)).astype(np.int64), 0, h - 1)
-            out[ys, xs] = color
-        return out
-
-    @property
-    def cost(self) -> FilterCost:
-        # Longer average footprint than the vertical filter (diagonal
-        # walks cross more cache lines), still sparse overall.
-        return FilterCost(name="scratch", reads_per_pixel=0.0,
-                          writes_per_pixel=1.0, pattern="strided",
-                          touched_fraction=0.03)

@@ -71,17 +71,27 @@ class Placement:
         return len(self.all_cores())
 
 
-def max_pipelines(per_pipeline_input: bool) -> int:
-    """Largest pipeline count that fits on 48 cores.
+def max_pipelines(per_pipeline_input: bool,
+                  arrangement: str = "unordered") -> int:
+    """Largest pipeline count that ``arrangement`` can place on 48 cores.
 
     With a renderer per pipeline each pipeline needs 6 cores plus the
     shared transfer core: 7 pipelines (the paper's maximum).  With a
     shared input stage (single renderer or connect), 5 cores per
-    pipeline plus 2 shared: 9 — the paper sweeps up to 8.
+    pipeline plus 2 shared: 9 — the paper sweeps up to 8.  The
+    row-aligned arrangements (ordered, flipped) give each pipeline one
+    mesh row of one core layer, so they place at most 4 x 2 = 8.
     """
+    if arrangement not in ARRANGEMENTS:
+        raise ValueError(f"unknown arrangement {arrangement!r}; "
+                         f"choose from {ARRANGEMENTS}")
     if per_pipeline_input:
-        return (NUM_CORES - 1) // (FILTERS_PER_PIPELINE + 1)
-    return (NUM_CORES - 2) // FILTERS_PER_PIPELINE
+        limit = (NUM_CORES - 1) // (FILTERS_PER_PIPELINE + 1)
+    else:
+        limit = (NUM_CORES - 2) // FILTERS_PER_PIPELINE
+    if arrangement != "unordered":
+        limit = min(limit, GRID_HEIGHT * CORES_PER_TILE)
+    return limit
 
 
 def dvfs_study_placement() -> Placement:
@@ -146,19 +156,17 @@ def make_placement(arrangement: str, num_pipelines: int,
     arrangement:
         One of :data:`ARRANGEMENTS`.
     num_pipelines:
-        Parallel pipelines (1..:func:`max_pipelines`).
+        Parallel pipelines (1..:func:`max_pipelines` for the arrangement).
     per_pipeline_input:
         True for the n-renderer configuration (a render core in front of
         every pipeline), False when a single shared stage (renderer or
         connect) feeds all pipelines.
     """
-    if arrangement not in ARRANGEMENTS:
-        raise ValueError(f"unknown arrangement {arrangement!r}; "
-                         f"choose from {ARRANGEMENTS}")
-    limit = max_pipelines(per_pipeline_input)
+    limit = max_pipelines(per_pipeline_input, arrangement)
     if not 1 <= num_pipelines <= limit:
         raise ValueError(
-            f"num_pipelines must be in 1..{limit} for this configuration")
+            f"num_pipelines must be in 1..{limit} for this configuration "
+            f"({arrangement})")
 
     pool = _CorePool()
     if arrangement == "unordered":
@@ -203,8 +211,6 @@ def _row_aligned(pool: _CorePool, n: int, per_pipeline_input: bool,
     for p in range(n):
         row = p % GRID_HEIGHT
         layer = p // GRID_HEIGHT
-        if layer >= CORES_PER_TILE:
-            raise ValueError("too many pipelines for row alignment")
         columns = list(range(stages_per_pipeline))
         if flipped and p % 2 == 1:
             columns = list(reversed(columns))

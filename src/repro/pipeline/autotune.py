@@ -1,18 +1,17 @@
 """Auto-tuning: pick the best pipeline count for a configuration.
 
 What a user of the original system would actually want: "how many
-pipelines should I run?".  The tuner uses the analytic predictor to
-shortlist candidates (cheap), then verifies the shortlist with real
-simulations (accurate), returning the best verified count — the paper's
-answer (5 for the MCPC configuration, 7 for n-renderers) falls out.
+pipelines should I run?".  The tuner runs every pipeline count the
+arrangement can place on the exact batched engine (milliseconds per
+400-frame walkthrough) and returns the fastest — the paper's answer
+(5 for the MCPC configuration, 7 for n-renderers) falls out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..analysis import PeriodPredictor
 from .arrangements import max_pipelines
 from .metrics import RunResult
 from .runner import PipelineRunner
@@ -27,26 +26,20 @@ class TuneResult:
     config: str
     best_pipelines: int
     best: RunResult
-    #: analytic predictions for every candidate (seconds)
-    predicted: Dict[int, float]
-    #: verified simulations for the shortlisted candidates
+    #: one exact run per placeable pipeline count
     verified: Dict[int, RunResult]
 
     def summary(self) -> str:
         lines = [f"{self.config}: best = {self.best_pipelines} pipeline(s), "
                  f"{self.best.walkthrough_seconds:.1f} s"]
-        for n in sorted(self.predicted):
-            mark = ""
-            if n in self.verified:
-                mark = (f"  verified {self.verified[n].walkthrough_seconds:.1f} s"
-                        + ("  <-- best" if n == self.best_pipelines else ""))
-            lines.append(f"  n={n}: predicted {self.predicted[n]:.1f} s{mark}")
+        for n in sorted(self.verified):
+            mark = "  <-- best" if n == self.best_pipelines else ""
+            lines.append(f"  n={n}: "
+                         f"{self.verified[n].walkthrough_seconds:.1f} s{mark}")
         return "\n".join(lines)
 
 
-def autotune(config: str, frames: int = 400, shortlist: int = 3,
-             predictor: Optional[PeriodPredictor] = None,
-             **runner_kwargs) -> TuneResult:
+def autotune(config: str, frames: int = 400, **runner_kwargs) -> TuneResult:
     """Find the pipeline count minimizing the walkthrough time.
 
     Parameters
@@ -55,29 +48,20 @@ def autotune(config: str, frames: int = 400, shortlist: int = 3,
         One of the parallel configurations (``single_core`` has nothing
         to tune).
     frames:
-        Walkthrough length for the verification runs.
-    shortlist:
-        How many analytically-best candidates to verify with the DES.
+        Walkthrough length of every run.
+    runner_kwargs:
+        Passed to :class:`PipelineRunner`; ``engine`` defaults to
+        ``"batched"`` and ``arrangement`` to ``"ordered"``, whose
+        placement limit bounds the candidate counts.
     """
     if config == "single_core":
         raise ValueError("single_core has no pipeline count to tune")
-    if shortlist < 1:
-        raise ValueError("shortlist must be >= 1")
-    predictor = predictor or PeriodPredictor()
-    limit = max_pipelines(per_pipeline_input=(config == "n_renderers"))
-
-    predicted: Dict[int, float] = {}
-    for n in range(1, limit + 1):
-        predicted[n] = predictor.predict_walkthrough(config, n,
-                                                     frames=frames)
-
-    candidates = sorted(predicted, key=predicted.get)[:shortlist]
-    verified: Dict[int, RunResult] = {}
-    for n in candidates:
-        verified[n] = PipelineRunner(config=config, pipelines=n,
-                                     frames=frames, **runner_kwargs).run()
-
+    kwargs = {"engine": "batched", "arrangement": "ordered", **runner_kwargs}
+    limit = max_pipelines(per_pipeline_input=(config == "n_renderers"),
+                          arrangement=kwargs["arrangement"])
+    verified = {n: PipelineRunner(config=config, pipelines=n, frames=frames,
+                                  **kwargs).run()
+                for n in range(1, limit + 1)}
     best_n = min(verified, key=lambda n: verified[n].walkthrough_seconds)
     return TuneResult(config=config, best_pipelines=best_n,
-                      best=verified[best_n], predicted=predicted,
-                      verified=verified)
+                      best=verified[best_n], verified=verified)

@@ -1,7 +1,7 @@
 """RCCE-flavoured message passing over the simulated SCC.
 
 Intel's RCCE library gives each core a rank and provides blocking,
-MPI-like ``send``/``recv`` plus flags and barriers.  Two data paths exist
+MPI-like ``send``/``recv`` plus flags.  Two data paths exist
 on the real chip and both are modeled:
 
 * ``via="mpb"`` — the RCCE default: the payload is pumped through the
@@ -25,11 +25,11 @@ communication) show up as :class:`~repro.sim.DeadlockError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from ..scc.chip import SCCChip
 from ..scc.mpb import MPB_BYTES_PER_CORE
-from ..sim import Event, Store
+from ..sim import Store
 
 __all__ = ["Message", "RCCEComm"]
 
@@ -57,7 +57,7 @@ class _Channel:
 
 
 class RCCEComm:
-    """Blocking point-to-point messaging and collectives on the chip.
+    """Blocking point-to-point messaging on the chip.
 
     Parameters
     ----------
@@ -78,7 +78,6 @@ class RCCEComm:
         self.sim = chip.sim
         self.mpb_chunk_bytes = mpb_chunk_bytes
         self._channels: Dict[Tuple[int, int], _Channel] = {}
-        self._barriers: Dict[Tuple[int, ...], Tuple[int, Event]] = {}
         #: messages fully delivered (monitoring)
         self.messages_delivered = 0
         #: payload bytes fully delivered (monitoring)
@@ -212,40 +211,6 @@ class RCCEComm:
                 san.on_mpb_read(dst, dst, read_start, self.sim.now)
             yield mpb.release(chunk)
             remaining -= chunk
-
-    # -- collectives ------------------------------------------------------------
-    def barrier(self, core_ids: Iterable[int]) -> Generator[Any, Any, None]:
-        """Barrier across a fixed group of cores.
-
-        Every participating process calls ``yield from comm.barrier(ids)``
-        with the identical ``ids``; all resume once the last arrives.
-        """
-        key = tuple(sorted(set(core_ids)))
-        if len(key) < 2:
-            raise ValueError("a barrier needs at least two cores")
-        count, event = self._barriers.get(key, (0, None))
-        if event is None:
-            event = Event(self.sim)
-        count += 1
-        if count == len(key):
-            self._barriers[key] = (0, None)
-            event.succeed()
-        else:
-            self._barriers[key] = (count, event)
-        yield event
-
-    def bcast(self, root: int, dst_cores: Iterable[int], nbytes: int, *,
-              payload: Any = None,
-              via: str = "dram") -> Generator[Any, Any, None]:
-        """Root-side of a broadcast: sequential sends, RCCE-style.
-
-        RCCE has no hardware multicast; ``RCCE_bcast`` loops over ranks.
-        Each destination must post a matching ``recv``.
-        """
-        for dst in dst_cores:
-            if dst == root:
-                continue
-            yield from self.send(root, dst, nbytes, payload=payload, via=via)
 
     def __repr__(self) -> str:
         return (

@@ -7,14 +7,7 @@ power model.  See DESIGN.md §2 for the substitution argument (real
 silicon → discrete-event model).
 """
 
-from .cache import (
-    AnalyticCacheModel,
-    CacheHierarchy,
-    CacheStats,
-    SetAssociativeCache,
-)
 from .chip import SCCChip, SCCConfig
-from .dram import AccessStats, DRAMBankModel, DRAMTimings
 from .dvfs import (
     DEFAULT_FREQUENCY_MHZ,
     DVFSController,
@@ -25,7 +18,6 @@ from .memory import MemoryConfig, MemoryController, MemorySystem
 from .mesh import Link, Mesh, MeshConfig, xy_route
 from .mpb import MPB_BYTES_PER_CORE, MessagePassingBuffer, MPBSystem
 from .power import PowerConfig, PowerModel
-from .wormhole import WormholeConfig, WormholeMesh
 from .topology import (
     CACHE_LINE_BYTES,
     CACHE_WAYS,
@@ -69,15 +61,6 @@ __all__ = [
     "DEFAULT_FREQUENCY_MHZ",
     "PowerModel",
     "PowerConfig",
-    "WormholeMesh",
-    "WormholeConfig",
-    "DRAMBankModel",
-    "DRAMTimings",
-    "AccessStats",
-    "SetAssociativeCache",
-    "CacheHierarchy",
-    "CacheStats",
-    "AnalyticCacheModel",
     "GRID_WIDTH",
     "GRID_HEIGHT",
     "NUM_TILES",

@@ -22,7 +22,7 @@ Quick example
 from .core import Infinity, Simulator
 from .errors import DeadlockError, Interrupt, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
-from .monitor import IntervalRecorder, StatAccumulator, TimeSeries, quantile
+from .monitor import StatAccumulator, TimeSeries, quantile
 from .process import Process
 from .resources import Container, Request, Resource, Store
 from .trace import Span, TraceRecorder, render_gantt
@@ -46,7 +46,6 @@ __all__ = [
     "DeadlockError",
     "StatAccumulator",
     "TimeSeries",
-    "IntervalRecorder",
     "quantile",
     "Span",
     "TraceRecorder",

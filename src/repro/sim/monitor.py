@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["StatAccumulator", "TimeSeries", "IntervalRecorder", "quantile"]
+__all__ = ["StatAccumulator", "TimeSeries", "quantile"]
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -218,41 +218,3 @@ class TimeSeries:
 
     def __repr__(self) -> str:
         return f"<TimeSeries {self.name!r} points={len(self.times)}>"
-
-
-class IntervalRecorder:
-    """Records labelled open/close intervals (e.g. per-stage idle windows).
-
-    The pipeline stages call :meth:`open` when they start waiting for input
-    and :meth:`close` when data arrives; durations feed a
-    :class:`StatAccumulator` per label.
-    """
-
-    def __init__(self) -> None:
-        self._open: Dict[str, float] = {}
-        self.stats: Dict[str, StatAccumulator] = {}
-
-    def open(self, label: str, t: float) -> None:
-        """Mark the start of an interval for ``label``."""
-        if label in self._open:
-            raise RuntimeError(f"interval {label!r} already open")
-        self._open[label] = t
-
-    def close(self, label: str, t: float) -> float:
-        """Mark the end of an interval; returns its duration."""
-        try:
-            start = self._open.pop(label)
-        except KeyError:
-            raise RuntimeError(f"interval {label!r} is not open")
-        if t < start:
-            raise ValueError("interval closes before it opens")
-        duration = t - start
-        self.stats.setdefault(label, StatAccumulator(label)).add(duration)
-        return duration
-
-    def is_open(self, label: str) -> bool:
-        return label in self._open
-
-    def accumulator(self, label: str) -> StatAccumulator:
-        """The accumulator for ``label`` (created on demand)."""
-        return self.stats.setdefault(label, StatAccumulator(label))

@@ -8,7 +8,7 @@ under dotted hierarchical names following the convention documented in
 * ``dram.mc{i}.bytes`` / ``dram.mc{i}.requests`` — per memory controller;
 * ``mpb.tile{t}.core{c}.occupancy`` — message-passing-buffer windows;
 * ``stage.{key}.frames`` / ``stage.{key}.busy_s`` — pipeline stages;
-* ``dvfs.*``, ``power.*``, ``cache.*``, ``rcce.*`` — the rest.
+* ``dvfs.*``, ``power.*``, ``rcce.*`` — the rest.
 
 Three metric kinds cover everything the model needs:
 
@@ -34,8 +34,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "CounterRegistry",
 #: whose static name root is not listed here — add the root *and* its
 #: convention to ``docs/observability.md`` when opening a new subsystem.
 KNOWN_COUNTER_ROOTS = frozenset({
-    "mesh", "dram", "mpb", "stage", "dvfs", "power", "cache", "rcce",
-    "sanitizer",
+    "mesh", "dram", "mpb", "stage", "dvfs", "power", "rcce", "sanitizer",
 })
 
 #: The registered first segments of the *derived-metric* namespace: the

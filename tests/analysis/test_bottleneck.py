@@ -1,81 +1,70 @@
-"""Tests for the analytic period predictor."""
+"""The paper's bottleneck story, read from exact batched runs.
 
-import pytest
+Blur paces every pipeline at small pipeline counts; the shared input
+stage (render, or connect behind the MCPC) caps the saturated counts,
+which gives the 5-pipeline MCPC optimum (Figs. 9-11, Table I).  The
+verdicts come from :func:`repro.analysis.analyze_telemetry` over one
+400-frame batched walkthrough, the report ``repro explain`` prints.
+"""
 
-from repro.analysis import PeriodPredictor, StageLoad
+from repro.analysis import RunInsight, analyze_telemetry
 from repro.pipeline import PipelineRunner
-from repro.scc import MemoryConfig
+from repro.scc import MemoryConfig, SCCConfig
+from repro.telemetry import Telemetry
+
+#: the stage every pipeline of a configuration shares at its head
+INPUT_STAGE = {"one_renderer": "render", "n_renderers": "render",
+               "mcpc_renderer": "connect"}
 
 
-@pytest.fixture(scope="module")
-def predictor():
-    return PeriodPredictor()
+def _insight(config: str, pipelines: int) -> RunInsight:
+    # Not memoised: six 400-frame insights (critical path,
+    # per-track attribution, idle samples) hold ~80 MB together, which a
+    # module-level cache would keep alive for the rest of the session.
+    telemetry = Telemetry()
+    result = PipelineRunner(config=config, pipelines=pipelines, frames=400,
+                            telemetry=telemetry, engine="batched").run()
+    return analyze_telemetry(telemetry, result)
 
 
-def test_stage_load_service_sum():
-    load = StageLoad("x", 0.1, 0.02, 0.03)
-    assert load.service_s == pytest.approx(0.15)
+def _compute_per_instance(insight: RunInsight, kind: str) -> float:
+    """Compute seconds of one instance of ``kind`` over the run."""
+    instances = sum(1 for track in insight.tracks
+                    if track.split("[")[0] == kind)
+    return insight.kind_seconds[kind]["compute"] / instances
 
 
-def test_validation(predictor):
-    with pytest.raises(ValueError):
-        predictor.stage_loads("one_renderer", 0)
-    with pytest.raises(ValueError):
-        predictor.stage_loads("single_core", 1)
-    with pytest.raises(ValueError):
-        predictor.stage_loads("warp_drive", 1)
-
-
-def test_bottlenecks_match_paper_narrative(predictor):
+def test_bottlenecks_match_paper_narrative():
     """Blur bounds small pipeline counts; the shared input stage bounds
     the saturated regimes."""
-    assert predictor.bottleneck("one_renderer", 1).key == "blur"
-    assert predictor.bottleneck("one_renderer", 5).key == "render"
-    assert predictor.bottleneck("n_renderers", 2).key == "blur"
-    assert predictor.bottleneck("n_renderers", 7).key == "render"
-    assert predictor.bottleneck("mcpc_renderer", 2).key == "blur"
-    assert predictor.bottleneck("mcpc_renderer", 6).key == "connect"
+    for config, n in (("one_renderer", 1), ("n_renderers", 2),
+                      ("mcpc_renderer", 2)):
+        insight = _insight(config, n)
+        assert insight.filter_verdict().stage == "blur", (config, n)
+        assert (_compute_per_instance(insight, "blur")
+                > _compute_per_instance(insight, INPUT_STAGE[config])), \
+            (config, n)
+    for config, n in (("one_renderer", 5), ("n_renderers", 7),
+                      ("mcpc_renderer", 6)):
+        verdict = _insight(config, n).verdict
+        assert verdict.stage == INPUT_STAGE[config], (config, n)
+        assert verdict.resource == "core", (config, n)
 
 
-@pytest.mark.parametrize("config,n", [
-    ("one_renderer", 1), ("one_renderer", 4), ("one_renderer", 7),
-    ("n_renderers", 2), ("n_renderers", 5), ("n_renderers", 7),
-    ("mcpc_renderer", 3), ("mcpc_renderer", 5), ("mcpc_renderer", 7),
-])
-def test_predictions_match_des_within_8pct(predictor, config, n):
-    pred = predictor.predict_walkthrough(config, n)
-    des = PipelineRunner(config=config,
-                         pipelines=n).run().walkthrough_seconds
-    assert pred == pytest.approx(des, rel=0.08)
-
-
-def test_predictor_is_optimistic_vs_des(predictor):
-    """It ignores queueing/rendezvous, so it never predicts slower than
-    the DES by more than noise."""
-    for config, n in (("one_renderer", 3), ("n_renderers", 4),
-                      ("mcpc_renderer", 5)):
-        pred = predictor.predict_walkthrough(config, n)
-        des = PipelineRunner(config=config,
-                             pipelines=n).run().walkthrough_seconds
-        assert pred <= des * 1.02
+def test_explain_names_the_bottleneck():
+    text = _insight("mcpc_renderer", 6).format_text()
+    assert "bottleneck        : connect (core-bound" in text
+    assert "pipeline filter   : blur (core-bound" in text
 
 
 def test_local_memory_shrinks_handoffs():
-    base = PeriodPredictor()
-    local = PeriodPredictor(memory=MemoryConfig(local_memory=True))
-    assert local.dram_move_s(640_000) < base.dram_move_s(640_000) / 5
-    assert (local.predict_period("n_renderers", 1)
-            < base.predict_period("n_renderers", 1))
+    """The local-store ablation removes the DRAM bounce of every strip
+    hand-off: the copy-light filters lose most of their busy time."""
+    def run(local_memory: bool):
+        chip = SCCConfig(memory=MemoryConfig(local_memory=local_memory))
+        return PipelineRunner(config="n_renderers", pipelines=1, frames=30,
+                              chip_config=chip, engine="batched").run()
 
-
-def test_predict_walkthrough_scales_with_frames(predictor):
-    p400 = predictor.predict_walkthrough("n_renderers", 3)
-    p100 = predictor.predict_walkthrough("n_renderers", 3, frames=100)
-    assert p400 == pytest.approx(4 * p100)
-
-
-def test_explain_names_the_bottleneck(predictor):
-    text = predictor.explain("mcpc_renderer", 5)
-    assert "<-- bottleneck" in text
-    assert "connect" in text
-    assert "blur" in text
+    base, local = run(False), run(True)
+    assert local.walkthrough_seconds < base.walkthrough_seconds
+    assert local.busy_means["scratch"] < 0.5 * base.busy_means["scratch"]

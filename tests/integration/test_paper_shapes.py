@@ -6,6 +6,8 @@ qualitative result and every quantitative anchor (within a tolerance
 band) is.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from repro.pipeline import PipelineRunner
@@ -18,9 +20,16 @@ def baseline():
     return PipelineRunner(config="single_core").run()
 
 
-def full_run(config, pipelines, arrangement="ordered", **kw):
+def full_run(config, pipelines, arrangement="ordered"):
+    return _full_run(config, pipelines, arrangement)
+
+
+@lru_cache(maxsize=None)
+def _full_run(config, pipelines, arrangement):
+    """One 400-frame run; each point is simulated once per module (runs
+    are deterministic, and no test mutates a result)."""
     return PipelineRunner(config=config, pipelines=pipelines,
-                          arrangement=arrangement, **kw).run()
+                          arrangement=arrangement).run()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.pipeline import (
     max_pipelines,
 )
 from repro.pipeline.arrangements import dvfs_study_placement
+from repro.pipeline.describe import describe
 from repro.scc import SCCTopology
 
 
@@ -22,6 +23,27 @@ def test_max_pipelines_matches_paper():
     # 7 with a renderer per pipeline, 9 with a shared input stage.
     assert max_pipelines(per_pipeline_input=True) == 7
     assert max_pipelines(per_pipeline_input=False) == 9
+
+
+def test_row_aligned_limit_is_eight_rows_by_two_layers():
+    assert max_pipelines(False, "unordered") == 9
+    for arrangement in ("ordered", "flipped"):
+        assert max_pipelines(False, arrangement) == 8
+        assert max_pipelines(True, arrangement) == 7
+    with pytest.raises(ValueError):
+        max_pipelines(False, "diagonal")
+
+
+def test_placement_limit_follows_the_arrangement():
+    """A shared input stage fits 9 pipelines on the cores, but one per
+    mesh row and core layer fits only 8: the range check must say so
+    instead of failing inside the row layout."""
+    with pytest.raises(ValueError, match=r"1\.\.8"):
+        describe("mcpc_renderer", 9, "ordered")
+    with pytest.raises(ValueError, match=r"1\.\.8"):
+        describe("one_renderer", 9, "flipped")
+    graph = describe("mcpc_renderer", 9, "unordered")
+    assert graph.placement.num_pipelines == 9
 
 
 def test_unknown_arrangement_rejected():

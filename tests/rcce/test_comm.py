@@ -151,69 +151,6 @@ def test_messages_between_same_pair_stay_ordered():
     assert received == [0, 1, 2, 3, 4]
 
 
-def test_barrier_releases_all_at_once():
-    chip = make_chip()
-    comm = RCCEComm(chip)
-    group = [0, 4, 9]
-    times = {}
-
-    def member(core, delay):
-        yield chip.sim.timeout(delay)
-        yield from comm.barrier(group)
-        times[core] = chip.sim.now
-
-    for core, delay in zip(group, (1.0, 5.0, 3.0)):
-        chip.sim.process(member(core, delay))
-    chip.sim.run()
-    assert all(t == pytest.approx(5.0) for t in times.values())
-
-
-def test_barrier_reusable():
-    chip = make_chip()
-    comm = RCCEComm(chip)
-    group = [0, 1]
-    log = []
-
-    def member(core):
-        for round_ in range(3):
-            yield chip.sim.timeout(core + 1.0)
-            yield from comm.barrier(group)
-            log.append((round_, core, chip.sim.now))
-
-    chip.sim.process(member(0))
-    chip.sim.process(member(1))
-    chip.sim.run()
-    # Rounds complete at t=2,4,6 (paced by the slower member).
-    times = sorted({t for _, _, t in log})
-    assert times == pytest.approx([2.0, 4.0, 6.0])
-
-
-def test_barrier_needs_two_cores():
-    chip = make_chip()
-    comm = RCCEComm(chip)
-    with pytest.raises(ValueError):
-        list(comm.barrier([3]))
-
-
-def test_bcast_reaches_every_destination():
-    chip = make_chip()
-    comm = RCCEComm(chip)
-    got = []
-
-    def root():
-        yield from comm.bcast(0, [0, 1, 2, 3], 50, payload="go")
-
-    def leaf(core):
-        msg = yield from comm.recv(core, 0)
-        got.append((core, msg.payload))
-
-    chip.sim.process(root())
-    for core in (1, 2, 3):
-        chip.sim.process(leaf(core))
-    chip.sim.run()
-    assert sorted(got) == [(1, "go"), (2, "go"), (3, "go")]
-
-
 def test_monitoring_counters():
     chip = make_chip()
     comm = RCCEComm(chip)

@@ -1,13 +1,10 @@
-"""Tests for the cache models, including the Fig. 12 streaming argument."""
+"""Tests for the exact cache oracle, including the Fig. 12 streaming
+argument (see ``tests/scc/cache_oracle.py``)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scc import (
-    AnalyticCacheModel,
-    CacheHierarchy,
-    SetAssociativeCache,
-)
+from .cache_oracle import SetAssociativeCache
 
 
 def test_geometry_validation():
@@ -128,67 +125,3 @@ def test_immediate_reaccess_always_hits(addresses):
         c.access(a)
         assert c.access(a) is True
 
-
-# ---------------------------------------------------------------------------
-# hierarchy
-# ---------------------------------------------------------------------------
-
-def test_hierarchy_levels():
-    h = CacheHierarchy(l1_bytes=256, l2_bytes=1024, ways=2, line_bytes=32)
-    assert h.access(0) == "mem"
-    assert h.access(0) == "l1"
-    # Evict from tiny L1 by touching its 4 other sets' worth
-    for a in range(32, 32 * 20, 32):
-        h.access(a)
-    # 0 fell out of L1 but is still in L2
-    assert h.access(0) in ("l2", "mem")
-
-
-def test_hierarchy_amat():
-    h = CacheHierarchy(l1_bytes=256, l2_bytes=1024, ways=2, line_bytes=32)
-    h.access(0)   # mem
-    h.access(0)   # l1
-    amat = h.amat(l1_time=1.0, l2_time=10.0, mem_time=100.0)
-    assert amat == pytest.approx((100.0 + 1.0) / 2)
-
-
-def test_hierarchy_amat_requires_accesses():
-    h = CacheHierarchy()
-    with pytest.raises(ValueError):
-        h.amat(1, 10, 100)
-
-
-# ---------------------------------------------------------------------------
-# analytic model
-# ---------------------------------------------------------------------------
-
-def test_analytic_sequential_matches_simulation():
-    model = AnalyticCacheModel()
-    sim_cache = SetAssociativeCache()
-    delta = sim_cache.access_range(0, 100_000, stride=4)
-    assert model.sequential_miss_rate() == pytest.approx(delta.miss_rate,
-                                                         rel=0.01)
-
-
-def test_analytic_strided():
-    model = AnalyticCacheModel()
-    assert model.strided_miss_rate(64) == 1.0
-    assert model.strided_miss_rate(16) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        model.strided_miss_rate(0)
-
-
-def test_analytic_random_miss_rate():
-    model = AnalyticCacheModel()
-    assert model.random_miss_rate(128 * 1024, cache_bytes=256 * 1024) == 0.0
-    assert model.random_miss_rate(512 * 1024, cache_bytes=256 * 1024) == \
-        pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        model.random_miss_rate(0)
-
-
-def test_analytic_streaming_dram_bytes_rounds_to_lines():
-    model = AnalyticCacheModel()
-    assert model.streaming_dram_bytes(1) == 32
-    assert model.streaming_dram_bytes(32) == 32
-    assert model.streaming_dram_bytes(33) == 64

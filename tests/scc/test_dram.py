@@ -1,9 +1,9 @@
-"""Tests for the bank-level DRAM model."""
+"""Tests for the bank-level DRAM oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scc.dram import AccessStats, DRAMBankModel, DRAMTimings
+from .dram_oracle import AccessStats, DRAMBankModel, DRAMTimings
 
 
 def test_timings_derived_quantities():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.scc import Mesh, MeshConfig
 from repro.scc.topology import GRID_HEIGHT, GRID_WIDTH
-from repro.scc.wormhole import WormholeConfig, WormholeMesh
+from .wormhole_oracle import WormholeConfig, WormholeMesh
 from repro.sim import Simulator
 
 coords = st.tuples(st.integers(0, GRID_WIDTH - 1),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import IntervalRecorder, StatAccumulator, TimeSeries, quantile
+from repro.sim import StatAccumulator, TimeSeries, quantile
 
 
 # ---------------------------------------------------------------------------
@@ -162,45 +162,3 @@ def test_timeseries_integral_additivity(steps):
     assert total == pytest.approx(
         ts.integrate(0.0, mid) + ts.integrate(mid, t), rel=1e-9, abs=1e-9
     )
-
-
-# ---------------------------------------------------------------------------
-# IntervalRecorder
-# ---------------------------------------------------------------------------
-
-def test_interval_recorder_basic():
-    rec = IntervalRecorder()
-    rec.open("blur", 1.0)
-    assert rec.is_open("blur")
-    assert rec.close("blur", 3.5) == pytest.approx(2.5)
-    assert not rec.is_open("blur")
-    assert rec.stats["blur"].mean == pytest.approx(2.5)
-
-
-def test_interval_recorder_double_open_rejected():
-    rec = IntervalRecorder()
-    rec.open("x", 0.0)
-    with pytest.raises(RuntimeError):
-        rec.open("x", 1.0)
-
-
-def test_interval_recorder_close_unopened_rejected():
-    rec = IntervalRecorder()
-    with pytest.raises(RuntimeError):
-        rec.close("y", 1.0)
-
-
-def test_interval_recorder_negative_duration_rejected():
-    rec = IntervalRecorder()
-    rec.open("z", 5.0)
-    with pytest.raises(ValueError):
-        rec.close("z", 4.0)
-
-
-def test_interval_recorder_accumulator_on_demand():
-    rec = IntervalRecorder()
-    acc = rec.accumulator("new")
-    assert acc.count == 0
-    rec.open("new", 0.0)
-    rec.close("new", 1.0)
-    assert acc.count == 1

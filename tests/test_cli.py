@@ -115,7 +115,7 @@ def test_explain_command(capsys):
                  "--pipelines", "5"]) == 0
     out = capsys.readouterr().out
     assert "bottleneck" in out
-    assert "predicted walkthrough" in out
+    assert "makespan" in out
 
 
 def test_explain_rejects_single_core():
@@ -126,7 +126,7 @@ def test_explain_rejects_single_core():
 def test_tune_command(capsys):
     assert main(["tune", "--config", "n_renderers", "--frames", "60"]) == 0
     out = capsys.readouterr().out
-    assert "best" in out and "predicted" in out
+    assert "best" in out and "<-- best" in out
 
 
 def test_sweep_command_cold_then_warm(tmp_path, capsys):
