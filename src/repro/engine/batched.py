@@ -7,13 +7,15 @@ warm-up frames fill the pipeline, every stage repeats the *same*
 sequence of operations once per frame, at times that advance by one
 constant period Δ.  This engine exploits that structure twice:
 
-1. **Coarse operations.**  Each stage runs as a generator of coarse
-   ops, and one scheduler loop executes them in place: a compute, a
-   store get or put, a *fused program* — a whole DRAM access (command
-   trip over the mesh, memory controller occupancy, payload trip,
-   core-side copy) is one precomputed list of ``(resource, hold)``
-   steps instead of ~10 separate heap events — and the compound RCCE
-   send (token wait, write program, data-ready put).  Resources are
+1. **Coarse operations.**  Each stage node's op program (the stage
+   graph's, :mod:`repro.pipeline.describe`) compiles to a generator of
+   coarse ops, and one scheduler loop executes them in place: a
+   compute, a store get or put, a *fused program* — a whole DRAM
+   access (command trip over the mesh, memory controller occupancy,
+   payload trip, core-side copy) is one precomputed list of
+   ``(resource, hold)`` steps instead of ~10 separate heap events —
+   and the compound RCCE send (token wait, write program, data-ready
+   put).  Resources are
    plain ``free_at`` floats; a grant is ``max(now, free_at)`` — the
    identical arithmetic the event kernel performs via request/release
    events, so uncontended and FIFO-contended timings are reproduced
@@ -73,8 +75,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..host import MCPCConfig
-from ..pipeline.describe import SIF_CAPACITY
+from ..pipeline.describe import PER_FRAME_COSTS
 from ..pipeline.metrics import RunMetrics, RunResult
+from ..pipeline.stage import compute_cost
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
 from ..sim import Simulator, TimeSeries
@@ -189,6 +192,11 @@ class _Store:
         self.shift = shift
 
 
+def _shift_tag(item: Tuple[Any, int], j: int) -> Tuple[Any, int]:
+    """Renumber a frame-carrying store item ``(bytes, tag)`` by ``j``."""
+    return (item[0], item[1] + j)
+
+
 class _Chan:
     """Rendezvous state of one ordered (src, dst) core pair — mirrors
     ``repro.rcce.comm._Channel`` (a token store plus a message store)."""
@@ -197,8 +205,7 @@ class _Chan:
 
     def __init__(self, src: int, dst: int) -> None:
         self.recv_posted = _Store()
-        self.data_ready = _Store(
-            shift=lambda item, j: (item[0], item[1] + j))
+        self.data_ready = _Store(shift=_shift_tag)
         self.src = src
         self.dst = dst
 
@@ -249,20 +256,68 @@ def _replica(i: int, k: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# actors: one per pipeline stage
+# the actor: one per stage node
 # ---------------------------------------------------------------------------
 
-class _Actor:
-    """One stage as a coarse-op generator plus its schedulable state."""
+def _send_op(chan: _Chan, write_prog: Prog, nbytes: int) -> Op:
+    """The compound RCCE send: rendezvous token, deposit payload, signal
+    data-ready.
 
-    def __init__(self, eng: "BatchedEngine", key: str, core_id: int) -> None:
+    The scheduler loop runs it in place as its three phases (see
+    :meth:`BatchedEngine._run_loop`).  The message carries the sender's
+    ``tag``, read when the message is stamped rather than when the send
+    starts: a wave jump renumbers in-flight frames (``f -> f+j``), and a
+    sender parked mid-send must stamp the *renumbered* tag on the message
+    and its telemetry, exactly as the event engine (whose stages would be
+    ``j`` frames further along) would have.
+    """
+    return ("x", ("g", chan.recv_posted), ("s", write_prog), chan, nbytes)
+
+
+class _Actor:
+    """One stage node's compiled op program as a coarse-op generator,
+    plus its schedulable state.
+
+    ``steps`` is the program compiled by :meth:`BatchedEngine._compile`:
+    one ``(kind, op, src, first)`` per stage op, ``op`` being what the
+    body yields (for an input, ``recv`` or ``get``, its post/wait/read
+    triple), ``src`` an input's source and ``first`` whether it is the
+    first input.  The
+    bookkeeping follows the program's shape, as in the event interpreter
+    (:class:`repro.pipeline.stage.Stage`): the first input's wait is
+    idle, busy runs from the last input to the frame's end, inputs set
+    the tag.  Two more step kinds carry the jump rules: ``trigger``
+    (the completion stage's snapshot) and the ``hand-send`` /
+    ``hand-put`` that closes a per-frame compute's blocking window.
+
+    A per-frame ``compute`` (the renderers) draws its cost from one
+    table built with the program (a list for the live loop, an array
+    for the admissibility scan).  Each frame draws its cost at its loop
+    top, before any snapshot can see it, so the frame in flight at a
+    lock already carries its cost forward: a ``j``-frame jump relabels
+    it ``frame + j`` and must admit frames ``frame … frame + j``.
+    """
+
+    def __init__(self, eng: "BatchedEngine", node: Any, steps: List[Any],
+                 costs: List[float], slack: float) -> None:
         self.eng = eng
         #: metrics base key ("render", "sepia", "transfer", ...)
-        self.key = key
-        #: telemetry track (the event stage's per-instance key, e.g.
-        #: "sepia[0]"); subclasses with suffixed instances override it
-        self.span_key = key
-        self.core_id = core_id
+        self.key = node.base
+        #: telemetry track (the event stage's per-instance key)
+        self.span_key = node.key
+        #: the MCPC host has no SCC core (-1)
+        self.core_id = -1 if node.core is None else node.core
+        self.host = node.core is None
+        self.steps = steps
+        self.no_input = not node.input_steps
+        #: per-frame time after the compute that the blocking window
+        #: must also absorb (the MCPC's uplink)
+        self.slack = slack
+        self.costs = costs
+        self.cost_arr = np.array(costs) if costs else np.empty(0)
+        #: the latest frames' blocking windows: loop top -> hand-off grant
+        #: (durations, so jump-safe), None for a frame that was not blocked
+        self.windows: deque = deque(maxlen=_MAX_K)
         self.t = 0.0
         self.frame = 0
         #: frame tag of the message the stage is handling (what its sends
@@ -291,6 +346,12 @@ class _Actor:
         self.span_start: Optional[float] = None
         #: when the last send's rendezvous token was granted
         self.token_t: Optional[float] = None
+        #: when the actor reached the blocking-window hand-off
+        self.arr_t: Optional[float] = None
+        #: the host's compute in progress (its power segment)
+        self.in_compute = False
+        self.seg_start: Optional[float] = None
+        self.cur_dur = 0.0
 
     def anchor(self) -> None:
         """Mark the top of a frame loop (the periodicity reference)."""
@@ -299,14 +360,101 @@ class _Actor:
         self.op_i = 0
 
     def body(self) -> Generator[Op, Any, None]:
-        raise NotImplementedError
+        eng = self.eng
+        synth = eng.synth
+        # the host has no samples: it has no inputs and a host span
+        idle = eng.idle_samples.get(self.key, [])
+        busy = eng.busy_samples.get(self.key, [])
+        births = eng.births
+        steps = self.steps
+        costs = self.costs
+        host = self.host
+        no_input = self.no_input
+        while self.frame < eng.frames:
+            self.anchor()
+            if no_input:
+                self.span_start = self.t
+                self.tag = self.frame
+                births.setdefault(self.frame, self.t)
+            for kind, op, src, first in steps:
+                if kind == "op":
+                    yield op
+                elif kind == "in":
+                    # an input: post the rendezvous token (recv), wait
+                    # for the (bytes, tag) item, fetch the strip from the
+                    # own partition (recv)
+                    post_op, wait_op, read_op = op
+                    if post_op is not None:
+                        yield post_op
+                    self.wait_start = self.t
+                    self.tag = (yield wait_op)[1]
+                    wait_start = self.wait_start
+                    assert wait_start is not None
+                    if first:
+                        idle.append(_idle_value(self.t, wait_start))
+                        if synth is not None:
+                            synth.stage_idle(self.span_key, self.t,
+                                             wait_start)
+                    elif synth is not None:
+                        # later inputs' waits are span-only (Fig. 15
+                        # idle counts only the first)
+                        synth.input_wait(self.span_key, self.t, wait_start,
+                                         src)
+                    if read_op is not None:
+                        yield read_op
+                    self.span_start = self.t
+                elif kind == "cost":
+                    d = costs[self.frame]
+                    if host:
+                        self.seg_start = self.t
+                        self.cur_dur = d
+                        self.in_compute = True
+                    yield ("d", d)
+                    if host:
+                        self.in_compute = False
+                        # the frame's own cost: a jump may have renamed
+                        # this compute (its timing absorbed by the
+                        # blocking window)
+                        eng.mcpc_segments.append((self.seg_start,
+                                                  costs[self.frame]))
+                elif kind == "hand-send":
+                    self.arr_t = self.t
+                    yield op
+                    self._window(self.token_t)
+                elif kind == "hand-put":
+                    self.arr_t = self.t
+                    yield ("p", op, (None, self.tag))
+                    self._window(self.t)
+                elif kind == "put":
+                    yield ("p", op, (None, self.tag))
+                elif kind == "trigger":
+                    eng.on_trigger_anchor(self)
+                else:  # done
+                    eng.record_completion(self.tag, self.t)
+            assert self.span_start is not None
+            if host:
+                if synth is not None:
+                    synth.host_busy(self.span_start, self.t, self.tag)
+            else:
+                busy.append(self.t - self.span_start)
+                if synth is not None:
+                    synth.stage_busy(self.span_key, self.span_start, self.t,
+                                     self.tag)
+            self.frame += 1
+
+    def _window(self, grant: Optional[float]) -> None:
+        """Close the blocking window of a hand-off pinned to the
+        downstream period: loop top -> grant, None when it did not wait."""
+        arr, top = self.arr_t, self.anchor_t
+        assert grant is not None and arr is not None and top is not None
+        self.windows.append(grant - top if grant > arr else None)
 
     # -- jump hooks -------------------------------------------------------
     def shift(self, s: float, j: int) -> None:
         """Advance every absolute time by ``s`` and renumber frames."""
         self.t += s
         for attr in ("wait_start", "span_start", "anchor_t",
-                     "prev_anchor_t", "token_t"):
+                     "prev_anchor_t", "token_t", "arr_t", "seg_start"):
             v = getattr(self, attr)
             if v is not None:
                 setattr(self, attr, v + s)
@@ -326,213 +474,15 @@ class _Actor:
         """Most frames (``<= limit``) a jump locked on a ``k``-frame
         period of mean frame time ``delta`` may skip for this stage.
 
-        Stages with frame-independent costs never limit the jump; the
-        costed stages scan their cost tables.
+        Stages with frame-independent costs never limit the jump; a
+        per-frame cost scans its table.  A frame whose compute ends
+        before its hand-off would have been granted leaves the schedule
+        untouched.  Each phase of a super-period has its own window: the
+        last k frames cover them all, and the narrowest bounds every
+        phase.
         """
-        return limit
-
-    def synthesize(self, j: int, k: int, period: float) -> None:
-        """Record the per-actor side effects of ``j`` skipped frames."""
-
-    def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.key!r} core={self.core_id} "
-                f"t={self.t:.6f} frame={self.frame}>")
-
-
-def _send_op(chan: _Chan, write_prog: Prog, nbytes: int) -> Op:
-    """The compound RCCE send: rendezvous token, deposit payload, signal
-    data-ready.
-
-    The scheduler loop runs it in place as its three phases (see
-    :meth:`BatchedEngine._run_loop`).  The message carries the sender's
-    ``tag``, read when the message is stamped rather than when the send
-    starts: a wave jump renumbers in-flight frames (``f -> f+j``), and a
-    sender parked mid-send must stamp the *renumbered* tag on the message
-    and its telemetry, exactly as the event engine (whose stages would be
-    ``j`` frames further along) would have.
-    """
-    return ("x", ("g", chan.recv_posted), ("s", write_prog), chan, nbytes)
-
-
-class _FilterActor(_Actor):
-    """One silent-film filter on one core of one pipeline."""
-
-    def __init__(self, eng: "BatchedEngine", key: str, span_key: str,
-                 core_id: int, in_chan: _Chan, out_chan: _Chan,
-                 read_prog: Prog, compute_d: float, write_prog: Prog,
-                 nbytes: int) -> None:
-        super().__init__(eng, key, core_id)
-        self.span_key = span_key
-        self.post_op: Op = ("p", in_chan.recv_posted, None)
-        self.recv_op: Op = ("g", in_chan.data_ready)
-        self.read_op: Op = ("s", read_prog)
-        self.compute_op: Op = ("d", compute_d)
-        self.send_op = _send_op(out_chan, write_prog, nbytes)
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        while self.frame < eng.frames:
-            self.anchor()
-            # recv: post the token, wait for data, fetch from partition
-            yield self.post_op
-            self.wait_start = self.t
-            item = yield self.recv_op
-            self.tag = item[1]
-            idle.append(_idle_value(self.t, self.wait_start))
-            if synth is not None:
-                assert self.wait_start is not None
-                synth.stage_idle(self.span_key, self.t, self.wait_start)
-            yield self.read_op
-            self.span_start = self.t
-            yield self.compute_op
-            yield self.send_op
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.tag)
-            self.frame += 1
-
-
-class _TransferActor(_Actor):
-    """Collects every pipeline's strip, assembles, ships to the viewer.
-
-    This is the completion stage, so it is also the engine's periodicity
-    *trigger*: its frame-loop anchor takes the steady-state snapshot.
-    """
-
-    def __init__(self, eng: "BatchedEngine", core_id: int,
-                 in_chans: List[_Chan], read_progs: List[Prog],
-                 assemble_d: float, downlink_prog: Prog) -> None:
-        super().__init__(eng, "transfer", core_id)
-        #: per pipeline: (source core, post token, wait data, read strip)
-        self.strips: List[Tuple[int, Op, Op, Op]] = [
-            (chan.src, ("p", chan.recv_posted, None), ("g", chan.data_ready),
-             ("s", prog))
-            for chan, prog in zip(in_chans, read_progs)]
-        self.assemble_op: Op = ("d", assemble_d)
-        self.downlink_op: Op = ("s", downlink_prog)
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        while self.frame < eng.frames:
-            self.anchor()
-            eng.on_trigger_anchor(self)
-            for p, (src, post_op, recv_op, read_op) in enumerate(
-                    self.strips):
-                yield post_op
-                self.wait_start = self.t
-                yield recv_op
-                if p == 0:
-                    # Fig. 15 idle counts only the first strip's wait;
-                    # later strips' waits are span-only (ignored when
-                    # telemetry is off), exactly like TransferStage.
-                    idle.append(_idle_value(self.t, self.wait_start))
-                    if synth is not None:
-                        assert self.wait_start is not None
-                        synth.stage_idle(self.span_key, self.t,
-                                         self.wait_start)
-                elif synth is not None:
-                    assert self.wait_start is not None
-                    synth.transfer_wait(self.span_key, self.t,
-                                        self.wait_start, src)
-                yield read_op
-            self.span_start = self.t
-            yield self.assemble_op
-            yield self.downlink_op
-            eng.record_completion(self.frame, self.t)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
-
-
-class _ConnectActor(_Actor):
-    """mcpc_renderer's SCC-side stage: SIF -> partition -> pipelines."""
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, queue: _Store,
-                 sif_prog: Prog, compute_d: float, write_own_prog: Prog,
-                 out_chans: List[_Chan], write_progs: List[Prog],
-                 strip_nbytes: List[int]) -> None:
-        super().__init__(eng, "connect", core_id)
-        self.recv_op: Op = ("g", queue)
-        self.sif_op: Op = ("s", sif_prog)
-        self.compute_op: Op = ("d", compute_d)
-        self.write_own_op: Op = ("s", write_own_prog)
-        self.send_ops = [_send_op(*send) for send in zip(
-            out_chans, write_progs, strip_nbytes)]
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        while self.frame < eng.frames:
-            self.anchor()
-            self.wait_start = self.t
-            item = yield self.recv_op
-            self.tag = item[0]
-            idle.append(_idle_value(self.t, self.wait_start))
-            if synth is not None:
-                assert self.wait_start is not None
-                synth.stage_idle(self.span_key, self.t, self.wait_start)
-            self.span_start = self.t
-            yield self.sif_op
-            yield self.compute_op
-            yield self.write_own_op
-            for send_op in self.send_ops:
-                yield send_op
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.tag)
-            self.frame += 1
-
-
-class _CostedActor(_Actor):
-    """A stage whose compute cost varies per frame.
-
-    The per-frame costs come from one table built when the body starts
-    (a list for the live loop, an array for the admissibility scan).
-    Each frame draws its cost at its loop top, before any snapshot can
-    see it, so the frame in flight at a lock already carries its cost
-    forward: a ``j``-frame jump relabels it ``frame + j`` and must
-    admit frames ``frame … frame + j``.
-    """
-
-    #: per-frame time after the compute that the blocking window must
-    #: also absorb (the MCPC's uplink)
-    slack = 0.0
-
-    def __init__(self, eng: "BatchedEngine", key: str, core_id: int) -> None:
-        super().__init__(eng, key, core_id)
-        self.cost_arr = np.empty(0)
-        #: the latest frames' blocking windows: loop top -> hand-off grant
-        #: (durations, so jump-safe), None for a frame that was not blocked
-        self.windows: deque = deque(maxlen=_MAX_K)
-
-    def _frame_compute(self, frame: int) -> float:
-        raise NotImplementedError
-
-    def _cost_table(self) -> List[float]:
-        costs = [self._frame_compute(f) for f in range(self.eng.frames)]
-        self.cost_arr = np.array(costs)
-        return costs
-
-    def max_jump(self, limit: int, delta: float, k: int) -> int:
-        # A frame whose compute ends before its hand-off would have been
-        # granted leaves the schedule untouched.  Each phase of a
-        # super-period has its own window: the last k frames cover them
-        # all, and the narrowest bounds every phase.
+        if not self.costs:
+            return limit
         recent = list(self.windows)[-k:]
         window: Optional[float] = None
         if len(recent) == k and None not in recent:
@@ -540,143 +490,14 @@ class _CostedActor(_Actor):
         return admissible_prefix(self.cost_arr, self.frame, limit + 1, k,
                                  window) - 1
 
-
-class _SingleRendererActor(_CostedActor):
-    """one_renderer's render core: full frame, strip sends to pipelines."""
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, key: str,
-                 out_chans: List[_Chan], write_progs: List[Prog],
-                 strip_nbytes: List[int]) -> None:
-        super().__init__(eng, key, core_id)
-        self.send_ops = [_send_op(*send) for send in zip(
-            out_chans, write_progs, strip_nbytes)]
-        self.first_arr: Optional[float] = None
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        return eng.chip.compute_time(
-            self.core_id,
-            eng.cost.render_seconds(eng.workload.profile(frame)))
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        busy = eng.busy_samples[self.key]
-        births = eng.births
-        costs = self._cost_table()
-        first_send, *other_sends = self.send_ops
-        while self.frame < eng.frames:
-            self.anchor()
-            self.span_start = self.t
-            self.tag = self.frame
-            births.setdefault(self.frame, self.t)
-            yield ("d", costs[self.frame])
-            self.first_arr = self.t
-            yield first_send
-            # the downstream token arrives at a pinned period
-            assert self.token_t is not None
-            self.windows.append(self.token_t - self.span_start
-                                if self.token_t > self.first_arr else None)
-            for send_op in other_sends:
-                yield send_op
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.first_arr is not None:
-            self.first_arr += s
-
-
-class _StripRendererActor(_SingleRendererActor):
-    """n_renderers' per-pipeline sort-first renderer."""
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, pipeline: int,
-                 out_chan: _Chan, write_prog: Prog, nbytes: int) -> None:
-        super().__init__(eng, core_id, "render", [out_chan], [write_prog],
-                         [nbytes])
-        self.pipeline = pipeline
-        self.span_key = f"render[{pipeline}]"
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        profile = eng.workload.profile(frame, self.pipeline,
-                                       eng.num_pipelines)
-        return eng.chip.compute_time(
-            self.core_id, eng.cost.render_seconds(profile, sort_first=True))
-
-
-class _MCPCActor(_CostedActor):
-    """mcpc_renderer's host process: render, uplink, enqueue."""
-
-    def __init__(self, eng: "BatchedEngine", queue: _Store,
-                 uplink_prog: Prog, uplink_seconds: float) -> None:
-        super().__init__(eng, "mcpc-render", -1)
-        self.queue = queue
-        self.uplink_op: Op = ("s", uplink_prog)
-        #: static uplink occupancy + latency per frame
-        self.slack = uplink_seconds
-        self.in_compute = False
-        self.seg_start: Optional[float] = None
-        self.cur_dur = 0.0
-        self.post_t: Optional[float] = None
-        #: jump-safe loop-top time (start of the host busy span)
-        self.loop_top: Optional[float] = None
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        return (eng.cost.render_seconds(eng.workload.profile(frame))
-                / eng.mcpc_config.speedup_vs_scc_core)
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        births = eng.births
-        costs = self._cost_table()
-        while self.frame < eng.frames:
-            self.anchor()
-            top = self.t
-            self.loop_top = self.t
-            births.setdefault(self.frame, self.t)
-            d = costs[self.frame]
-            self.seg_start = self.t
-            self.cur_dur = d
-            self.in_compute = True
-            yield ("d", d)
-            self.in_compute = False
-            # the frame's own cost: a jump may have renamed this compute
-            # (its timing absorbed by the blocking window)
-            eng.mcpc_segments.append((self.seg_start, costs[self.frame]))
-            yield self.uplink_op
-            self.post_t = self.t
-            yield ("p", self.queue, (self.frame, None))
-            if synth is not None:
-                assert self.loop_top is not None
-                synth.host_busy(self.loop_top, self.t, self.frame)
-            # the capacity-2 SIF socket pins the host to the connect
-            # stage's period: loop top -> put grant
-            self.windows.append(self.t - top if self.t > self.post_t
-                                else None)
-            self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.seg_start is not None:
-            self.seg_start += s
-        if self.post_t is not None:
-            self.post_t += s
-        if self.loop_top is not None:
-            self.loop_top += s
-
     def synthesize(self, j: int, k: int, period: float) -> None:
-        """Power segments for the skipped host frames.
+        """Power segments for ``j`` skipped host frames.
 
         Each skipped frame's segment starts where the locked period puts
         it and lasts that frame's real render cost.
         """
+        if not self.host:
+            return
         segs = self.eng.mcpc_segments
         a0 = self.frame
         assert self.seg_start is not None
@@ -693,47 +514,9 @@ class _MCPCActor(_CostedActor):
             segs.append((segs[n - 1 + offset][0] + m * period,
                          self.cost_arr.item(a0 + i)))
 
-
-class _SingleCoreActor(_CostedActor):
-    """The 382 s baseline: one stage, compute then downlink.
-
-    It is also its own completion stage, so it triggers the snapshots —
-    right after each frame's compute, where the renderers' in-flight
-    frame sits too, so the shared admissibility rule applies unchanged.
-    It is never blocked: only the equal-cost rule lets it jump.
-    """
-
-    def __init__(self, eng: "BatchedEngine", core_id: int,
-                 downlink_prog: Prog) -> None:
-        super().__init__(eng, "single-core", core_id)
-        self.downlink_op: Op = ("s", downlink_prog)
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        return eng.chip.compute_time(
-            self.core_id,
-            eng.cost.single_core_frame_seconds(eng.workload.profile(frame)))
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        busy = eng.busy_samples[self.key]
-        births = eng.births
-        costs = self._cost_table()
-        while self.frame < eng.frames:
-            self.anchor()
-            self.span_start = self.t
-            births.setdefault(self.frame, self.t)
-            yield ("d", costs[self.frame])
-            eng.on_trigger_anchor(self)
-            yield self.downlink_op
-            eng.record_completion(self.frame, self.t)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
+    def __repr__(self) -> str:
+        return (f"<_Actor {self.span_key!r} core={self.core_id} "
+                f"t={self.t:.6f} frame={self.frame}>")
 
 
 # ---------------------------------------------------------------------------
@@ -939,91 +722,32 @@ class BatchedEngine:
         graph = runner._stage_graph()
         self.graph = graph
         n = self.num_pipelines = max(graph.pipelines, 1)
-        wl = self.workload
-        chip = self.chip
-        cost = self.cost
-        downlink_res = self._new_res()
-        frame_bytes = wl.frame_bytes()
-        strip_nbytes = [wl.strip_bytes(p, n) for p in range(n)]
-        strip_pixels = [wl.viewport(p, n).pixels for p in range(n)]
+        self._strip_bytes = [self.workload.strip_bytes(p, n) for p in range(n)]
 
         # The frequency plan comes *before* the compute services below —
         # chip.compute_time must see the planned clocks.
-        runner._apply_frequency_plan(chip, graph)
-        chip.power.set_cores_active(graph.cores, True)
+        runner._apply_frequency_plan(self.chip, graph)
+        self.chip.power.set_cores_active(graph.cores, True)
 
-        if graph.queues:
-            queue = _Store(capacity=SIF_CAPACITY,
-                           shift=lambda item, j: (item[0] + j, item[1]))
-            self.stores.append(queue)
-            uplink_cfg = self.mcpc_config.udp
-            uplink_res = self._new_res()
-            datagrams = uplink_cfg.datagrams_for(frame_bytes)
+        # host links: a resource plus its UDP parameters, made in a fixed
+        # order (downlink, uplink) for the snapshots' resource vector
+        used = {op.arg for node in graph.stages for op in node.program
+                if op.kind == "udp"}
+        self._links = {
+            name: (self._new_res(), cfg)
+            for name, cfg in (("downlink", DOWNLINK_CONFIG),
+                              ("uplink", self.mcpc_config.udp))
+            if name in used}
+        self._queues = {
+            name: _Store(capacity=capacity, shift=_shift_tag)
+            for name, capacity in graph.queues.items()}
+        self.stores.extend(self._queues.values())
 
         self.actors = []
         for node in graph.stages:
-            role, p = node.role, node.pipeline
-            # the MCPC host has no SCC core (-1, its actor's core_id)
-            core = -1 if node.core is None else node.core
-            if core >= 0:
+            if node.core is not None:
                 self._samples_for(node.base)
-            actor: _Actor
-            if role == "host":
-                uplink_hold = uplink_cfg.hold_seconds(frame_bytes)
-                actor = _MCPCActor(
-                    self, queue,
-                    self._udp_prog(uplink_res, uplink_cfg, frame_bytes),
-                    uplink_hold + uplink_cfg.latency_s)
-            elif role == "single":
-                actor = _SingleCoreActor(
-                    self, core,
-                    self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            elif role == "render":
-                actor = _SingleRendererActor(
-                    self, core, "render",
-                    [self._chan(core, dst) for dst in node.outputs],
-                    [self._write_to_prog(core, dst, strip_nbytes[i])
-                     for i, dst in enumerate(node.outputs)],
-                    strip_nbytes)
-            elif role == "strip":
-                assert p is not None
-                dst = node.outputs[0]
-                actor = _StripRendererActor(
-                    self, core, p, self._chan(core, dst),
-                    self._write_to_prog(core, dst, strip_nbytes[p]),
-                    strip_nbytes[p])
-            elif role == "connect":
-                actor = _ConnectActor(
-                    self, core, queue,
-                    self._mesh_prog(SIF_LOCATION, self._coord(core),
-                                    frame_bytes, core=core),
-                    chip.compute_time(core,
-                                      cost.connect_seconds(datagrams, n)),
-                    self._write_own_prog(core, frame_bytes),
-                    [self._chan(core, dst) for dst in node.outputs],
-                    [self._write_to_prog(core, dst, strip_nbytes[i])
-                     for i, dst in enumerate(node.outputs)],
-                    strip_nbytes)
-            elif role == "filter":
-                assert p is not None
-                dst = node.outputs[0]
-                actor = _FilterActor(
-                    self, node.base, node.key, core,
-                    self._chan(node.inputs[0], core), self._chan(core, dst),
-                    self._read_own_prog(core, strip_nbytes[p]),
-                    chip.compute_time(core, cost.filter_seconds(
-                        node.base, strip_pixels[p])),
-                    self._write_to_prog(core, dst, strip_nbytes[p]),
-                    strip_nbytes[p])
-            else:  # transfer
-                actor = _TransferActor(
-                    self, core, [self._chan(src, core) for src in node.inputs],
-                    [self._read_own_prog(core, strip_nbytes[i])
-                     for i in range(n)],
-                    chip.compute_time(core, cost.assemble_seconds(
-                        wl.image_side ** 2)),
-                    self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            self.actors.append(actor)
+            self.actors.append(self._compile(node))
 
         self._samples = (list(self.idle_samples.values())
                          + list(self.busy_samples.values()))
@@ -1034,6 +758,87 @@ class BatchedEngine:
             for actor in self.actors:
                 if actor.core_id >= 0:
                     synth.bind(actor.span_key, actor.core_id, self.sim.now)
+
+    def _compile(self, node: Any) -> _Actor:
+        """One stage node's op program as an actor's coarse-op steps.
+
+        Besides the steps, the program's shape fixes the actor's jump
+        rules: a ``done`` program is the completion stage, whose
+        snapshots (a ``trigger`` step) sit before its first op that can
+        wait; a per-frame ``compute`` gets a cost table and a blocking
+        window, closed by the first hand-off after it (a ``hand-*``
+        step), with ``slack`` the fixed program time in between.
+        """
+        core = -1 if node.core is None else node.core
+        wl = self.workload
+        n = self.num_pipelines
+        frame_bytes = wl.frame_bytes()
+        program = node.program
+        inputs = node.input_steps
+        steps: List[Tuple[str, Any, Any, bool]] = []
+        costs: List[float] = []
+        slack = 0.0
+        # program positions of the trigger and of the blocking window
+        trigger = hand = -1
+        if any(op.kind == "done" for op in program):
+            trigger = next(i for i, op in enumerate(program)
+                           if op.kind != "compute")
+        for pc, op in enumerate(program):
+            kind, first = op.kind, bool(inputs) and pc == inputs[0]
+            if pc == trigger:
+                steps.append(("trigger", None, None, False))
+            if kind == "recv":
+                chan = self._chan(op.arg, core)
+                steps.append(("in", (
+                    ("p", chan.recv_posted, None), ("g", chan.data_ready),
+                    ("s", self._read_own_prog(
+                        core, self._strip_bytes[op.strip]))), op.arg, first))
+            elif kind == "get":
+                steps.append(("in", (None, ("g", self._queues[op.arg]),
+                                     None), op.arg, first))
+            elif kind == "mesh":
+                steps.append(("op", ("s", self._mesh_prog(
+                    SIF_LOCATION, self._coord(core), frame_bytes,
+                    core=core)), None, False))
+            elif kind == "compute":
+                fn = compute_cost(op, self.cost, wl, n, self.mcpc_config.udp)
+                if op.arg not in PER_FRAME_COSTS:
+                    steps.append(("op", (
+                        "d", self.chip.compute_time(core, fn(0))), None,
+                        False))
+                    continue
+                if node.core is None:
+                    speedup = self.mcpc_config.speedup_vs_scc_core
+                    costs = [fn(f) / speedup for f in range(self.frames)]
+                else:
+                    costs = [self.chip.compute_time(core, fn(f))
+                             for f in range(self.frames)]
+                steps.append(("cost", None, None, False))
+                hand = next((i for i in range(pc + 1, len(program))
+                             if program[i].kind in ("send", "put")), -1)
+            elif kind == "write_own":
+                steps.append(("op", ("s", self._write_own_prog(
+                    core, frame_bytes)), None, False))
+            elif kind == "send":
+                nbytes = self._strip_bytes[op.strip]
+                steps.append(("hand-send" if pc == hand else "op", _send_op(
+                    self._chan(core, op.arg),
+                    self._write_to_prog(core, op.arg, nbytes), nbytes), None,
+                    False))
+            elif kind == "udp":
+                res, cfg = self._links[op.arg]
+                prog = self._udp_prog(res, cfg, frame_bytes)
+                if pc < hand:
+                    # fixed program time between the compute and its
+                    # hand-off
+                    slack += sum(hold for _, hold, _ in prog)
+                steps.append(("op", ("s", prog), None, False))
+            elif kind == "put":
+                steps.append(("hand-put" if pc == hand else "put",
+                               self._queues[op.arg], None, False))
+            else:  # done
+                steps.append(("done", None, None, False))
+        return _Actor(self, node, steps, costs, slack)
 
     # -- scheduler ---------------------------------------------------------
     def _run_loop(self) -> None:

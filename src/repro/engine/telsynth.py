@@ -92,8 +92,9 @@ class TelemetrySynth:
         if self.detail:
             self.counters.inc(f"stage.{track}.idle_s", seconds)
 
-    def transfer_wait(self, track: str, t: float, wait_start: float,
-                      src_core: int) -> None:
+    def input_wait(self, track: str, t: float, wait_start: float,
+                   src_core: int) -> None:
+        """A later input's wait: a span only (not Fig. 15 idle)."""
         if self.detail:
             seconds = t - wait_start
             if seconds > 0:

@@ -20,17 +20,7 @@ from .macro import MacroPipeline, MacroRunResult, MacroStageSpec, WorkItem
 from .metrics import RunMetrics, RunResult
 from .runner import CONFIGURATIONS, ENGINES, FILTER_KEYS, PipelineRunner
 from .sweep import series, sweep_arrangements, sweep_image_sizes, sweep_pipelines
-from .stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
-    SingleCoreProcess,
-    SingleRendererStage,
-    Stage,
-    StageContext,
-    StripRendererStage,
-    TransferStage,
-)
+from .stage import Stage, StageContext
 from .workload import DEFAULT_IMAGE_SIDE, WalkthroughWorkload, default_workload
 
 __all__ = [
@@ -64,11 +54,4 @@ __all__ = [
     "DEFAULT_IMAGE_SIDE",
     "Stage",
     "StageContext",
-    "SingleRendererStage",
-    "StripRendererStage",
-    "FilterStage",
-    "TransferStage",
-    "ConnectStage",
-    "MCPCRenderProcess",
-    "SingleCoreProcess",
 ]

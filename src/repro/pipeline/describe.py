@@ -3,10 +3,18 @@
 ``describe(config, pipelines, arrangement, placement)`` returns the
 stage graph a run builds — which stages exist, on which cores, who
 hands frames to whom — without running anything.  It is the one place
-the wiring is decided: the event engine (``PipelineRunner``), the
-batched engine (:mod:`repro.engine.batched`) and the static deadlock
-proof (:mod:`repro.pipeline.protocol`) each read their stages off this
-graph, and the CLI's ``describe`` subcommand prints it.
+the wiring is decided, and each node also carries its **per-frame op
+program**: the RCCE loop the paper writes once per core (wait for the
+strip, fetch it, compute, deposit it with the successor), spelled as a
+short tuple of :class:`StageOp`.  Ops name cores, queues, links, cost
+kinds and strips symbolically, so the graph stays free of the workload.
+
+Three consumers read the programs: the event engine interprets them
+(:class:`repro.pipeline.stage.Stage`), the batched engine compiles them
+to coarse ``(resource, hold)`` programs (:mod:`repro.engine.batched`)
+and the static deadlock proof projects them onto their hand-offs
+(:mod:`repro.pipeline.protocol`).  The CLI's ``describe`` subcommand
+prints them.
 
 Node order is the engines' stage-start order, which breaks ties between
 simultaneous events; the MCPC host process therefore comes last.
@@ -15,13 +23,14 @@ simultaneous events; the MCPC host process therefore comes last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..filters import FILTER_ORDER
 from .arrangements import Placement, make_placement
 
 __all__ = ["CONFIGURATIONS", "FILTER_KEYS", "SIF_SOCKET", "SIF_CAPACITY",
-           "StageNode", "ConfigDescription", "describe"]
+           "PER_FRAME_COSTS", "StageOp", "StageNode", "ConfigDescription",
+           "describe"]
 
 CONFIGURATIONS = ("single_core", "one_renderer", "n_renderers",
                   "mcpc_renderer")
@@ -32,6 +41,10 @@ FILTER_KEYS = FILTER_ORDER
 #: the MCPC host -> connect stage socket: a bounded queue of whole frames
 SIF_SOCKET = "sif-socket"
 SIF_CAPACITY = 2
+
+#: ``compute`` cost kinds whose cost changes with the frame (the
+#: renderers: their cost follows the walkthrough's culling statistics)
+PER_FRAME_COSTS = frozenset({"render", "render-strip", "single-core"})
 
 #: human-readable one-liners for each configuration (paper §V)
 _SUMMARIES = {
@@ -48,6 +61,41 @@ _SUMMARIES = {
 }
 
 
+class StageOp(NamedTuple):
+    """One step of a stage's per-frame loop.
+
+    ``kind`` is one of
+
+    * ``recv`` (``arg`` = source core): RCCE receive, then fetch the
+      strip from the own partition;
+    * ``get`` / ``put`` (``arg`` = queue name): take / hand a whole
+      frame from / to a bounded queue;
+    * ``mesh`` (``arg`` = ``"sif"``): the frame crosses the mesh from
+      the system interface to this core;
+    * ``compute`` (``arg`` = cost kind: a filter key, ``"render"``,
+      ``"render-strip"``, ``"single-core"``, ``"connect"`` or
+      ``"assemble"``): a compute burst on the stage's processor;
+    * ``write_own``: land the frame in the own partition;
+    * ``send`` (``arg`` = destination core): deposit a strip in the
+      receiver's partition (RCCE send);
+    * ``udp`` (``arg`` = ``"uplink"`` or ``"downlink"``): move the frame
+      over a host link;
+    * ``done``: the frame reaches the viewer.
+
+    ``strip`` is the strip whose bytes a ``recv``/``send`` moves, or
+    whose pixels or profile a ``compute`` costs (None: the whole frame).
+    """
+
+    kind: str
+    arg: Any = None
+    strip: Optional[int] = None
+
+    def __str__(self) -> str:
+        if self.arg is None or self.kind == "compute":
+            return self.kind
+        return f"{self.kind} {self.arg}"
+
+
 @dataclass(frozen=True)
 class StageNode:
     """One stage instance in the graph."""
@@ -55,20 +103,21 @@ class StageNode:
     key: str
     core: Optional[int]           # None = runs on the MCPC
     feeds: Tuple[str, ...] = ()
-    #: which engine stage this node becomes: ``"single"``, ``"render"``
-    #: (one renderer feeding every pipeline), ``"strip"`` (a per-pipeline
-    #: renderer), ``"connect"``, ``"host"``, ``"filter"`` or ``"transfer"``
-    role: str = ""
     #: the pipeline a per-pipeline stage belongs to
     pipeline: Optional[int] = None
-    #: cores this stage receives from / sends to, in hand-off order
-    inputs: Tuple[int, ...] = ()
-    outputs: Tuple[int, ...] = ()
+    #: the per-frame loop, in order (see :class:`StageOp`)
+    program: Tuple[StageOp, ...] = ()
 
     @property
     def base(self) -> str:
         """The key without its pipeline index: ``sepia[0]`` -> ``sepia``."""
         return self.key.split("[")[0]
+
+    @property
+    def input_steps(self) -> Tuple[int, ...]:
+        """Positions of the program's input ops (``recv``/``get``)."""
+        return tuple(i for i, op in enumerate(self.program)
+                     if op.kind in ("recv", "get"))
 
 
 @dataclass
@@ -119,7 +168,8 @@ class ConfigDescription:
         for s in self.stages:
             where = "MCPC" if s.core is None else f"core {s.core:2d}"
             feeds = " -> " + ", ".join(s.feeds) if s.feeds else ""
-            lines.append(f"  {s.key:12s} [{where}]{feeds}")
+            ops = ", ".join(str(op) for op in s.program)
+            lines.append(f"  {s.key:12s} [{where}]{feeds}: {ops}")
         return "\n".join(lines)
 
 
@@ -150,8 +200,10 @@ def describe(config: str, pipelines: int = 1, arrangement: str = "ordered",
     if config == "single_core":
         desc = ConfigDescription(config, placement.arrangement, 0,
                                  _SUMMARIES[config], placement=placement)
-        desc.stages.append(StageNode("single-core", placement.input_cores[0],
-                                     ("viewer",), role="single"))
+        desc.stages.append(StageNode(
+            "single-core", placement.input_cores[0], ("viewer",),
+            program=(StageOp("compute", "single-core"),
+                     StageOp("udp", "downlink"), StageOp("done"))))
         return desc
 
     n = placement.num_pipelines
@@ -160,15 +212,23 @@ def describe(config: str, pipelines: int = 1, arrangement: str = "ordered",
     stages = desc.stages
     first = tuple(chain[0] for chain in placement.filter_cores)
     sepias = tuple(f"sepia[{p}]" for p in range(n))
+    sends = tuple(StageOp("send", dst, p) for p, dst in enumerate(first))
     if config == "n_renderers":
         for p in range(n):
             stages.append(StageNode(
                 f"render[{p}]", placement.input_cores[p], (sepias[p],),
-                role="strip", pipeline=p, outputs=(first[p],)))
+                pipeline=p,
+                program=(StageOp("compute", "render-strip", p), sends[p])))
+    elif config == "one_renderer":
+        stages.append(StageNode(
+            "render", placement.input_cores[0], sepias,
+            program=(StageOp("compute", "render"), *sends)))
     else:
-        key = "render" if config == "one_renderer" else "connect"
-        stages.append(StageNode(key, placement.input_cores[0], sepias,
-                                role=key, outputs=first))
+        stages.append(StageNode(
+            "connect", placement.input_cores[0], sepias,
+            program=(StageOp("get", SIF_SOCKET), StageOp("mesh", "sif"),
+                     StageOp("compute", "connect"), StageOp("write_own"),
+                     *sends)))
 
     for p, chain in enumerate(placement.filter_cores):
         hops = (placement.input_cores[p if config == "n_renderers" else 0],
@@ -177,13 +237,20 @@ def describe(config: str, pipelines: int = 1, arrangement: str = "ordered",
             feeds = (f"{FILTER_KEYS[j + 1]}[{p}]"
                      if j + 1 < len(FILTER_KEYS) else "transfer")
             stages.append(StageNode(
-                f"{key}[{p}]", chain[j], (feeds,), role="filter",
-                pipeline=p, inputs=(hops[j],), outputs=(hops[j + 2],)))
+                f"{key}[{p}]", chain[j], (feeds,), pipeline=p,
+                program=(StageOp("recv", hops[j], p),
+                         StageOp("compute", key, p),
+                         StageOp("send", hops[j + 2], p))))
 
     stages.append(StageNode(
-        "transfer", placement.transfer_core, ("viewer",), role="transfer",
-        inputs=tuple(chain[-1] for chain in placement.filter_cores)))
+        "transfer", placement.transfer_core, ("viewer",),
+        program=(*(StageOp("recv", chain[-1], p)
+                   for p, chain in enumerate(placement.filter_cores)),
+                 StageOp("compute", "assemble"), StageOp("udp", "downlink"),
+                 StageOp("done"))))
     if config == "mcpc_renderer":
-        stages.append(StageNode("mcpc-render", None, ("connect",),
-                                role="host"))
+        stages.append(StageNode(
+            "mcpc-render", None, ("connect",),
+            program=(StageOp("compute", "render"), StageOp("udp", "uplink"),
+                     StageOp("put", SIF_SOCKET))))
     return desc

@@ -3,14 +3,14 @@
 This is the pipeline-side hook for the static deadlock checker
 (:mod:`repro.analysis.concurrency.protocol`): it reads the per-frame
 operations off the stage graph both engines build from
-(:func:`repro.pipeline.describe.describe`) — each stage receives from
-its input cores, then sends to its output cores, in hand-off order —
-without building a simulator, chip model or workload.  The result is a
-:class:`ProtocolModel` whose abstract execution is exact for rendezvous
-semantics, so ``repro lint`` can prove the paper's three arrangements
-deadlock-free on every run, and ``repro analyze --concurrency`` can
-render the channel wait-for graph for the exact configuration being
-analysed.
+(:func:`repro.pipeline.describe.describe`) — each stage's op program
+projected onto its blocking hand-offs (``recv``, ``send``, ``get``,
+``put``), in program order — without building a simulator, chip
+model or workload.  The result is a :class:`ProtocolModel` whose
+abstract execution is exact for rendezvous semantics, so ``repro
+lint`` can prove the paper's three arrangements deadlock-free on every
+run, and ``repro analyze --concurrency`` can render the channel
+wait-for graph for the exact configuration being analysed.
 """
 
 from __future__ import annotations
@@ -19,24 +19,24 @@ from typing import List, Optional, Tuple
 
 from ..analysis.concurrency.protocol import Op, Process, ProtocolModel
 from .arrangements import Placement
-from .describe import SIF_SOCKET, StageNode, describe
+from .describe import FILTER_KEYS, StageNode, describe
 
 __all__ = ["extract_protocol", "channel_edges"]
 
 
 def _process(node: StageNode, frames: int) -> Process:
-    """One stage node as a protocol process: queue op, recvs, sends."""
-    name = {"host": "host", "single": "single",
-            "filter": f"filter[{node.pipeline}].{node.base}",
-            }.get(node.role, node.key)
-    ops: Tuple[Op, ...] = ()
-    if node.role == "host":
-        ops = (Op("put", queue=SIF_SOCKET),)
-    elif node.role == "connect":
-        ops = (Op("get", queue=SIF_SOCKET),)
-    ops += tuple(Op("recv", src=src, dst=node.core) for src in node.inputs)
-    ops += tuple(Op("send", src=node.core, dst=dst) for dst in node.outputs)
-    return Process(name=name, ops=ops, iterations=frames)
+    """One stage node's program projected onto its blocking hand-offs."""
+    name = (f"filter[{node.pipeline}].{node.base}"
+            if node.base in FILTER_KEYS else node.key)
+    ops = []
+    for op in node.program:
+        if op.kind == "recv":
+            ops.append(Op("recv", src=op.arg, dst=node.core))
+        elif op.kind == "send":
+            ops.append(Op("send", src=node.core, dst=op.arg))
+        elif op.kind in ("get", "put"):
+            ops.append(Op(op.kind, queue=op.arg))
+    return Process(name=name, ops=tuple(ops), iterations=frames)
 
 
 def extract_protocol(config: str, pipelines: int,

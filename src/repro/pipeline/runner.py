@@ -18,7 +18,7 @@ Configurations (paper §V):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional
 
 from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
 from ..obsv.eventlog import EVENT_LOG
@@ -29,26 +29,9 @@ from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
 from .arrangements import Placement
 from .costmodel import CostModel
-from .describe import (
-    CONFIGURATIONS,
-    FILTER_KEYS,
-    SIF_CAPACITY,
-    SIF_SOCKET,
-    ConfigDescription,
-    describe,
-)
+from .describe import CONFIGURATIONS, FILTER_KEYS, ConfigDescription, describe
 from .metrics import RunMetrics, RunResult
-from .stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
-    SingleCoreProcess,
-    SingleRendererStage,
-    StripRendererStage,
-    Stage,
-    StageContext,
-    TransferStage,
-)
+from .stage import Stage, StageContext
 from .workload import WalkthroughWorkload, default_workload
 
 __all__ = ["CONFIGURATIONS", "ENGINES", "PipelineRunner", "FILTER_KEYS",
@@ -318,34 +301,12 @@ class PipelineRunner:
                      sim_events=sim.event_count)
         return result
 
-    def _build_stages(self, ctx: StageContext, graph: ConfigDescription
-                      ) -> List[Union[Stage, MCPCRenderProcess]]:
+    def _build_stages(self, ctx: StageContext,
+                      graph: ConfigDescription) -> List[Stage]:
         """One event-engine stage per graph node, in node order."""
-        queue = (Store(ctx.sim, capacity=SIF_CAPACITY, name=SIF_SOCKET)
-                 if graph.queues else None)
-        stages: List[Union[Stage, MCPCRenderProcess]] = []
-        for node in graph.stages:
-            core, role = node.core, node.role
-            if role == "single":
-                stages.append(SingleCoreProcess(core, ctx))
-            elif role == "render":
-                stages.append(SingleRendererStage(core, ctx,
-                                                  list(node.outputs)))
-            elif role == "strip":
-                stages.append(StripRendererStage(core, ctx, node.pipeline,
-                                                 node.outputs[0]))
-            elif role == "connect":
-                stages.append(ConnectStage(core, ctx, list(node.outputs),
-                                           queue))
-            elif role == "filter":
-                stages.append(FilterStage(node.base, core, ctx,
-                                          node.pipeline, node.inputs[0],
-                                          node.outputs[0]))
-            elif role == "transfer":
-                stages.append(TransferStage(core, ctx, list(node.inputs)))
-            else:  # host
-                stages.append(MCPCRenderProcess(ctx, queue))
-        return stages
+        queues = {name: Store(ctx.sim, capacity=capacity, name=name)
+                  for name, capacity in graph.queues.items()}
+        return [Stage(node, ctx, queues) for node in graph.stages]
 
     def _apply_frequency_plan(self, chip: SCCChip,
                               graph: ConfigDescription) -> None:

@@ -121,13 +121,13 @@ class Process(Event):
                 sim._active_process = None
                 self._ok = True
                 self._value = exc.value
-                sim._schedule(self)
+                self._finish()
                 return
             except BaseException as exc:
                 sim._active_process = None
                 self._ok = False
                 self._value = exc
-                sim._schedule(self)
+                self._finish()
                 return
 
             if not isinstance(result, Event):
@@ -148,6 +148,17 @@ class Process(Event):
 
             # Event already processed: feed its outcome straight back in.
             event = result
+
+    def _finish(self) -> None:
+        """Trigger the process event; drop the generator entry points.
+
+        The cached bound methods (``_resume_cb`` on this process,
+        ``_send``/``_throw`` on its generator) would otherwise keep a
+        reference cycle through the finished process alive until the
+        next cyclic GC pass.
+        """
+        del self._resume_cb, self._send, self._throw
+        self.sim._schedule(self)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"

@@ -142,9 +142,11 @@ class Resource:
             self._busy_since = sim._now
         self._users.append(req)
         self.grants += 1
-        # req.succeed(req) inlined, guards elided: a Request reaching here
-        # is untriggered by construction.  1 == PRIORITY_NORMAL.
-        req._value = req
+        # req.succeed(None) inlined, guards elided: a Request reaching
+        # here is untriggered by construction.  1 == PRIORITY_NORMAL.  The
+        # value stays None rather than the request itself: a request
+        # referencing itself is a cycle only the cyclic GC can free.
+        req._value = None
         req._scheduled = True
         sim._seq += 1
         heappush(sim._queue, (sim._now, 1, sim._seq, req))

@@ -51,10 +51,18 @@ def test_description_matches_runner_core_count():
 
 
 def test_description_to_text():
-    text = describe("n_renderers", 2, "flipped").to_text()
+    d = describe("n_renderers", 2, "flipped")
+    text = d.to_text()
     assert "render[0]" in text
     assert "flipped" in text
     assert "core" in text
+    # every node's line ends with its per-frame op program
+    blur = d.stage("blur[0]")
+    src, dst = blur.program[0].arg, blur.program[-1].arg
+    assert (f"blur[0]      [core {blur.core:2d}] -> scratch[0]: "
+            f"recv {src}, compute, send {dst}") in text
+    assert ": compute, send " in text  # a renderer: no input
+    assert "compute, udp downlink, done" in text  # the transfer stage
     with pytest.raises(KeyError):
         describe("n_renderers", 2).stage("warp")
 

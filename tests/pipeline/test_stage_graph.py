@@ -13,6 +13,7 @@ import repro.pipeline.runner as runner_module
 from repro.engine import BatchedEngine
 from repro.pipeline import PipelineRunner
 from repro.pipeline.arrangements import ARRANGEMENTS, dvfs_study_placement
+from repro.pipeline.describe import describe
 from repro.pipeline.protocol import extract_protocol
 from repro.rcce import RCCEComm
 from repro.telemetry import Telemetry
@@ -73,6 +74,28 @@ def test_proved_channels_are_the_opened_channels(
         engine="batched"))._chans)
     assert proved == event == batched
     assert bool(proved) == (config != "single_core")
+
+
+@pytest.mark.parametrize("config, arrangement, pipelines, placement", CASES)
+def test_protocol_is_the_programs_hand_off_projection(
+        config, arrangement, pipelines, placement):
+    """Node by node, the deadlock proof's ops are the program's
+    recv/send/get/put ops, in program order."""
+    graph = describe(config, pipelines, arrangement, placement)
+    model = extract_protocol(config, pipelines, arrangement,
+                             placement=placement)
+    assert len(model.processes) == len(graph.stages)
+    for node, proc in zip(graph.stages, model.processes):
+        projected = []
+        for op in node.program:
+            if op.kind == "recv":
+                projected.append(("recv", op.arg, node.core, ""))
+            elif op.kind == "send":
+                projected.append(("send", node.core, op.arg, ""))
+            elif op.kind in ("get", "put"):
+                projected.append((op.kind, -1, -1, op.arg))
+        assert [(op.kind, op.src, op.dst, op.queue)
+                for op in proc.ops] == projected, node.key
 
 
 @pytest.mark.parametrize("config, arrangement, pipelines, placement", CASES)

@@ -1,23 +1,18 @@
-"""White-box tests of individual stage processes.
+"""White-box tests of single stage programs on the event interpreter.
 
-These drive single stages with hand-built contexts and hand-fed
-messages, pinning down the per-stage protocol (recv → compute → send)
-independently of the full runner.
+These drive one stage node's op program through
+:class:`~repro.pipeline.stage.Stage` with hand-built contexts and
+hand-fed producers, pinning down the per-stage protocol (recv → compute
+→ send) independently of the full runner and of ``describe()``.
 """
 
-import numpy as np
 import pytest
 
 from repro.host import MCPC, UDPChannel, VisualizationClient
 from repro.pipeline import CostModel, RunMetrics, WalkthroughWorkload
+from repro.pipeline.describe import SIF_SOCKET, StageNode, StageOp
 from repro.pipeline.runner import DOWNLINK_CONFIG
-from repro.pipeline.stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
-    StageContext,
-    TransferStage,
-)
+from repro.pipeline.stage import Stage, StageContext
 from repro.rcce import RCCEComm
 from repro.scc import SCCChip
 from repro.sim import Simulator, Store
@@ -45,6 +40,13 @@ def ctx():
     )
 
 
+def filter_node(key, core, prev_core, next_core, pipeline=0):
+    return StageNode(f"{key}[{pipeline}]", core, pipeline=pipeline,
+                     program=(StageOp("recv", prev_core, pipeline),
+                              StageOp("compute", key, pipeline),
+                              StageOp("send", next_core, pipeline)))
+
+
 def feed(ctx, src, dst, frames=FRAMES, nbytes=1000):
     """A producer process sending `frames` messages src -> dst."""
     def producer():
@@ -62,7 +64,7 @@ def drain(ctx, dst, src, collected, frames=FRAMES):
 
 
 def test_filter_stage_forwards_every_frame(ctx):
-    stage = FilterStage("blur", 4, ctx, pipeline=0, prev_core=2, next_core=6)
+    stage = Stage(filter_node("blur", 4, prev_core=2, next_core=6), ctx)
     out = []
     ctx.sim.process(feed(ctx, 2, 4)())
     stage.start()
@@ -74,7 +76,7 @@ def test_filter_stage_forwards_every_frame(ctx):
 
 
 def test_filter_stage_service_time_includes_compute(ctx):
-    stage = FilterStage("blur", 4, ctx, pipeline=0, prev_core=2, next_core=6)
+    stage = Stage(filter_node("blur", 4, prev_core=2, next_core=6), ctx)
     out = []
     ctx.sim.process(feed(ctx, 2, 4)())
     stage.start()
@@ -96,8 +98,8 @@ def test_filter_stage_respects_dvfs(ctx):
             chip=chip, comm=RCCEComm(chip), cost=ctx.cost,
             workload=ctx.workload, metrics=RunMetrics(), frames=FRAMES,
             num_pipelines=1)
-        stage = FilterStage("swap", 4, local, pipeline=0, prev_core=2,
-                            next_core=6)
+        stage = Stage(filter_node("swap", 4, prev_core=2, next_core=6),
+                      local)
         out = []
         sim.process(feed(local, 2, 4)())
         stage.start()
@@ -110,7 +112,11 @@ def test_filter_stage_respects_dvfs(ctx):
 
 
 def test_transfer_stage_assembles_and_displays(ctx):
-    stage = TransferStage(10, ctx, last_filter_cores=[4, 6])
+    node = StageNode("transfer", 10, program=(
+        StageOp("recv", 4, 0), StageOp("recv", 6, 0),
+        StageOp("compute", "assemble"), StageOp("udp", "downlink"),
+        StageOp("done")))
+    stage = Stage(node, ctx)
     for src in (4, 6):
         ctx.sim.process(feed(ctx, src, 10)())
     stage.start()
@@ -122,7 +128,11 @@ def test_transfer_stage_assembles_and_displays(ctx):
 
 def test_connect_stage_distributes_strips(ctx):
     queue = Store(ctx.sim, capacity=2)
-    stage = ConnectStage(8, ctx, [2, 4], queue)
+    node = StageNode("connect", 8, program=(
+        StageOp("get", SIF_SOCKET), StageOp("mesh", "sif"),
+        StageOp("compute", "connect"), StageOp("write_own"),
+        StageOp("send", 2, 0), StageOp("send", 4, 0)))
+    stage = Stage(node, ctx, {SIF_SOCKET: queue})
     out0, out1 = [], []
 
     def host_feed():
@@ -141,9 +151,14 @@ def test_connect_stage_distributes_strips(ctx):
     assert ctx.chip.memory.core_traffic[8] >= FRAMES * frame_bytes
 
 
+HOST = StageNode("mcpc-render", None, program=(
+    StageOp("compute", "render"), StageOp("udp", "uplink"),
+    StageOp("put", SIF_SOCKET)))
+
+
 def test_mcpc_render_process_pushes_frames(ctx):
     queue = Store(ctx.sim, capacity=2)
-    proc = MCPCRenderProcess(ctx, queue)
+    proc = Stage(HOST, ctx, {SIF_SOCKET: queue})
     got = []
 
     def consumer():
@@ -167,4 +182,4 @@ def test_mcpc_render_process_requires_host():
         workload=WalkthroughWorkload(frames=1, image_side=32),
         metrics=RunMetrics(), frames=1, num_pipelines=1)
     with pytest.raises(ValueError):
-        MCPCRenderProcess(bad_ctx, Store(sim))
+        Stage(HOST, bad_ctx, {SIF_SOCKET: Store(sim)})
