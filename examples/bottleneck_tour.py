@@ -19,8 +19,7 @@ import argparse
 
 from repro.analysis import analyze_telemetry
 from repro.pipeline import PipelineRunner
-from repro.sim import render_gantt
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, render_gantt, stage_busy_spans
 
 
 def main() -> None:
@@ -34,7 +33,7 @@ def main() -> None:
         telemetry = Telemetry()
         runner = PipelineRunner(config=config, pipelines=args.pipelines,
                                 frames=args.frames, telemetry=telemetry,
-                                trace=True, engine="batched")
+                                engine="batched")
         result = runner.run()
         insight = analyze_telemetry(telemetry, result)
         print(f"{config}, {args.pipelines} pipeline(s): "
@@ -52,16 +51,16 @@ def main() -> None:
             print(f"  frame latency: "
                   f"{result.latency_quartiles[1] * 1e3:.0f} ms median")
 
-        trace = runner.last_trace
-        assert trace is not None
+        spans = stage_busy_spans(telemetry)
         # Show pipeline 0's stages plus the shared input/output stages.
         wanted = []
-        for track in trace.tracks():
+        for track in dict.fromkeys(str(s.track) for s in spans):
             if track.endswith("[0]") or "[" not in track:
                 wanted.append(track)
-        window = min(trace.horizon, 12 * result.seconds_per_frame)
+        window = min(max(s.end for s in spans),
+                     12 * result.seconds_per_frame)
         print()
-        print(render_gantt(trace, width=64, t1=window, tracks=wanted))
+        print(render_gantt(spans, width=64, t1=window, tracks=wanted))
         print()
 
 

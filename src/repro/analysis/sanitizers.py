@@ -1,35 +1,31 @@
 """Runtime sanitizers for the non-coherent SCC model.
 
 The SCC has no cache coherence: MPB message passing is only correct
-under the RCCE flag protocol, and the simulator's own fast path (event
-recycling, born-processed events) is only correct under lifecycle
-invariants that nothing enforces at runtime.  This module adds opt-in
-checkers — enabled with ``repro run --sanitize`` or by passing a
-:class:`SanitizerSuite` to :class:`~repro.pipeline.runner.PipelineRunner`
-— that turn both classes of silent corruption into loud, attributed
-diagnostics:
+under the RCCE flag protocol, and nothing in the model enforces that
+protocol at runtime.  This module adds opt-in checkers — enabled with
+``repro run --sanitize`` or by passing a :class:`SanitizerSuite` to
+:class:`~repro.pipeline.runner.PipelineRunner` — that turn silent
+corruption into loud, attributed diagnostics:
 
 ``mpb_race``
     Write-write and read-during-write hazards on a tile's
     message-passing-buffer window, and writes that happen without an
     RCCE handshake (rendezvous or flag write) opening the window first.
 ``event_lifecycle``
-    Double-recycle and use-after-recycle of the kernel's free-listed
-    :class:`~repro.sim.Timeout` objects, double-processed events, plus
-    teardown accounting: calendar entries with live waiters and
+    Teardown accounting: calendar entries with live waiters and
     processes that never finished.
-``sim_clock``
-    Simulated time moving backwards (a corrupted calendar entry or a
-    mutated ``Simulator._now``).
+
+The event kernel checks its own invariants (no calendar entry before
+the clock, no event processed twice) with assertions in
+:meth:`Simulator.run <repro.sim.Simulator.run>`, sanitized or not.
 
 Wiring
 ------
 The suite hangs off the run's :class:`~repro.telemetry.Telemetry` hub
-(``telemetry.attach_sanitizers``) for the model-layer hooks (RCCE, MPB)
-and off the :class:`~repro.sim.Simulator` (``suite.attach_kernel``) for
-the kernel hooks; the kernel switches to a checked event loop, so runs
-without a suite pay nothing.  Every diagnostic is recorded on the
-suite, emitted as a ``sanitizer`` telemetry event and counted under
+(``telemetry.sanitizers``); the RCCE and MPB models call its
+hooks, and the runner calls :meth:`SanitizerSuite.check_teardown` after
+the run.  Every diagnostic is recorded on the suite, emitted as a
+``sanitizer`` telemetry event and counted under
 ``sanitizer.<name>.diagnostics``.
 """
 
@@ -41,13 +37,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 from ..scc.topology import CORES_PER_TILE
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..sim import Event, Simulator
+    from ..sim import Simulator
     from ..telemetry import Telemetry
 
 __all__ = ["Diagnostic", "SanitizerSuite", "SANITIZER_NAMES"]
 
 #: the checkers a suite runs, in reporting order
-SANITIZER_NAMES = ("mpb_race", "event_lifecycle", "sim_clock")
+SANITIZER_NAMES = ("mpb_race", "event_lifecycle")
 
 
 @dataclass(frozen=True)
@@ -92,14 +88,6 @@ class SanitizerSuite:
         self._mpb_sessions: Dict[Tuple[int, int], int] = {}
         self._mpb_last_write: Dict[int, Tuple[int, float, float]] = {}
         self._mpb_reported: Set[Tuple[str, int, int]] = set()
-        # event_lifecycle state: id -> repr of free-listed events
-        self._pooled: Dict[int, str] = {}
-
-    # -- attachment --------------------------------------------------------
-    def attach_kernel(self, sim: "Simulator") -> None:
-        """Switch ``sim`` to the checked event loop reporting into this
-        suite (see :meth:`Simulator.run <repro.sim.Simulator.run>`)."""
-        sim._sanitizer = self
 
     # -- reporting ---------------------------------------------------------
     def report(self, sanitizer: str, message: str, t: float,
@@ -203,46 +191,6 @@ class SanitizerSuite:
                     t0, core=reader_core,
                     tile=self._tile_of(window_core))
 
-    # -- kernel hooks (called from repro.sim.core) -------------------------
-    def on_event_pop(self, event: "Event", t: float, now: float) -> bool:
-        """Inspect a calendar entry before it is processed.
-
-        Returns False when the event must be skipped (it was already
-        consumed — processing it again would corrupt kernel state).
-        """
-        if t < now:
-            self.report(
-                "sim_clock",
-                f"simulated clock moved backwards: {now:.6f} -> {t:.6f} "
-                f"({event!r})", t)
-        if id(event) in self._pooled:
-            self.report(
-                "event_lifecycle",
-                f"use-after-recycle: free-listed {self._pooled[id(event)]} "
-                f"reached the calendar without being re-issued", t)
-            return False
-        if event.callbacks is None:
-            self.report(
-                "event_lifecycle",
-                f"{event!r} processed twice", t)
-            return False
-        return True
-
-    def on_recycle(self, event: "Event", t: float) -> None:
-        """A Timeout was returned to the kernel free list."""
-        eid = id(event)
-        if eid in self._pooled:
-            self.report(
-                "event_lifecycle",
-                f"double-recycle: {self._pooled[eid]} returned to the "
-                f"free list twice", t)
-            return
-        self._pooled[eid] = repr(event)
-
-    def on_reuse(self, event: "Event") -> None:
-        """A pooled Timeout was legitimately re-issued by the kernel."""
-        self._pooled.pop(id(event), None)
-
     # -- teardown ----------------------------------------------------------
     def check_teardown(self, sim: "Simulator",
                        processes: Sequence[Any] = ()) -> None:
@@ -277,5 +225,4 @@ class SanitizerSuite:
                     f"waiting on {target!r} at teardown", sim.now)
 
     def __repr__(self) -> str:
-        return (f"<SanitizerSuite diagnostics={len(self.diagnostics)} "
-                f"pooled={len(self._pooled)}>")
+        return f"<SanitizerSuite diagnostics={len(self.diagnostics)}>"

@@ -72,9 +72,10 @@ from .pipeline import (ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner,
 from .pipeline.arrangements import dvfs_study_placement
 from .pipeline.workload import WalkthroughWorkload
 from .report import format_table, paper, results_to_json
-from .sim.trace import render_gantt
 from .telemetry import (
     Telemetry,
+    render_gantt,
+    stage_busy_spans,
     top_report,
     write_chrome_trace,
     write_counters,
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(open in Perfetto or chrome://tracing)")
     run.add_argument("--sanitize", action="store_true",
                      help="enable the runtime sanitizers (MPB races, "
-                          "event lifecycle, clock monotonicity); exits 3 "
-                          "when any diagnostic fires")
+                          "event-lifecycle teardown); exits 3 when any "
+                          "diagnostic fires")
     run.add_argument("--engine", choices=ENGINES, default="event",
                      help="execution engine: 'event' replays every "
                           "simulation event; 'batched' advances whole "
@@ -492,7 +493,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if problem:
         print(problem, file=sys.stderr)
         return 2
-    telemetry = Telemetry() if args.trace_out else None
+    telemetry = Telemetry() if (args.trace_out or args.gantt) else None
     suite = None
     if args.sanitize:
         from .analysis.sanitizers import SanitizerSuite
@@ -502,7 +503,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_strict_differential(args)
     runner = PipelineRunner(config=args.config, pipelines=args.pipelines,
                             arrangement=args.arrangement, frames=args.frames,
-                            trace=args.gantt, telemetry=telemetry,
+                            telemetry=telemetry,
                             sanitizers=suite, engine=args.engine)
     engine_info: Dict[str, Any] = {"requested": args.engine,
                                    "used": args.engine}
@@ -574,11 +575,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         worst = max(result.idle_quartiles.items(), key=lambda kv: kv[1][1])
         print(f"idlest stage  : {worst[0]} "
               f"(median wait {worst[1][1] * 1e3:.1f} ms/frame)")
-    if args.gantt and runner.last_trace is not None:
-        horizon = min(runner.last_trace.horizon,
+    if args.gantt and telemetry is not None:
+        spans = stage_busy_spans(telemetry)
+        horizon = min(max(s.end for s in spans),
                       20 * result.seconds_per_frame)
         print()
-        print(render_gantt(runner.last_trace, width=72, t1=horizon))
+        print(render_gantt(spans, width=72, t1=horizon))
     if args.trace_out is not None and telemetry is not None:
         path = write_chrome_trace(args.trace_out, telemetry)
         print(f"Chrome trace  : {path} "

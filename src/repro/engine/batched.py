@@ -46,7 +46,7 @@ constant period Δ.  This engine exploits that structure twice:
    whose phase never becomes periodic simply execute coarsely to the
    end — correct, just without the extra multiple.
 
-Telemetry and tracing do **not** decline: :mod:`repro.engine.telsynth`
+Telemetry and Gantt charts do **not** decline: :mod:`repro.engine.telsynth`
 re-derives the event engine's span/counter stream from the coarse-op
 grant arithmetic (bit-identical floats while executing live), and a wave
 jump advances the stream analytically — the captured period becomes a
@@ -98,10 +98,11 @@ Op = Tuple[Any, ...]
 Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
 
 #: The complete decline surface, keyed by a stable machine-readable code
-#: (surfaced in ``repro run --json`` and docs/performance.md).  Tracing
-#: and telemetry are deliberately *absent*: telsynth serves both.
+#: (surfaced in ``repro run --json`` and docs/performance.md).  Telemetry
+#: (and so the Gantt chart) is deliberately *absent*: telsynth serves it.
 BATCHED_DECLINE_REASONS: Dict[str, str] = {
-    "sanitizers": "runtime sanitizers hook the event kernel",
+    "sanitizers": ("runtime sanitizers hook the RCCE/MPB model, which "
+                   "only the event engine runs"),
     "power_trace": "sampled power traces follow event-time DVFS edges",
 }
 
@@ -1247,9 +1248,6 @@ class BatchedEngine:
         runner.last_metrics = metrics
         runner.last_chip = self.chip
         runner.last_viewer = None
-        runner.last_trace = (self.synth.build_trace()
-                             if self.synth is not None and runner.trace
-                             else None)
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
         # the engine is single-use: dropping the spent actors (each holds

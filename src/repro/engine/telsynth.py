@@ -29,7 +29,6 @@ below; the lint gate enforces the boundary.
 run request               hub                     detail
 ========================  ======================  =====================
 telemetry enabled         the runner's hub        True (full fidelity)
-trace only                private enabled hub     False (stage spans)
 sinks only (streaming)    the runner's hub        False (stage spans)
 neither                   no synth at all         (plain fast path)
 ========================  ======================  =====================
@@ -40,7 +39,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
-from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
 
 __all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta"]
@@ -215,37 +213,20 @@ class TelemetrySynth:
         self.hub.emit("engine", "wave", t_wave, frames=waves * stride,
                       dt=delta / stride)
 
-    # -- end-of-run products ----------------------------------------------
-    def build_trace(self) -> TraceRecorder:
-        """Gantt trace from the synthesized stage busy spans (what the
-        event engine's TraceSink would have recorded)."""
-        recorder = TraceRecorder()
-        for event in self.hub.events:
-            if (event.kind == "span" and event.category == "stage"
-                    and event.name == "busy"):
-                assert event.track is not None
-                recorder.add(event.track, "busy", event.t, event.end)
-        return recorder
-
 
 def make_synth(runner: Any) -> Optional[TelemetrySynth]:
     """Pick the hub (and fidelity) a batched run should synthesize into.
 
     Mirrors the event path's wiring: an enabled runner hub gets full
-    detail; a trace-only run gets stage spans into a private hub (with
-    the runner hub's sinks bridged in, so live progress still streams);
-    a disabled-but-sinked hub gets the sink-only span stream; otherwise
-    telemetry synthesis is skipped entirely and the engine runs its
-    plain fast path.
+    detail; a disabled-but-sinked hub gets the sink-only span stream;
+    otherwise telemetry synthesis is skipped entirely and the engine
+    runs its plain fast path.
     """
     ext: Optional[Telemetry] = runner.telemetry
-    if ext is not None and ext.enabled:
+    if ext is None:
+        return None
+    if ext.enabled:
         return TelemetrySynth(ext, detail=True)
-    if runner.trace:
-        hub = Telemetry(enabled=True)
-        if ext is not None and ext.has_sinks:
-            hub.add_sink(ext.as_sink())
-        return TelemetrySynth(hub, detail=False)
-    if ext is not None and ext.has_sinks:
+    if ext.has_sinks:
         return TelemetrySynth(ext, detail=False)
     return None

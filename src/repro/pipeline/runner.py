@@ -25,7 +25,6 @@ from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
 from ..scc import SCCChip, SCCConfig
 from ..sim import Simulator, Store
-from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
 from .arrangements import Placement
 from .costmodel import CostModel
@@ -76,14 +75,15 @@ class PipelineRunner:
         (:func:`repro.pipeline.film.render_film`).
     telemetry:
         An enabled :class:`~repro.telemetry.Telemetry` hub to instrument
-        the run (events, counters, Chrome traces); available as
+        the run (events, counters, Chrome traces, Gantt charts via
+        :func:`~repro.telemetry.render_gantt`); available as
         ``self.last_telemetry`` afterwards.  When omitted, a private
         disabled hub carries the metrics with near-zero overhead.
     sanitizers:
         A :class:`~repro.analysis.sanitizers.SanitizerSuite` to run the
-        MPB-race / event-lifecycle / sim-clock checkers during the
-        simulation (``repro run --sanitize``).  Diagnostics accumulate on
-        the suite; the runner also performs the teardown accounting pass.
+        MPB-race checker during the simulation (``repro run
+        --sanitize``).  Diagnostics accumulate on the suite; the runner
+        also performs the event-lifecycle teardown accounting pass.
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class PipelineRunner:
         seed: int = 0,
         placement: Optional[Placement] = None,
         frequency_plan: Optional[dict] = None,
-        trace: bool = False,
         telemetry: Optional[Telemetry] = None,
         sanitizers: Optional[Any] = None,
         engine: str = "event",
@@ -149,9 +148,6 @@ class PipelineRunner:
         #: an affected voltage island follow the island's minimum planned
         #: frequency so whole islands can change voltage.
         self.frequency_plan = frequency_plan
-        #: when True, record per-stage busy spans (see repro.sim.trace);
-        #: available as ``self.last_trace`` after the run
-        self.trace = trace
         #: optional telemetry hub shared by all subsystems of the run
         self.telemetry = telemetry
         #: optional runtime-sanitizer suite (duck-typed: the runner never
@@ -213,39 +209,33 @@ class PipelineRunner:
 
     def run(self) -> RunResult:
         """Simulate the walkthrough and return the metrics."""
-        if self.engine == "batched":
-            # Imported lazily: repro.engine depends on this module.
-            from ..engine import try_batched_run
-
-            result = try_batched_run(self)
-            if result is not None:
-                if EVENT_LOG.enabled:
-                    obs = EVENT_LOG.bind(digest=self._log_digest())
-                    obs.info("run.start", config=self.config,
-                             pipelines=self.pipelines, frames=self.frames,
-                             arrangement=self.arrangement)
-                    obs.info("run.finish",
-                             walkthrough_s=result.walkthrough_seconds,
-                             sim_events=0)
-                return result
-            # declined (sanitizers, sampled power — see
-            # BATCHED_DECLINE_REASONS; telemetry and tracing are
-            # synthesized now) — the event engine is the one true result
-        sim = Simulator()
         obs = None
         if EVENT_LOG.enabled:
             obs = EVENT_LOG.bind(digest=self._log_digest())
             obs.info("run.start", config=self.config,
                      pipelines=self.pipelines, frames=self.frames,
                      arrangement=self.arrangement)
-            sim.obs_log = obs
+        if self.engine == "batched":
+            # Imported lazily: repro.engine depends on this module.
+            from ..engine import try_batched_run
+
+            result = try_batched_run(self)
+            if result is not None:
+                if obs is not None:
+                    obs.info("run.finish", engine="batched",
+                             walkthrough_s=result.walkthrough_seconds)
+                return result
+            # declined (sanitizers, sampled power — see
+            # BATCHED_DECLINE_REASONS; telemetry is synthesized) — the
+            # event engine is the one true result
+        sim = Simulator()
+        sim.obs_log = obs
         telemetry = self.telemetry or Telemetry(enabled=False)
         suite = self.sanitizers
         if suite is not None:
             if suite.telemetry is None:
                 suite.telemetry = telemetry
-            telemetry.attach_sanitizers(suite)
-            suite.attach_kernel(sim)
+            telemetry.sanitizers = suite
         chip = SCCChip(sim, self.chip_config, telemetry=telemetry)
         comm = RCCEComm(chip)
         mcpc = MCPC(sim, self.mcpc_config)
@@ -266,7 +256,6 @@ class PipelineRunner:
             downlink=downlink,
             uplink=mcpc.link,
             mcpc=mcpc,
-            trace=TraceRecorder() if self.trace else None,
             telemetry=telemetry,
         )
 
@@ -283,21 +272,21 @@ class PipelineRunner:
             if suite is not None:
                 suite.check_teardown(sim, processes)
         finally:
-            # The metrics/trace sinks are per-run; leave a caller-supplied
+            # The metrics sink is per-run; leave a caller-supplied
             # hub clean so a second run does not double-record.
             ctx.detach_sinks()
             if suite is not None:
-                telemetry.detach_sanitizers()
+                telemetry.sanitizers = None
 
         #: exposed for post-run inspection (tests, notebooks)
         self.last_metrics = ctx.metrics
         self.last_chip = chip
         self.last_viewer = ctx.viewer
-        self.last_trace = ctx.trace
         self.last_telemetry = telemetry
         result = self._summarize(ctx, graph, end)
         if obs is not None:
-            obs.info("run.finish", walkthrough_s=result.walkthrough_seconds,
+            obs.info("run.finish", engine="event",
+                     walkthrough_s=result.walkthrough_seconds,
                      sim_events=sim.event_count)
         return result
 

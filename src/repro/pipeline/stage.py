@@ -40,8 +40,7 @@ from ..rcce import RCCEComm
 from ..scc import SCCChip
 from ..scc.topology import SIF_LOCATION
 from ..sim import Store
-from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsSink, Telemetry, TraceSink
+from ..telemetry import MetricsSink, Telemetry
 from .costmodel import CostModel
 from .describe import StageNode, StageOp
 from .metrics import RunMetrics
@@ -67,26 +66,22 @@ class StageContext:
     #: MCPC → SCC link (host renderer → connect stage)
     uplink: Optional[UDPChannel] = None
     mcpc: Optional[MCPC] = None
-    #: optional activity recorder (one track per stage instance)
-    trace: Optional[TraceRecorder] = None
     #: the telemetry hub the stages report into; a private disabled hub
-    #: is created when none is given so the metrics/trace sinks always
-    #: have somewhere to listen
+    #: is created when none is given so the metrics sink always has
+    #: somewhere to listen
     telemetry: Optional[Telemetry] = None
 
     def __post_init__(self) -> None:
         if self.telemetry is None:
             self.telemetry = Telemetry(enabled=False)
-        # RunMetrics and TraceRecorder are thin consumers of the hub:
-        # stages emit spans, these sinks translate them.  They are
-        # per-context, so detach them (detach_sinks) before reusing an
-        # externally supplied hub for another run.
+        # RunMetrics is a thin consumer of the hub: stages emit spans,
+        # this sink translates them.  It is per-context, so detach it
+        # (detach_sinks) before reusing an externally supplied hub for
+        # another run.
         self._sinks = [self.telemetry.add_sink(MetricsSink(self.metrics))]
-        if self.trace is not None:
-            self._sinks.append(self.telemetry.add_sink(TraceSink(self.trace)))
 
     def detach_sinks(self) -> None:
-        """Remove this context's metrics/trace sinks from the hub."""
+        """Remove this context's metrics sink from the hub."""
         assert self.telemetry is not None
         for sink in self._sinks:
             self.telemetry.remove_sink(sink)
@@ -151,10 +146,10 @@ class Stage:
         """Log a service interval via the telemetry hub.
 
         The attached :class:`~repro.telemetry.MetricsSink` turns the span
-        into the historical ``metrics.record_busy`` call; a
-        :class:`~repro.telemetry.TraceSink` (when tracing) adds the
-        Gantt-chart span.  ``frame`` tags the span with the frame being
-        served so the insight engine can label critical-path segments.
+        into the historical ``metrics.record_busy`` call; an enabled hub
+        retains it for the Chrome trace and the Gantt chart.  ``frame``
+        tags the span with the frame being served so the insight engine
+        can label critical-path segments.
         """
         ctx = self.ctx
         now = ctx.sim.now

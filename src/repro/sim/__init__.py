@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 A small, simpy-flavoured DES used as the substrate for the SCC chip model:
-generator-based processes, one-shot events, FIFO resources/stores and the
-measurement helpers the paper's evaluation needs (quartiles, step-signal
-integration for energy).
+generator-based processes, one-shot events, an all-of join, FIFO
+resources/stores and the measurement helpers the paper's evaluation needs
+(quartiles, step-signal integration for energy).
 
 Quick example
 -------------
@@ -20,12 +20,11 @@ Quick example
 """
 
 from .core import Infinity, Simulator
-from .errors import DeadlockError, Interrupt, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
+from .errors import DeadlockError, SimulationError, StopSimulation
+from .events import AllOf, Event, Timeout
 from .monitor import StatAccumulator, TimeSeries, quantile
 from .process import Process
 from .resources import Container, Request, Resource, Store
-from .trace import Span, TraceRecorder, render_gantt
 
 __all__ = [
     "Simulator",
@@ -33,8 +32,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "Process",
     "Resource",
     "Request",
@@ -42,12 +39,8 @@ __all__ = [
     "Container",
     "SimulationError",
     "StopSimulation",
-    "Interrupt",
     "DeadlockError",
     "StatAccumulator",
     "TimeSeries",
     "quantile",
-    "Span",
-    "TraceRecorder",
-    "render_gantt",
 ]

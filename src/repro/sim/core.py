@@ -2,28 +2,24 @@
 
 The simulator owns the event calendar (a binary heap of
 ``(time, priority, sequence, event)`` tuples) and advances virtual time by
-processing events in timestamp order.  Ties are broken by priority (urgent
-events such as interrupts first) and then insertion order, giving
+processing events in timestamp order.  Ties are broken by priority (the
+``until`` horizon marker first) and then insertion order, giving
 deterministic FIFO semantics within one instant — essential for
 reproducible pipeline traces.
 """
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from .errors import DeadlockError, StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "Infinity"]
 
 Infinity: float = float("inf")
-
-#: upper bound on the number of recycled Timeout objects kept per simulator
-_TIMEOUT_POOL_MAX = 1024
 
 
 class Simulator:
@@ -44,7 +40,8 @@ class Simulator:
 
     #: priority for ordinary events
     PRIORITY_NORMAL = 1
-    #: priority for urgent events (interrupts), processed first within a tick
+    #: priority for urgent events (the ``until`` horizon marker),
+    #: processed first within a tick
     PRIORITY_URGENT = 0
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -53,18 +50,7 @@ class Simulator:
         self._now: float = float(start_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
         self._event_count: int = 0
-        # Recycled Timeout objects.  Reuse is only sound where object
-        # lifetimes are observable, so the pool is disabled on runtimes
-        # without sys.getrefcount (e.g. PyPy).
-        self._timeout_pool: Optional[List[Timeout]] = (
-            [] if hasattr(sys, "getrefcount") else None
-        )
-        # Optional runtime sanitizer (repro.analysis.sanitizers).  When
-        # set, run() switches to a checked loop; the fast loop is
-        # untouched, so sanitizer-off runs pay nothing.
-        self._sanitizer: Optional[Any] = None
         # Optional operational event log (duck-typed repro.obsv.EventLog;
         # set by PipelineRunner so the kernel never imports repro.obsv).
         # Consulted only at run() entry/exit — never inside the loop.
@@ -77,18 +63,9 @@ class Simulator:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (``None`` between events)."""
-        return self._active_process
-
-    @property
     def event_count(self) -> int:
         """Number of events processed so far (monotone; useful in tests)."""
         return self._event_count
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``Infinity`` if none."""
-        return self._queue[0][0] if self._queue else Infinity
 
     # -- event factories -----------------------------------------------------
     def event(self) -> Event:
@@ -97,23 +74,6 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create a :class:`Timeout` that fires ``delay`` units from now."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay!r}")
-            timeout = pool.pop()
-            if self._sanitizer is not None:
-                self._sanitizer.on_reuse(timeout)
-            timeout.callbacks = []
-            timeout._value = value
-            timeout._ok = True
-            timeout._defused = False
-            timeout.delay = delay
-            self._seq += 1
-            # 1 == PRIORITY_NORMAL
-            heappush(self._queue,
-                     (self._now + delay, 1, self._seq, timeout))
-            return timeout
         return Timeout(self, delay, value)
 
     def process(
@@ -128,10 +88,6 @@ class Simulator:
         """Composite event succeeding when all ``events`` succeed."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event succeeding when any of ``events`` succeeds."""
-        return AnyOf(self, events)
-
     # -- scheduling (kernel-internal; used by Event/Timeout) -----------------
     def _schedule(
         self,
@@ -145,39 +101,7 @@ class Simulator:
         self._seq += 1
         heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
-    def _recycle(self, event: Timeout) -> None:
-        """Return a Timeout to the free list (kernel-internal)."""
-        pool = self._timeout_pool
-        if pool is None:
-            return
-        if self._sanitizer is not None:
-            self._sanitizer.on_recycle(event, self._now)
-        if len(pool) < _TIMEOUT_POOL_MAX:
-            pool.append(event)
-
     # -- execution ------------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Raises
-        ------
-        IndexError
-            If the calendar is empty.
-        """
-        self._now, _, _, event = heappop(self._queue)
-        self._event_count += 1
-
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # An unhandled failure: crash the simulation with the original
-            # exception so the model author sees the real stack trace.
-            exc = event._value
-            raise exc
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
 
@@ -220,66 +144,39 @@ class Simulator:
             self._schedule(stop, delay=until_time - self._now,
                            priority=self.PRIORITY_URGENT)
 
-        # The loop below is `step()` inlined: at ~60k events per small run
-        # the per-event call, attribute and counter overhead is the single
-        # largest cost in the whole simulator.  Timeouts that nobody holds a
-        # reference to any more (refcount 2: the loop local plus the
-        # getrefcount argument) are recycled through the pool, which removes
-        # the dominant allocation on the hot path.  Both transformations are
-        # invisible to models: event order, timestamps and delivered values
-        # are unchanged.
+        # Heap, pop, clock and counter are loop locals: at ~60k events per small
+        # run the per-event attribute and call overhead is the single
+        # largest cost in the whole simulator.  The two assertions are the
+        # kernel's lifecycle checks: a calendar entry never lies in the
+        # past, and an event is processed once.
         queue = self._queue
-        pool = self._timeout_pool
-        getref = getattr(sys, "getrefcount", None)
         pop = heappop
-        san = self._sanitizer
         obs = self.obs_log
         if obs is not None and obs.enabled:
             obs.debug("sim.run.enter", sim_now=self._now,
                       pending=len(queue))
         processed = 0
+        now = self._now
         try:
-            if san is not None:
-                # Checked variant of the loop below: every pop goes through
-                # the sanitizer, which may veto already-consumed events.
-                while queue:
-                    t, _, _, event = pop(queue)
-                    if not san.on_event_pop(event, t, self._now):
-                        continue
-                    self._now = t
-                    processed += 1
+            while queue:
+                t, _, _, event = pop(queue)
+                assert t >= now, (
+                    f"simulated clock moved backwards: {now!r} -> {t!r} "
+                    f"({event!r})")
+                self._now = now = t
+                processed += 1
 
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                assert callbacks is not None, f"{event!r} processed twice"
+                for callback in callbacks:
+                    callback(event)
 
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-                    if (type(event) is Timeout and pool is not None
-                            and len(pool) < _TIMEOUT_POOL_MAX
-                            and getref(event) == 2):
-                        san.on_recycle(event, self._now)
-                        pool.append(event)
-            else:
-                while queue:
-                    self._now, _, _, event = pop(queue)
-                    processed += 1
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    assert callbacks is not None, "event processed twice"
-                    for callback in callbacks:
-                        callback(event)
-
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-                    if (type(event) is Timeout and pool is not None
-                            and len(pool) < _TIMEOUT_POOL_MAX
-                            and getref(event) == 2):
-                        pool.append(event)
+                if not event._ok and not event._defused:
+                    # An unhandled failure: crash the simulation with the
+                    # original exception so the model author sees the
+                    # real stack trace.
+                    raise event._value
         except StopSimulation as stop_exc:
             if until_event is not None:
                 if not until_event.ok:

@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "SimulationError",
     "StopSimulation",
-    "Interrupt",
     "DeadlockError",
 ]
 
@@ -25,24 +24,6 @@ class StopSimulation(SimulationError):
     Models normally never see this; it is consumed by the event loop when
     ``Simulator.stop()`` is called or the ``until`` event triggers.
     """
-
-
-class Interrupt(SimulationError):
-    """Thrown *into* a process when another process interrupts it.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the interrupt happened.  It is
-        available as :attr:`cause` inside the interrupted process.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
 
 
 class DeadlockError(SimulationError):

@@ -7,10 +7,9 @@ waiting processes have been resumed.
 
 The design follows the classic simpy/SystemC structure: processes are
 generators that ``yield`` events; the kernel resumes a process when the
-yielded event is processed.  Composite events (:class:`AllOf`,
-:class:`AnyOf`) let a process wait on several conditions at once, which the
-pipeline runner uses for fork/join points (e.g. the transfer stage waiting
-for a strip from every parallel pipeline).
+yielded event is processed.  The composite :class:`AllOf` lets one wait
+on several events at once, which the runners use to join every stage
+process of a run.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .core import Simulator
 
-__all__ = ["PENDING", "Event", "Timeout", "AllOf", "AnyOf", "ConditionValue"]
+__all__ = ["PENDING", "Event", "Timeout", "AllOf"]
 
 
 class _PendingType:
@@ -182,39 +181,13 @@ class Timeout(Event):
         heappush(sim._queue, (sim._now + delay, 1, sim._seq, self))
 
 
-class ConditionValue:
-    """Result of a composite condition: an ordered event→value mapping."""
+class AllOf(Event):
+    """Composite event that succeeds once *all* component events succeed.
 
-    __slots__ = ("events",)
-
-    def __init__(self, events: List[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def todict(self) -> dict:
-        """Return a plain ``{event: value}`` dict."""
-        return {event: event._value for event in self.events}
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
+    Its value is the list of the components' values, in the order the
+    events were given.  The first component failure fails it with that
+    exception.
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -232,10 +205,7 @@ class _Condition(Event):
             else:
                 event.callbacks.append(self._check)
         if not self._events and self._value is PENDING:
-            self.succeed(ConditionValue([]))
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
+            self.succeed([])
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
@@ -244,27 +214,5 @@ class _Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._satisfied(self._count, len(self._events)):
-            # Use `processed` rather than `triggered`: a Timeout is
-            # "triggered" from birth (its value is pre-set), but it has
-            # only *happened* once the kernel ran its callbacks.
-            done = [e for e in self._events if e.callbacks is None]
-            self.succeed(ConditionValue(done))
-
-
-class AllOf(_Condition):
-    """Composite event that succeeds once *all* component events succeed."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(_Condition):
-    """Composite event that succeeds once *any* component event succeeds."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1
+        elif self._count == len(self._events):
+            self.succeed([e._value for e in self._events])

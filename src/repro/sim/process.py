@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .errors import Interrupt
 from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,38 +74,9 @@ class Process(Event):
         """The event this process is currently waiting for (if any)."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.sim.errors.Interrupt` into the process.
-
-        The interrupt is delivered at the current simulation time, before
-        any other scheduled event.  Interrupting a dead process raises
-        ``RuntimeError``.
-        """
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.sim.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-
-        event = Event(self.sim)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume_cb)
-        self.sim._schedule(event, priority=self.sim.PRIORITY_URGENT)
-        # Unsubscribe from the event we were waiting on: we will re-wait if
-        # the process yields it again.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-            self._target = None
-
     # -- kernel plumbing -----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        sim = self.sim
-        sim._active_process = self
         self._target = None
         send = self._send
         while True:
@@ -118,20 +88,17 @@ class Process(Event):
                     event._defused = True
                     result = self._throw(event._value)
             except StopIteration as exc:
-                sim._active_process = None
                 self._ok = True
                 self._value = exc.value
                 self._finish()
                 return
             except BaseException as exc:
-                sim._active_process = None
                 self._ok = False
                 self._value = exc
                 self._finish()
                 return
 
             if not isinstance(result, Event):
-                sim._active_process = None
                 self._generator.throw(
                     RuntimeError(
                         f"process {self.name!r} yielded a non-event: {result!r}"
@@ -143,7 +110,6 @@ class Process(Event):
                 # Event still pending or scheduled: wait for it.
                 result.callbacks.append(self._resume_cb)
                 self._target = result
-                sim._active_process = None
                 return
 
             # Event already processed: feed its outcome straight back in.

@@ -24,7 +24,8 @@ from .export import (
     chrome_trace,
     counters_dump,
     events_from_chrome,
-    spans_to_chrome,
+    render_gantt,
+    stage_busy_spans,
     top_report,
     validate_chrome_trace,
     write_chrome_trace,
@@ -35,14 +36,12 @@ from .hub import (
     MetricsSink,
     Telemetry,
     TelemetryEvent,
-    TraceSink,
 )
 
 __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "MetricsSink",
-    "TraceSink",
     "NULL_TELEMETRY",
     "Counter",
     "Gauge",
@@ -52,7 +51,8 @@ __all__ = [
     "KNOWN_METRIC_ROOTS",
     "chrome_trace",
     "events_from_chrome",
-    "spans_to_chrome",
+    "render_gantt",
+    "stage_busy_spans",
     "write_chrome_trace",
     "counters_dump",
     "write_counters",

@@ -1,4 +1,5 @@
-"""Exporters: Chrome trace-event JSON, counter dumps, text top reports.
+"""Exporters: Chrome trace-event JSON, ASCII Gantt charts, counter dumps,
+text top reports.
 
 The Chrome trace-event format (the ``chrome://tracing`` / Perfetto JSON
 flavour) maps onto the hub's event kinds directly:
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +28,8 @@ from .hub import Telemetry, TelemetryEvent
 
 __all__ = [
     "chrome_trace",
-    "spans_to_chrome",
+    "stage_busy_spans",
+    "render_gantt",
     "write_chrome_trace",
     "events_from_chrome",
     "counters_dump",
@@ -105,17 +108,59 @@ def chrome_trace(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
     }
 
 
-def spans_to_chrome(spans: Sequence[Any],
-                    category: str = "trace") -> Dict[str, Any]:
-    """Chrome trace from raw :class:`~repro.sim.trace.Span` objects.
+def stage_busy_spans(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
+                     ) -> List[TelemetryEvent]:
+    """The ``stage``/``busy`` spans of a hub or an event list: one per
+    frame a stage served (what the Gantt chart draws)."""
+    events = (telemetry.events if isinstance(telemetry, Telemetry)
+              else telemetry)
+    return [e for e in events if e.kind == "span"
+            and e.category == "stage" and e.name == "busy"]
 
-    Backs :meth:`~repro.sim.trace.TraceRecorder.to_chrome_trace`, so a
-    recorder can be dumped without going through a hub.
+
+def render_gantt(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
+                 width: int = 72, t0: float = 0.0,
+                 t1: Optional[float] = None,
+                 tracks: Optional[Sequence[str]] = None) -> str:
+    """Render the stage busy spans as fixed-width ASCII bars.
+
+    One row per stage track (first-appearance order unless ``tracks``
+    is given).  Each column covers ``(t1 - t0) / width`` seconds and
+    prints ``b`` when a busy span covers its midpoint, ``.`` (idle)
+    otherwise.  ``t1`` defaults to the latest busy-span end.  The
+    paper's Fig. 15 is this data, summarized: the pipeline filling, the
+    bottleneck stage saturating, everything downstream idling.
     """
-    events = [TelemetryEvent("span", category, s.label, s.start,
-                             dur=s.end - s.start, track=s.track)
-              for s in spans]
-    return chrome_trace(events)
+    if width < 8:
+        raise ValueError("width must be >= 8")
+    spans = stage_busy_spans(telemetry)
+    end = t1 if t1 is not None else max((s.end for s in spans),
+                                        default=0.0)
+    if end <= t0:
+        raise ValueError("empty time window")
+    names = (list(tracks) if tracks is not None
+             else list(dict.fromkeys(str(s.track) for s in spans)))
+    if not names:
+        raise ValueError("nothing to render")
+    label_w = max(len(n) for n in names)
+    dt = (end - t0) / width
+
+    lines = [f"{'':{label_w}}  t0={t0:g}s  dt/col={dt:g}s  t1={end:g}s"]
+    for name in names:
+        row = sorted((s.t, s.end) for s in spans if s.track == name)
+        starts = [start for start, _ in row]
+        # reach[i]: the latest end among the first i+1 spans, so a long
+        # span stays visible past a shorter one that started after it
+        reach: List[float] = []
+        for _, stop in row:
+            reach.append(max(stop, reach[-1]) if reach else stop)
+        cells = []
+        for col in range(width):
+            mid = t0 + (col + 0.5) * dt
+            idx = bisect_right(starts, mid) - 1
+            cells.append("b" if idx >= 0 and reach[idx] > mid else ".")
+        lines.append(f"{name:{label_w}}  {''.join(cells)}")
+    return "\n".join(lines)
 
 
 def write_chrome_trace(path: Union[str, Path],

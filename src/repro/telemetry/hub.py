@@ -3,7 +3,7 @@
 One :class:`Telemetry` instance accompanies a simulation; every
 instrumented subsystem (mesh, memory controllers, MPBs, DVFS, power,
 pipeline stages) reports into it and every consumer (run metrics, Gantt
-traces, Chrome-trace export, top reports) reads out of it.
+charts, Chrome-trace export, top reports) reads out of it.
 
 Design rules
 ------------
@@ -15,10 +15,11 @@ Design rules
 * **Sinks observe everything.**  A sink is any callable taking a
   :class:`TelemetryEvent`.  Sinks fire for every event *regardless of*
   ``enabled`` — that is how :class:`~repro.pipeline.metrics.RunMetrics`
-  and :class:`~repro.sim.TraceRecorder` stay thin consumers of the hub
-  even in runs that collect no telemetry (the Fig. 15 path).
+  stays a thin consumer of the hub even in runs that collect no
+  telemetry (the Fig. 15 path).
 * **Retention only when enabled.**  The ``events`` buffer (what the
-  Chrome-trace exporter reads) fills only while ``enabled`` is True.
+  Chrome-trace exporter and the Gantt chart read) fills only while
+  ``enabled`` is True.
 * **Periodic regions stay symbolic.**  A producer that knows a window of
   retained events repeats verbatim at a fixed period (the batched
   engine's frame-wave jump) registers it via :meth:`add_periodic_block`
@@ -47,8 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .counters import CounterRegistry
 
-__all__ = ["TelemetryEvent", "Telemetry", "MetricsSink", "TraceSink",
-           "NULL_TELEMETRY"]
+__all__ = ["TelemetryEvent", "Telemetry", "MetricsSink", "NULL_TELEMETRY"]
 
 
 @dataclass
@@ -121,20 +121,12 @@ class Telemetry:
         self._blocks: List[Tuple[int, int, int, float, int]] = []
         self._materialized: Optional[
             Tuple[Tuple[int, int], List[TelemetryEvent]]] = None
-        # Optional runtime sanitizer suite (repro.analysis.sanitizers).
-        # Model-layer hooks (RCCE, MPB) guard with ``if sanitizers is not
-        # None`` — a direct attribute check, no event allocation — so
-        # sanitizer-off runs pay one comparison per site.
+        #: Optional runtime sanitizer suite (repro.analysis.sanitizers),
+        #: set for one run by the runner.  Model-layer hooks (RCCE, MPB)
+        #: guard with ``if sanitizers is not None`` — a direct attribute
+        #: check, no event allocation — so sanitizer-off runs pay one
+        #: comparison per site.
         self.sanitizers: Optional[Any] = None
-
-    def attach_sanitizers(self, suite: Any) -> Any:
-        """Route runtime-sanitizer hooks from instrumented subsystems to
-        ``suite``; returns it (for later :meth:`detach_sanitizers`)."""
-        self.sanitizers = suite
-        return suite
-
-    def detach_sanitizers(self) -> None:
-        self.sanitizers = None
 
     # -- sinks ------------------------------------------------------------
     def add_sink(self, sink: Sink) -> Sink:
@@ -152,14 +144,6 @@ class Telemetry:
     @property
     def has_sinks(self) -> bool:
         return bool(self._sinks)
-
-    def as_sink(self) -> Sink:
-        """This hub as a sink for another hub (hub-to-hub forwarding).
-
-        Events dispatched by the upstream hub are retained/observed here
-        under this hub's own ``enabled``/sink rules.
-        """
-        return self._dispatch
 
     # -- emission ------------------------------------------------------------
     def _dispatch(self, event: TelemetryEvent) -> None:
@@ -348,24 +332,6 @@ class MetricsSink:
             self.metrics.record_busy(_base_key(event.track), event.dur)
         elif event.name == "idle":
             self.metrics.record_idle(_base_key(event.track), event.dur)
-
-
-class TraceSink:
-    """Feeds ``stage`` busy spans into a :class:`~repro.sim.TraceRecorder`.
-
-    Only busy spans are forwarded so ``busy_fraction`` and the ASCII
-    Gantt chart keep their historical meaning (idle windows stay
-    implicit as gaps).
-    """
-
-    def __init__(self, recorder: Any) -> None:
-        self.recorder = recorder
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        if (event.kind == "span" and event.category == "stage"
-                and event.name == "busy"):
-            assert event.track is not None
-            self.recorder.add(event.track, "busy", event.t, event.end)
 
 
 #: A shared always-disabled hub for subsystems constructed without one.

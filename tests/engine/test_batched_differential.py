@@ -113,9 +113,7 @@ def test_decline_reasons():
     base = dict(config="one_renderer", pipelines=1, frames=3, image_side=16)
     assert batched_decline_reason(
         PipelineRunner(power_trace_dt=0.1, **base)) is not None
-    # telemetry and tracing are synthesized now — no longer declined
-    assert batched_decline_reason(
-        PipelineRunner(trace=True, **base)) is None
+    # telemetry is synthesized now — no longer declined
     assert batched_decline_reason(
         PipelineRunner(telemetry=Telemetry(), **base)) is None
     assert batched_decline_reason(

@@ -34,7 +34,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import (Tolerances, analyze_telemetry, diff_snapshots,
                             snapshot_from_result)
 from repro.pipeline import PipelineRunner
-from repro.telemetry import Telemetry, chrome_trace, write_chrome_trace
+from repro.telemetry import (Telemetry, chrome_trace, render_gantt,
+                             stage_busy_spans, write_chrome_trace)
 from repro.telemetry.export import write_counters
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -167,20 +168,21 @@ def test_validate_trace_clean_on_synthesized_trace(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# -- spans-only (sink/trace) fidelity -----------------------------------------
+# -- Gantt fidelity -----------------------------------------------------------
 
 def test_trace_only_run_matches_event_gantt():
-    """``trace=True`` without a hub must reproduce the event engine's
-    TraceRecorder spans exactly (the Gantt/--gantt surface)."""
-    runners = {}
+    """The stage busy spans the Gantt chart draws (``repro run --gantt``)
+    are the same on both engines, and so is the chart."""
+    spans = {}
     for engine in ("event", "batched"):
-        runner = PipelineRunner(config="mcpc_renderer", pipelines=3,
-                                frames=12, trace=True, engine=engine)
-        runner.run()
-        runners[engine] = runner.last_trace
-    spans = lambda rec: sorted(  # noqa: E731 - local one-liner
-        (s.track, s.label, s.start, s.end) for s in rec.spans)
-    assert spans(runners["batched"]) == spans(runners["event"])
+        telemetry = Telemetry()
+        PipelineRunner(config="mcpc_renderer", pipelines=3, frames=12,
+                       telemetry=telemetry, engine=engine).run()
+        spans[engine] = stage_busy_spans(telemetry)
+    key = lambda events: sorted(  # noqa: E731 - local one-liner
+        (e.track, e.name, e.t, e.end) for e in events)
+    assert key(spans["batched"]) == key(spans["event"])
+    assert render_gantt(spans["batched"]) == render_gantt(spans["event"])
 
 
 # -- Hypothesis: counters glued across the matrix -----------------------------

@@ -3,8 +3,8 @@
 Two hazards are covered:
 
 * *in-process state leaks* — a second run in the same interpreter must
-  not see caches, pools or module state from the first (object reuse in
-  the kernel fast paths must be semantically invisible);
+  not see caches or module state from the first (memoized workloads and
+  profiles must be semantically invisible);
 * *hash-order leaks* — dict/set iteration order must never reach event
   order.  Python randomises ``str`` hashes per process unless
   ``PYTHONHASHSEED`` pins them, so running the same scenario in two

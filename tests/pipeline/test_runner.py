@@ -154,3 +154,38 @@ def test_determinism():
     b = run("mcpc_renderer", pipelines=3)
     assert a.walkthrough_seconds == b.walkthrough_seconds
     assert a.scc_energy_j == b.scc_energy_j
+
+
+def _run_log(**kw):
+    """The ``run.*`` event-log records of one runner.run()."""
+    import io
+    import json
+
+    from repro.obsv import configure_event_log, reset_event_log
+
+    buf = io.StringIO()
+    configure_event_log(buf, level="info")
+    try:
+        PipelineRunner(config="one_renderer", pipelines=2, frames=8,
+                       **kw).run()
+        text = buf.getvalue()
+    finally:
+        reset_event_log()  # closes the stream
+    return [r for r in map(json.loads, text.splitlines())
+            if r["event"].startswith("run.")]
+
+
+def test_event_log_names_the_engine_that_ran():
+    """One ``run.start`` per run; ``run.finish`` names the engine, and
+    only the event engine reports a simulated event count (the batched
+    engine processes no kernel events worth counting)."""
+    batched = _run_log(engine="batched")
+    assert [r["event"] for r in batched] == ["run.start", "run.finish"]
+    assert batched[1]["engine"] == "batched"
+    assert "sim_events" not in batched[1]
+
+    declined = _run_log(engine="batched", power_trace_dt=0.5)
+    assert [r["event"] for r in declined] == ["run.start", "run.finish"]
+    assert declined[1]["engine"] == "event"
+    assert declined[1]["sim_events"] > 0
+    assert declined[1]["walkthrough_s"] == batched[1]["walkthrough_s"]

@@ -1,11 +1,12 @@
 """Unit tests for the event loop (`repro.sim.core`)."""
 
+from heapq import heappush
+
 import pytest
 
 from repro.sim import (
     DeadlockError,
     Event,
-    Infinity,
     Simulator,
 )
 
@@ -151,11 +152,41 @@ def test_run_until_already_processed_event():
     assert sim.run(until=p) == 42
 
 
-def test_peek_reports_next_event_time():
+def test_processed_event_pushed_back_raises():
+    """A calendar entry for an event that was already processed (a stale
+    reference re-queued) fails loudly instead of re-running callbacks."""
     sim = Simulator()
-    assert sim.peek() == Infinity
-    sim.timeout(7.0)
-    assert sim.peek() == 7.0
+    stale = []
+
+    def proc():
+        stale.append(sim.timeout(1.0))
+        yield stale[0]
+
+    sim.process(proc())
+    sim.run()
+    assert stale[0].processed
+    sim._seq += 1
+    heappush(sim._queue, (sim.now + 0.5, 1, sim._seq, stale[0]))
+    with pytest.raises(AssertionError, match="processed twice"):
+        sim.run()
+
+
+def test_past_calendar_entry_raises():
+    """A calendar entry before the clock (a corrupted heap) stops the
+    run instead of moving simulated time backwards."""
+    sim = Simulator()
+    sim.timeout(5.0)
+    sim.run()
+    assert sim.now == 5.0
+
+    past = Event(sim)
+    past._ok = True
+    past._value = None
+    sim._seq += 1
+    heappush(sim._queue, (1.0, 1, sim._seq, past))
+    with pytest.raises(AssertionError, match="moved backwards"):
+        sim.run()
+    assert sim.now == 5.0
 
 
 def test_event_count_is_monotone():

@@ -1,9 +1,10 @@
-"""An event-engine run leaves no per-frame cyclic garbage.
+"""An event-engine run leaves no cyclic garbage.
 
 Granted resource requests and finished processes used to reference
 themselves (a request's value was the request; a process cached its own
 bound ``_resume``), so every frame left cycles only the cyclic GC could
-free.  What remains is per-run (the simulator's timeout free list).
+free; the simulator's timeout free list was a per-run cycle on top.
+Reference counting alone now frees a finished run.
 """
 
 import gc
@@ -29,6 +30,5 @@ def _cyclic_garbage(frames: int) -> int:
 def test_event_run_leaves_no_per_frame_cycles():
     # warm the memoized workload and its render profiles first
     PipelineRunner(config="one_renderer", pipelines=3, frames=100).run()
-    short, long = _cyclic_garbage(20), _cyclic_garbage(100)
-    assert short == long
-    assert long < 20
+    assert _cyclic_garbage(20) == 0
+    assert _cyclic_garbage(100) == 0

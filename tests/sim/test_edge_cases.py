@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AnyOf,
     Event,
     Resource,
     Simulator,
@@ -23,26 +22,6 @@ def test_timeout_carries_value():
     sim.process(proc())
     sim.run()
     assert got == ["payload"]
-
-
-def test_any_of_propagates_failure():
-    sim = Simulator()
-    caught = []
-
-    def failer():
-        yield sim.timeout(1.0)
-        raise KeyError("dead")
-
-    def joiner(p):
-        try:
-            yield sim.any_of([p, sim.timeout(10.0)])
-        except KeyError:
-            caught.append(True)
-
-    p = sim.process(failer())
-    sim.process(joiner(p))
-    sim.run()
-    assert caught == [True]
 
 
 def test_event_repr_states():
@@ -103,42 +82,6 @@ def test_run_until_event_that_fails():
     p = sim.process(failer())
     with pytest.raises(RuntimeError, match="boom"):
         sim.run(until=p)
-
-
-def test_interrupt_while_waiting_on_store():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    store = Store(sim)
-    log = []
-
-    def consumer():
-        try:
-            yield store.get()
-        except Interrupt as exc:
-            log.append(exc.cause)
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt(cause="give up")
-
-    target = sim.process(consumer())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == ["give up"]
-
-
-def test_process_cannot_interrupt_itself():
-    sim = Simulator()
-
-    def proc():
-        me = sim.active_process
-        with pytest.raises(RuntimeError, match="itself"):
-            me.interrupt()
-        yield sim.timeout(0.0)
-
-    sim.process(proc())
-    sim.run()
 
 
 def test_zero_capacity_timeout_chain_is_fifo():

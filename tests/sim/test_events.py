@@ -1,8 +1,8 @@
-"""Tests for composite events and interrupts."""
+"""Tests for the all-of join and process lifecycle."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, ConditionValue, Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_all_of_waits_for_every_event():
@@ -11,7 +11,7 @@ def test_all_of_waits_for_every_event():
 
     def waiter(events):
         result = yield sim.all_of(events)
-        done.append((sim.now, len(result.events)))
+        done.append((sim.now, result))
 
     timeouts = None
 
@@ -22,22 +22,7 @@ def test_all_of_waits_for_every_event():
 
     sim.process(setup())
     sim.run()
-    assert done == [(3.0, 3)]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        events = [sim.timeout(5.0, value="slow"), sim.timeout(1.0, value="fast")]
-        result = yield sim.any_of(events)
-        values = [e.value for e in result.events]
-        seen.append((sim.now, values))
-
-    sim.process(proc())
-    sim.run()
-    assert seen == [(1.0, ["fast"])]
+    assert done == [(3.0, [1.0, 3.0, 2.0])]
 
 
 def test_all_of_empty_succeeds_immediately():
@@ -46,43 +31,29 @@ def test_all_of_empty_succeeds_immediately():
 
     def proc():
         result = yield sim.all_of([])
-        seen.append(result.events)
+        seen.append(result)
 
     sim.process(proc())
     sim.run()
     assert seen == [[]]
 
 
-def test_condition_value_mapping():
+def test_all_of_value_lists_component_values():
+    """The join's value is a plain list of the component values, in the
+    order the events were given (not the order they fired)."""
     sim = Simulator()
-    collected = {}
+    collected = []
 
     def proc():
-        a = sim.timeout(1.0, value="A")
-        b = sim.timeout(2.0, value="B")
-        result = yield sim.all_of([a, b])
-        collected["a"] = result[a]
-        collected["b"] = result[b]
-        assert a in result
-        with pytest.raises(KeyError):
-            _ = result[sim.event()]
+        a = sim.timeout(2.0, value="A")
+        b = sim.timeout(1.0, value="B")
+        already = sim.event().succeed("C")
+        yield sim.timeout(0.0)  # `already` is processed before the join
+        collected.append((yield sim.all_of([a, b, already])))
 
     sim.process(proc())
     sim.run()
-    assert collected == {"a": "A", "b": "B"}
-
-
-def test_condition_value_equality_with_dict():
-    sim = Simulator()
-
-    def proc():
-        a = sim.timeout(1.0, value=7)
-        result = yield sim.all_of([a])
-        assert result == {a: 7}
-        assert result == ConditionValue([a])
-
-    sim.process(proc())
-    sim.run()
+    assert collected == [["A", "B", "C"]]
 
 
 def test_all_of_propagates_failure():
@@ -110,64 +81,6 @@ def test_mixing_simulators_rejected():
     ev2 = sim2.event()
     with pytest.raises(ValueError):
         sim1.all_of([ev2])
-
-
-def test_interrupt_is_delivered():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as exc:
-            log.append((sim.now, exc.cause))
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt(cause="wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    def late(target):
-        yield sim.timeout(5.0)
-        with pytest.raises(RuntimeError):
-            target.interrupt()
-
-    target = sim.process(quick())
-    sim.process(late(target))
-    sim.run()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt()
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [3.0]
 
 
 def test_process_is_alive_lifecycle():

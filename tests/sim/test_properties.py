@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.filters import BlurFilter
 from repro.sim import Resource, Simulator, Store
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import AllOf, Event
 
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=50))
@@ -158,35 +158,34 @@ def test_calendar_orders_by_time_priority_fifo(entries):
     assert fired == expected
 
 
-@given(st.lists(_DELAY_GRID, min_size=1, max_size=12), st.booleans())
-def test_allof_anyof_fire_exactly_once(delays, use_all):
-    """Composite conditions trigger exactly once, at the right instant."""
+@given(st.lists(_DELAY_GRID, min_size=1, max_size=12))
+def test_allof_fires_exactly_once(delays):
+    """The all-of join triggers exactly once, at the last component."""
     sim = Simulator()
     events = [sim.timeout(d, value=i) for i, d in enumerate(delays)]
-    cond = (AllOf if use_all else AnyOf)(sim, events)
+    cond = AllOf(sim, events)
     fired = []
     cond.callbacks.append(lambda e: fired.append(sim.now))
     sim.run()
     assert len(fired) == 1, "composite event must be processed exactly once"
-    assert fired[0] == (max(delays) if use_all else min(delays))
-    if use_all:
-        assert all(e.processed for e in events)
-        assert len(cond.value.todict()) == len(events)
+    assert fired[0] == max(delays)
+    assert all(e.processed for e in events)
+    assert cond.value == list(range(len(events)))
 
 
 @given(st.lists(_DELAY_GRID, min_size=1, max_size=12),
        st.lists(_DELAY_GRID, min_size=1, max_size=12))
 def test_nested_conditions_fire_exactly_once(first, second):
-    """AnyOf over two AllOf groups still fires exactly once."""
+    """AllOf over two AllOf groups still fires exactly once."""
     sim = Simulator()
     a = AllOf(sim, [sim.timeout(d) for d in first])
     b = AllOf(sim, [sim.timeout(d) for d in second])
-    cond = AnyOf(sim, [a, b])
+    cond = AllOf(sim, [a, b])
     count = []
     cond.callbacks.append(lambda e: count.append(sim.now))
     sim.run()
     assert len(count) == 1
-    assert count[0] == min(max(first), max(second))
+    assert count[0] == max(max(first), max(second))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from repro.sim import TraceRecorder
 from repro.telemetry import (
     CounterRegistry,
     Telemetry,
     chrome_trace,
     counters_dump,
-    spans_to_chrome,
+    stage_busy_spans,
     top_report,
     validate_chrome_trace,
     write_chrome_trace,
@@ -76,16 +75,20 @@ def test_validator_flags_problems():
     assert len(problems) == 1 and "backwards" in problems[0]
 
 
-def test_spans_to_chrome_and_recorder_delegation():
-    rec = TraceRecorder()
-    rec.add("blur[0]", "busy", 0.0, 1.0)
-    rec.add("swap[0]", "busy", 1.0, 2.0)
-    doc = rec.to_chrome_trace()
-    assert doc == spans_to_chrome(rec.spans)
-    assert validate_chrome_trace(doc) == []
-    names = {e["args"]["name"] for e in doc["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "thread_name"}
-    assert names == {"blur[0]", "swap[0]"}
+def test_stage_busy_spans_keeps_only_stage_busy():
+    """The Gantt filter, written once: stage busy spans of a hub or of an
+    event list, in stream order; idle/wait spans, other categories and
+    instants are dropped."""
+    tel = Telemetry()
+    tel.span("stage", "blur[0]", "busy", 0.0, 1.0, frame=0)
+    tel.span("stage", "blur[0]", "idle", 1.0, 2.0)
+    tel.span("mesh", "link", "busy", 0.0, 1.0)
+    tel.emit("stage", "busy", 0.5, track="blur[0]")
+    tel.span("stage", "swap[0]", "busy", 1.0, 2.0)
+    spans = stage_busy_spans(tel)
+    assert [(e.track, e.t, e.end) for e in spans] == [
+        ("blur[0]", 0.0, 1.0), ("swap[0]", 1.0, 2.0)]
+    assert stage_busy_spans(tel.events) == spans
 
 
 def test_write_chrome_trace(tmp_path):

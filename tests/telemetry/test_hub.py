@@ -3,12 +3,10 @@
 import pytest
 
 from repro.pipeline.metrics import RunMetrics
-from repro.sim import TraceRecorder
 from repro.telemetry import (
     NULL_TELEMETRY,
     MetricsSink,
     Telemetry,
-    TraceSink,
 )
 
 
@@ -109,18 +107,6 @@ def test_metrics_sink_translates_stage_spans():
     assert metrics.busy["blur"].total == pytest.approx(1.5)
     assert metrics.idle["blur"].total == pytest.approx(0.5)
     assert "link" not in metrics.busy
-
-
-def test_trace_sink_forwards_only_busy_spans():
-    tel = Telemetry()
-    rec = TraceRecorder()
-    tel.add_sink(TraceSink(rec))
-    tel.span("stage", "blur[0]", "busy", 0.0, 1.0)
-    tel.span("stage", "blur[0]", "idle", 1.0, 2.0)
-    tel.span("mesh", "link", "xfer", 0.0, 1.0)
-    spans = rec.spans
-    assert len(spans) == 1
-    assert spans[0].track == "blur[0]" and spans[0].label == "busy"
 
 
 def test_null_telemetry_is_disabled():
