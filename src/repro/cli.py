@@ -18,9 +18,6 @@ Subcommands
 ``top``
     The same sweep under a live terminal dashboard: per-worker progress
     bars, cache stats, throughput/ETA and bottleneck verdicts.
-``bench trend``
-    Compare each bench's newest ``BENCH_history.jsonl`` record against
-    its windowed median; exits 1 on regression (the CI trend gate).
 ``profile``
     Simulate with full telemetry: Chrome-trace JSON for Perfetto,
     counter dumps and a text "top" report of the hottest mesh links,
@@ -90,7 +87,7 @@ def resolve_jobs(value: str) -> int:
     ``auto`` resolves to the CPUs this process may actually be
     *scheduled* on (``os.sched_getaffinity``), not ``os.cpu_count()``:
     in a cgroup-pinned container the two differ, and sizing the pool by
-    cpu_count oversubscribes the one allowed CPU (BENCH_sweep.json).
+    cpu_count oversubscribes the CPUs the process may run on.
     """
     if str(value).strip().lower() == "auto":
         try:
@@ -234,31 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "fold jump progress into the ETA")
     _add_exec_args(top)
     _add_obsv_args(top)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark-history utilities (BENCH_history.jsonl)")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    trend = bench_sub.add_parser(
-        "trend",
-        help="compare each bench's newest record against its windowed "
-             "median; exit 1 on regression")
-    trend.add_argument("--history", type=pathlib.Path,
-                       default=pathlib.Path("BENCH_history.jsonl"),
-                       metavar="FILE",
-                       help="history file (default ./BENCH_history.jsonl)")
-    trend.add_argument("--window", type=int, default=None, metavar="N",
-                       help="records per bench to look back over "
-                            "(default 10)")
-    trend.add_argument("--bench", default=None, metavar="NAME",
-                       help="restrict to one bench name")
-    trend.add_argument("--tolerances", type=pathlib.Path, default=None,
-                       metavar="FILE",
-                       help="tolerance rules JSON (same format as repro "
-                            "diff; default: 10%% relative)")
-    trend.add_argument("--json", action="store_true",
-                       help="machine-readable report on stdout")
-    trend.add_argument("--verbose", action="store_true",
-                       help="list every metric, not just regressions")
 
     profile = sub.add_parser(
         "profile",
@@ -756,37 +728,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         obsv.close()
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "trend":
-        return _cmd_bench_trend(args)
-    raise AssertionError(args.bench_command)  # pragma: no cover
-
-
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    from .analysis import Tolerances
-    from .obsv import load_history, trend_report
-    from .obsv.history import DEFAULT_WINDOW
-
-    try:
-        records = load_history(args.history, bench=args.bench)
-        tolerances = (Tolerances.load(args.tolerances)
-                      if args.tolerances is not None else None)
-        report = trend_report(records, tolerances=tolerances,
-                              window=args.window or DEFAULT_WINDOW)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not records:
-        print(f"error: no history records in {args.history}",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.format_text(verbose=args.verbose))
-    return 0 if report.ok else 1
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     problem = _check_out_paths(args.trace_out, args.counters_out)
     if problem:
@@ -1239,7 +1180,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "sweep": _cmd_sweep,
     "top": _cmd_top,
-    "bench": _cmd_bench,
     "profile": _cmd_profile,
     "tune": _cmd_tune,
     "table1": _cmd_table1,

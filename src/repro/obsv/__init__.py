@@ -18,9 +18,6 @@ tooling itself while it works:
     endpoint behind ``repro sweep --serve-metrics PORT``.
 ``top``
     The ``repro top`` plain-ANSI live dashboard.
-``history``
-    ``BENCH_history.jsonl`` appending and the ``repro bench trend``
-    regression detector.
 
 Import discipline: this ``__init__`` eagerly loads only the
 stdlib-only modules (``eventlog``, ``progress``) so deterministic-core
@@ -40,9 +37,6 @@ from .progress import (RUN_STATES, FleetAggregator, FleetSnapshot,
                        WorkerProgress, fanout)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .history import (HISTORY_SCHEMA, TrendDelta, TrendReport,  # noqa: F401
-                          append_history, default_trend_tolerances,
-                          load_history, trend_report)
     from .promexpo import (CONTENT_TYPE, ExpositionPage,  # noqa: F401
                            parse_prometheus_text, render_exposition)
     from .server import MetricsServer  # noqa: F401
@@ -57,8 +51,6 @@ __all__ = [
     "ExpositionPage",
     "MetricsServer",
     "render_top", "progress_bar", "TopDashboard",
-    "HISTORY_SCHEMA", "append_history", "load_history",
-    "default_trend_tolerances", "trend_report", "TrendDelta", "TrendReport",
 ]
 
 #: lazily-resolved attribute -> providing submodule
@@ -71,13 +63,6 @@ _LAZY = {
     "render_top": "top",
     "progress_bar": "top",
     "TopDashboard": "top",
-    "HISTORY_SCHEMA": "history",
-    "append_history": "history",
-    "load_history": "history",
-    "default_trend_tolerances": "history",
-    "trend_report": "history",
-    "TrendDelta": "history",
-    "TrendReport": "history",
 }
 
 

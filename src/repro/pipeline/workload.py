@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +98,10 @@ class WalkthroughWorkload:
         self._table_cells = 0  # guarded-by: self._lock
         #: (frames, 4, 4) camera view-projections, built with the first table
         self._view_projs: Optional[np.ndarray] = None  # guarded-by: self._lock
+        #: (strip_index, num_strips) -> Viewport.  Written without the lock
+        #: (``profile`` calls ``viewport`` while holding it); a Viewport is
+        #: immutable, so racing writers store equal values.
+        self._viewports: Dict[Tuple[int, int], Viewport] = {}
 
     @property
     def renderer(self) -> Renderer:
@@ -116,18 +120,24 @@ class WalkthroughWorkload:
         """The strip's viewport within the full frame.
 
         Rows split as evenly as possible; earlier strips take the
-        remainder (the paper's horizontal strips).
+        remainder (the paper's horizontal strips).  Memoized per
+        ``(strip_index, num_strips)``.
         """
-        if num_strips < 1:
-            raise ValueError("num_strips must be >= 1")
-        if not 0 <= strip_index < num_strips:
-            raise ValueError("strip_index out of range")
-        side = self.image_side
-        base = side // num_strips
-        extra = side % num_strips
-        height = base + (1 if strip_index < extra else 0)
-        y_start = strip_index * base + min(strip_index, extra)
-        return Viewport(side, side, y_start=y_start, height=height)
+        key = (strip_index, num_strips)
+        view = self._viewports.get(key)
+        if view is None:
+            if num_strips < 1:
+                raise ValueError("num_strips must be >= 1")
+            if not 0 <= strip_index < num_strips:
+                raise ValueError("strip_index out of range")
+            side = self.image_side
+            base = side // num_strips
+            extra = side % num_strips
+            height = base + (1 if strip_index < extra else 0)
+            y_start = strip_index * base + min(strip_index, extra)
+            view = self._viewports[key] = Viewport(
+                side, side, y_start=y_start, height=height)
+        return view
 
     def strip_bytes(self, strip_index: int, num_strips: int) -> int:
         """RGBA bytes of one strip (4 bytes/pixel, as the paper's frame

@@ -31,10 +31,13 @@ def test_clean_pipeline_run_has_zero_diagnostics():
 
 
 def test_sanitized_run_is_bit_identical_to_unsanitized():
-    kwargs = dict(config="mcpc_renderer", pipelines=3, frames=8)
-    sanitized = PipelineRunner(sanitizers=SanitizerSuite(), **kwargs).run()
+    # the reference profile of docs/performance.md
+    kwargs = dict(config="mcpc_renderer", pipelines=5, frames=50)
+    suite = SanitizerSuite()
+    sanitized = PipelineRunner(sanitizers=suite, **kwargs).run()
     plain = PipelineRunner(**kwargs).run()
     assert sanitized == plain
+    assert suite.clean, suite.summary()
 
 
 def test_clean_mpb_send_recv_has_zero_diagnostics():

@@ -24,6 +24,7 @@ The contract (docs/observability.md, "Observing the batched engine"):
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -164,7 +165,7 @@ def test_validate_trace_clean_on_synthesized_trace(tmp_path):
         [sys.executable, str(REPO_ROOT / "scripts" / "validate_trace.py"),
          str(trace), str(counters)],
         capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src")})
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -34,6 +34,14 @@ def test_viewport_validation(workload):
         workload.viewport(0, 0)
     with pytest.raises(ValueError):
         workload.viewport(3, 3)
+    # a rejected key is not memoized: it is checked, and raises, again
+    with pytest.raises(ValueError):
+        workload.viewport(3, 3)
+
+
+def test_viewport_is_memoized(workload):
+    assert workload.viewport(1, 3) is workload.viewport(1, 3)
+    assert workload.viewport(1, 3) is not workload.viewport(1, 4)
 
 
 def test_strip_bytes_sum_to_frame(workload):
