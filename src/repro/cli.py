@@ -67,6 +67,7 @@ from .exec import ResultCache, RunSpec, SweepExecutor, default_cache_dir
 from .pipeline import (ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner,
                        render_film)
 from .pipeline.arrangements import dvfs_study_placement
+from .pipeline.describe import CLUSTER_CONFIGURATIONS, describe
 from .pipeline.workload import WalkthroughWorkload
 from .report import format_table, paper, results_to_json
 from .telemetry import (
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     describe = sub.add_parser("describe",
                               help="show a configuration's stage graph")
-    describe.add_argument("--config", choices=CONFIGURATIONS,
-                          default="mcpc_renderer")
+    describe.add_argument("--config", default="mcpc_renderer",
+                          choices=CONFIGURATIONS + CLUSTER_CONFIGURATIONS)
     describe.add_argument("--pipelines", type=int, default=3)
     describe.add_argument("--arrangement", choices=ARRANGEMENTS,
                           default="ordered")
@@ -765,30 +766,25 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     pipeline_counts = [n for n in paper.TABLE1_PIPELINES
                        if n <= args.max_pipelines]
     scc_configs = ("one_renderer", "n_renderers", "mcpc_renderer")
-    hpc_configs = ("external_renderer", "single_renderer",
-                   "parallel_renderer")
     specs = [RunSpec(config=config, pipelines=n,
                      arrangement=args.arrangement, frames=args.frames)
              for config in scc_configs for n in pipeline_counts]
     specs += [RunSpec(platform="hpc", config=config, pipelines=n,
                       frames=args.frames)
-              for config in hpc_configs for n in pipeline_counts]
+              for config in CLUSTER_CONFIGURATIONS for n in pipeline_counts]
     executor = SweepExecutor(jobs=args.jobs, cache=_cache_from(args))
-    results = iter(executor.run(specs))
+    results = executor.run(specs)
 
     scale = 400.0 / args.frames
     rows: List[List[str]] = []
-    for config in scc_configs + hpc_configs:
-        label = config if config in scc_configs else f"hpc_{config}"
-        arrangement = (args.arrangement if config in scc_configs
-                       else "cluster")
-        ref = paper.TABLE1[(label, arrangement)]
-        measured = [next(results).walkthrough_seconds
-                    for _ in pipeline_counts]
+    for i in range(0, len(results), len(pipeline_counts)):
+        row = results[i:i + len(pipeline_counts)]
+        label = row[0].config  # an hpc row's is hpc_<config>
+        ref = paper.TABLE1[(label, row[0].arrangement)]
         rows.append([f"paper {label}",
                      *[str(ref[n - 1]) for n in pipeline_counts]])
-        rows.append([f"sim   {label}",
-                     *[f"{m * scale:.0f}" for m in measured]])
+        rows.append([f"sim   {label}", *[
+            f"{r.walkthrough_seconds * scale:.0f}" for r in row]])
     print(format_table(
         ["row", *[f"{n} pl." for n in pipeline_counts]], rows,
         title=f"Table I ({args.arrangement}; seconds, scaled to 400 frames)"))
@@ -858,8 +854,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    from .pipeline.describe import describe
-
     print(describe(args.config, args.pipelines, args.arrangement).to_text())
     return 0
 

@@ -21,39 +21,27 @@ constants divided by per-stage speed-up factors:
 and node-level communication: shared-memory copies at GB/s within a
 node, GbE-class messaging between nodes with per-datagram receive cost.
 
-Every stage is one process with a private channel and no resource is
-shared, so the run is a pure tandem line and its timing is a max-plus
-recurrence over the (frame, stage) grid rather than an event simulation:
-
-* a stage gets frame ``f`` at ``max(loop_top, upstream_put)``;
-* it puts frame ``f`` at ``max(end, downstream_get[f - depth])``, where
-  ``depth`` is the queue capacity: 1 between stages, ``SIF_CAPACITY``
-  for the external renderer's frame socket;
-* its work is added, left to right, in the order the discrete-event
-  formulation adds it: ``get + (service + sync) + copy`` for a filter,
-  ``t + hold + latency`` for a network leg.
-
-So every time, idle sample and quartile is the one that formulation
-computes, bit for bit (it skipped a zero link hold, but adding ``0.0``
-to a time is exact).  ``tests/cluster/event_oracle.py`` keeps that
-formulation as a test oracle.
+The wiring is :func:`~repro.pipeline.describe.describe`'s cluster graph;
+nothing in it is shared, so the max-plus evaluator times it exactly
+(:func:`~repro.pipeline.protocol.evaluate`).  This module prices its ops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..host import UDPConfig
 from ..pipeline.costmodel import CostModel
-from ..pipeline.describe import FILTER_KEYS, SIF_CAPACITY
+from ..pipeline.describe import (CLUSTER_CONFIGURATIONS, FILTER_KEYS,
+                                 PER_FRAME_COSTS, StageOp, describe)
 from ..pipeline.metrics import RunMetrics, RunResult
+from ..pipeline.protocol import evaluate
+from ..pipeline.runner import whole
+from ..pipeline.stage import compute_cost
 from ..pipeline.workload import WalkthroughWorkload, default_workload
 
 __all__ = ["CLUSTER_CONFIGURATIONS", "ClusterConfig", "ClusterRunner"]
-
-CLUSTER_CONFIGURATIONS = ("external_renderer", "single_renderer",
-                          "parallel_renderer")
 
 
 @dataclass(frozen=True)
@@ -98,18 +86,14 @@ class ClusterRunner:
         if config not in CLUSTER_CONFIGURATIONS:
             raise ValueError(f"unknown cluster config {config!r}; choose "
                              f"from {CLUSTER_CONFIGURATIONS}")
-        if pipelines < 1:
-            raise ValueError("pipelines must be >= 1")
-        if frames < 1:
-            raise ValueError("frames must be >= 1")
         self.config = config
-        self.pipelines = pipelines
-        self.frames = frames
+        self.pipelines = whole(pipelines, "pipelines", least=1)
+        self.frames = whole(frames, "frames", least=1)
         self.image_side = image_side
         # the process-wide memoized city, as PipelineRunner shares it
-        shared = default_workload(frames, image_side)
+        shared = default_workload(self.frames, image_side)
         self.workload = shared if workload is None else workload
-        if self.workload.frames < frames:
+        if self.workload.frames < self.frames:
             raise ValueError("workload has fewer frames than requested")
         self.cost = cost or CostModel()
         self.cluster_config = cluster_config or ClusterConfig()
@@ -132,111 +116,44 @@ class ClusterRunner:
                        pipelines=self.pipelines, frames=self.frames,
                        image_side=self.image_side)
 
-    def _render_time(self, frame: int, strip: Optional[int]) -> float:
-        if strip is None:
-            profile = self.workload.profile(frame)
-            t = self.cost.render_seconds(profile)
+    def _costs(self, op: StageOp) -> Tuple[List[float], ...]:
+        """Seconds ``op`` adds on a Mogon node, one per-frame list per
+        addition: SCC costs over the node's speed-ups, and its own links."""
+        cfg, wl, n = self.cluster_config, self.workload, self.pipelines
+        net = cfg.network
+        if op.kind == "udp":
+            seconds = (net.hold_seconds(wl.frame_bytes()), net.latency_s)
+        elif op.kind == "put" and op.strip is not None:  # shared memory
+            seconds = (wl.strip_bytes(op.strip, n) / cfg.shm_bandwidth,)
+        elif op.kind != "compute":
+            return ()
+        elif op.arg == "connect":  # receive the frame's datagrams
+            seconds = (net.datagrams_for(wl.frame_bytes())
+                       * cfg.recv_per_datagram_s,)
         else:
-            profile = self.workload.profile(frame, strip, self.pipelines)
-            t = self.cost.render_seconds(profile, sort_first=True)
-        return t / self.cluster_config.render_speedup
+            scc = compute_cost(op, self.cost, wl, n, None)
+            if op.arg in PER_FRAME_COSTS:
+                return ([scc(f) / cfg.render_speedup
+                         for f in range(self.frames)],)
+            s = scc(0) / cfg.filter_speedup
+            seconds = (s + cfg.sync_overhead_s if op.arg in FILTER_KEYS
+                       else s,)
+        return tuple([s] * self.frames for s in seconds)
 
     def run(self) -> RunResult:
         """Compute the walkthrough; returns a :class:`RunResult` (power
         fields are zero — the paper reports no Mogon power)."""
-        n, config = self.pipelines, self.config
-        wl, cfg = self.workload, self.cluster_config
-        net = cfg.network
-        frame_bytes = wl.frame_bytes()
-        hold = net.hold_seconds(frame_bytes)
-        copy = [wl.strip_bytes(p, n) / cfg.shm_bandwidth for p in range(n)]
-        work = [[self.cost.filter_seconds(key, wl.viewport(p, n).pixels)
-                 / cfg.filter_speedup + cfg.sync_overhead_s
-                 for key in FILTER_KEYS] for p in range(n)]
-        assemble = (self.cost.assemble_seconds(wl.image_side ** 2)
-                    / cfg.filter_speedup)
-        recv_cpu = net.datagrams_for(frame_bytes) * cfg.recv_per_datagram_s
-        stages = range(len(FILTER_KEYS))
-
-        keys = list(FILTER_KEYS)
-        if config == "external_renderer":
-            keys.insert(0, "connect")
-        idle: Dict[str, List[float]] = {k: [] for k in keys}
-        busy: Dict[str, List[float]] = {k: [] for k in keys}
-        filter_idle = [idle[k] for k in FILTER_KEYS]
-        filter_busy = [busy[k] for k in FILTER_KEYS]
-        # got[p][s]: when queue s of pipeline p was last read (queue 0
-        # feeds the first filter, the last one the transfer stage);
-        # free[p][s]: when filter s of pipeline p last finished its put
-        got = [[0.0] * (len(FILTER_KEYS) + 1) for _ in range(n)]
-        free = [[0.0] * len(FILTER_KEYS) for _ in range(n)]
-        src_free = [0.0] * n
-        sock_got: List[float] = []
-        conn_free = transfer_free = 0.0
-        put = [0.0] * n
-
-        for f in range(self.frames):
-            # -- source: frame f into every pipeline's first queue ------
-            if config == "single_renderer":
-                t = src_free[0] + self._render_time(f, None)
-                for p in range(n):
-                    t = max(t + copy[p], got[p][0])
-                    put[p] = t
-                src_free[0] = t
-            elif config == "parallel_renderer":
-                for p in range(n):
-                    t = src_free[p] + self._render_time(f, p)
-                    put[p] = src_free[p] = max(t + copy[p], got[p][0])
-            else:
-                # the remote render node ships the whole frame into a
-                # SIF_CAPACITY-deep socket; the connector carves strips
-                t = (src_free[0] + self._render_time(f, None) + hold
-                     + net.latency_s)
-                if f >= SIF_CAPACITY:
-                    t = max(t, sock_got[f - SIF_CAPACITY])
-                src_free[0] = t
-                g = max(conn_free, t)
-                idle["connect"].append(g - conn_free)
-                sock_got.append(g)
-                t = g + recv_cpu
-                for p in range(n):
-                    t = max(t + copy[p], got[p][0])
-                    put[p] = t
-                busy["connect"].append(t - g)
-                conn_free = t
-            # -- filter chains ----------------------------------------
-            for p in range(n):
-                up, got_p, free_p, work_p = put[p], got[p], free[p], work[p]
-                for s in stages:
-                    top = free_p[s]
-                    g = up if up > top else top
-                    filter_idle[s].append(g - top)
-                    got_p[s] = g
-                    t = g + work_p[s] + copy[p]
-                    if got_p[s + 1] > t:
-                        t = got_p[s + 1]
-                    filter_busy[s].append(t - g)
-                    free_p[s] = up = t
-                put[p] = up
-            # -- transfer: gather every strip, assemble, ship to viewer
-            t = transfer_free
-            for p in range(n):
-                t = max(t, put[p])
-                got[p][-1] = t
-            transfer_free = t + assemble + hold + net.latency_s
-
+        graph = describe(self.config, self.pipelines)
+        end, idle, busy = evaluate(graph, self.frames, self._costs)
         metrics = RunMetrics()
         metrics.record_stage_samples(idle, busy)
-        # one core per process, but not the remote external renderer,
-        # just as the SCC rows do not count the MCPC host
-        sources = n if config == "parallel_renderer" else 1
         return RunResult(
-            config=f"hpc_{config}",
-            arrangement="cluster",
-            pipelines=n,
+            config=f"hpc_{self.config}",
+            arrangement=graph.arrangement,
+            pipelines=self.pipelines,
             frames=self.frames,
-            walkthrough_seconds=transfer_free,
-            cores_used=len(FILTER_KEYS) * n + sources + 1,
+            walkthrough_seconds=end,
+            cores_used=len(graph.cores),
             scc_energy_j=0.0,
             scc_avg_power_w=0.0,
             mcpc_energy_above_idle_j=0.0,

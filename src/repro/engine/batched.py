@@ -1263,7 +1263,7 @@ class BatchedEngine:
             pipelines=graph.pipelines,
             frames=self.frames,
             walkthrough_seconds=end,
-            cores_used=graph.scc_cores_used,
+            cores_used=len(graph.cores),
             scc_energy_j=chip.power.energy(0.0, end),
             scc_avg_power_w=chip.power.average_power(0.0, end),
             mcpc_energy_above_idle_j=mcpc_energy,

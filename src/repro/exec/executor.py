@@ -36,6 +36,7 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster import CLUSTER_CONFIGURATIONS, ClusterRunner
@@ -44,7 +45,7 @@ from ..obsv.progress import (FrameProgressSink, ProgressCallback,
                              ProgressEvent, state_event, sweep_event)
 from ..pipeline.arrangements import ARRANGEMENTS, Placement
 from ..pipeline.metrics import RunResult
-from ..pipeline.runner import CONFIGURATIONS, ENGINES, PipelineRunner
+from ..pipeline.runner import CONFIGURATIONS, ENGINES, PipelineRunner, whole
 from ..pipeline.workload import default_workload
 from ..telemetry import Telemetry
 from .cache import ResultCache
@@ -68,14 +69,13 @@ def _freeze_placement(placement: Any) -> Optional[PlacementSpec]:
     if placement is None:
         return None
     if isinstance(placement, Placement):
-        return (placement.arrangement,
-                tuple(placement.input_cores),
-                tuple(tuple(chain) for chain in placement.filter_cores),
-                placement.transfer_core)
+        placement = (placement.arrangement, placement.input_cores,
+                     placement.filter_cores, placement.transfer_core)
     arr, inputs, chains, transfer = placement
-    return (str(arr), tuple(int(c) for c in inputs),
-            tuple(tuple(int(c) for c in chain) for chain in chains),
-            int(transfer))
+    core = partial(whole, name="placement core")
+    return (str(arr), tuple(map(core, inputs)),
+            tuple(tuple(map(core, chain)) for chain in chains),
+            core(transfer))
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ class RunSpec:
     engine: str = "event"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pipelines", int(self.pipelines))
-        object.__setattr__(self, "frames", int(self.frames))
-        object.__setattr__(self, "image_side", int(self.image_side))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("pipelines", "frames", "image_side", "seed"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
         object.__setattr__(self, "frequency_plan",
                            _freeze_plan(self.frequency_plan))
         object.__setattr__(self, "placement",

@@ -9,15 +9,22 @@ strip, fetch it, compute, deposit it with the successor), spelled as a
 short tuple of :class:`StageOp`.  Ops name cores, queues, links, cost
 kinds and strips symbolically, so the graph stays free of the workload.
 
-Three consumers read the programs: the event engine interprets them
+It also wires the Mogon reruns (:data:`CLUSTER_CONFIGURATIONS`, paper
+§VI-A): one node's cores, numbered in stage order, hand strips through
+private capacity-1 queues, and a coreless remote renderer (like the
+MCPC) feeds the external setup's frame socket.
+
+Four consumers read the programs: the event engine interprets them
 (:class:`repro.pipeline.stage.Stage`), the batched engine compiles them
-to coarse ``(resource, hold)`` programs (:mod:`repro.engine.batched`)
-and the static deadlock proof projects them onto their hand-offs
-(:mod:`repro.pipeline.protocol`).  The CLI's ``describe`` subcommand
-prints them.
+to coarse ``(resource, hold)`` programs (:mod:`repro.engine.batched`),
+the static deadlock proof projects them onto their hand-offs
+(:mod:`repro.pipeline.protocol`), and the max-plus evaluator there
+times the cluster graphs.  The CLI's ``describe`` subcommand prints
+them.
 
 Node order is the engines' stage-start order, which breaks ties between
-simultaneous events; the MCPC host process therefore comes last.
+simultaneous events; the MCPC host process therefore comes last.  A
+cluster graph is in hand-off order instead: the remote renderer first.
 """
 
 from __future__ import annotations
@@ -28,12 +35,18 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from ..filters import FILTER_ORDER
 from .arrangements import Placement, make_placement
 
-__all__ = ["CONFIGURATIONS", "FILTER_KEYS", "SIF_SOCKET", "SIF_CAPACITY",
-           "PER_FRAME_COSTS", "StageOp", "StageNode", "ConfigDescription",
-           "describe"]
+__all__ = ["CONFIGURATIONS", "CLUSTER_CONFIGURATIONS", "FILTER_KEYS",
+           "SIF_SOCKET", "SIF_CAPACITY", "PER_FRAME_COSTS", "StageOp",
+           "StageNode", "ConfigDescription", "describe"]
 
 CONFIGURATIONS = ("single_core", "one_renderer", "n_renderers",
                   "mcpc_renderer")
+
+#: the Mogon reruns, each wired like the SCC configuration it maps to
+_SCC_TWIN = {"external_renderer": "mcpc_renderer",
+             "single_renderer": "one_renderer",
+             "parallel_renderer": "n_renderers"}
+CLUSTER_CONFIGURATIONS = tuple(_SCC_TWIN)
 
 #: pipeline stage order within a pipeline (the filters' own order)
 FILTER_KEYS = FILTER_ORDER
@@ -58,6 +71,9 @@ _SUMMARIES = {
     "mcpc_renderer": "heterogeneous: the MCPC's Xeon renders and streams "
                      "frames over UDP into a connect stage (the paper's "
                      "fastest SCC setup)",
+    "external_renderer": "another Mogon node renders and streams frames",
+    "single_renderer": "one Mogon core renders and feeds every pipeline",
+    "parallel_renderer": "sort-first: a Mogon render core per pipeline",
 }
 
 
@@ -68,8 +84,8 @@ class StageOp(NamedTuple):
 
     * ``recv`` (``arg`` = source core): RCCE receive, then fetch the
       strip from the own partition;
-    * ``get`` / ``put`` (``arg`` = queue name): take / hand a whole
-      frame from / to a bounded queue;
+    * ``get`` / ``put`` (``arg`` = queue name): take / hand a frame (or
+      a cluster stage's strip) from / to a bounded queue;
     * ``mesh`` (``arg`` = ``"sif"``): the frame crosses the mesh from
       the system interface to this core;
     * ``compute`` (``arg`` = cost kind: a filter key, ``"render"``,
@@ -82,7 +98,7 @@ class StageOp(NamedTuple):
       over a host link;
     * ``done``: the frame reaches the viewer.
 
-    ``strip`` is the strip whose bytes a ``recv``/``send`` moves, or
+    ``strip`` is the strip whose bytes a ``recv``/``send``/``put`` moves, or
     whose pixels or profile a ``compute`` costs (None: the whole frame).
     """
 
@@ -130,22 +146,13 @@ class ConfigDescription:
     summary: str
     stages: List[StageNode] = field(default_factory=list)
     placement: Optional[Placement] = None
+    #: bounded queues between stages: name -> capacity
+    queues: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cores(self) -> List[int]:
-        """Every SCC core the graph occupies, in node order."""
+        """Every core the graph occupies, in node order."""
         return [s.core for s in self.stages if s.core is not None]
-
-    @property
-    def scc_cores_used(self) -> int:
-        return len(self.cores)
-
-    @property
-    def queues(self) -> Dict[str, int]:
-        """Bounded queues between stages: name -> capacity."""
-        if self.config == "mcpc_renderer":
-            return {SIF_SOCKET: SIF_CAPACITY}
-        return {}
 
     def stage_cores(self) -> Dict[str, List[int]]:
         """Stage base key -> its SCC cores (the frequency plan's keys)."""
@@ -162,11 +169,13 @@ class ConfigDescription:
         raise KeyError(key)
 
     def to_text(self) -> str:
+        cluster = self.config in CLUSTER_CONFIGURATIONS
+        host, chip = ("remote node", "Node") if cluster else ("MCPC", "SCC")
         lines = [f"{self.config} ({self.arrangement}), "
                  f"{self.pipelines} pipeline(s): {self.summary}",
-                 f"SCC cores used: {self.scc_cores_used}"]
+                 f"{chip} cores used: {len(self.cores)}"]
         for s in self.stages:
-            where = "MCPC" if s.core is None else f"core {s.core:2d}"
+            where = host if s.core is None else f"core {s.core:2d}"
             feeds = " -> " + ", ".join(s.feeds) if s.feeds else ""
             ops = ", ".join(str(op) for op in s.program)
             lines.append(f"  {s.key:12s} [{where}]{feeds}: {ops}")
@@ -179,78 +188,98 @@ def describe(config: str, pipelines: int = 1, arrangement: str = "ordered",
 
     ``placement`` overrides the arrangement's own core assignment (the
     §VI-D DVFS study); the graph then takes its pipeline count and
-    arrangement name from it.
+    arrangement name from it.  A cluster configuration takes neither: a
+    Mogon node has no mesh, so its arrangement is ``"cluster"``.
     """
-    if config not in CONFIGURATIONS:
-        raise ValueError(f"unknown config {config!r}; "
-                         f"choose from {CONFIGURATIONS}")
-    if placement is None:
-        if config == "single_core":
-            placement = Placement(arrangement, input_cores=[0],
-                                  filter_cores=[], transfer_core=1)
-        else:
-            placement = make_placement(
-                arrangement, pipelines,
-                per_pipeline_input=(config == "n_renderers"))
+    cluster = config in CLUSTER_CONFIGURATIONS
+    shape = _SCC_TWIN.get(config, config)
+    if shape not in CONFIGURATIONS:
+        raise ValueError(f"unknown config {config!r}; choose from "
+                         f"{CONFIGURATIONS + CLUSTER_CONFIGURATIONS}")
+    if cluster:
+        if placement is not None or pipelines < 1:
+            raise ValueError("a cluster graph takes >= 1 pipeline, no placement")
+        k, w = (pipelines if shape == "n_renderers" else 1), len(FILTER_KEYS)
+        placement = Placement("cluster", list(range(k)), [
+            list(range(k + w * p, k + w * (p + 1))) for p in range(pipelines)
+        ], k + w * pipelines)
+    elif placement is None and config == "single_core":
+        placement = Placement(arrangement, input_cores=[0], filter_cores=[],
+                              transfer_core=1)
+    elif placement is None:
+        placement = make_placement(arrangement, pipelines,
+                                   per_pipeline_input=config == "n_renderers")
     elif config == "n_renderers" and \
             len(placement.input_cores) != placement.num_pipelines:
         raise ValueError("n_renderers needs one input core per "
                          "pipeline in the placement")
 
+    n = placement.num_pipelines
+    desc = ConfigDescription(config, placement.arrangement, n,
+                             _SUMMARIES[config], placement=placement)
+    stages, queues = desc.stages, desc.queues
     if config == "single_core":
-        desc = ConfigDescription(config, placement.arrangement, 0,
-                                 _SUMMARIES[config], placement=placement)
-        desc.stages.append(StageNode(
+        stages.append(StageNode(
             "single-core", placement.input_cores[0], ("viewer",),
             program=(StageOp("compute", "single-core"),
                      StageOp("udp", "downlink"), StageOp("done"))))
         return desc
 
-    n = placement.num_pipelines
-    desc = ConfigDescription(config, placement.arrangement, n,
-                             _SUMMARIES[config], placement=placement)
-    stages = desc.stages
+    # strip p from core src / to core dst; on the cluster through the
+    # private queue of the stage (or transfer input) ``name``
+    def take(p: int, src: int, name: str) -> StageOp:
+        return StageOp("get", name) if cluster else StageOp("recv", src, p)
+
+    def hand(p: int, dst: int, name: str) -> StageOp:
+        if cluster:
+            queues[name] = 1
+        return StageOp("put", name, p) if cluster else StageOp("send", dst, p)
+
     first = tuple(chain[0] for chain in placement.filter_cores)
     sepias = tuple(f"sepia[{p}]" for p in range(n))
-    sends = tuple(StageOp("send", dst, p) for p, dst in enumerate(first))
-    if config == "n_renderers":
+    sends = tuple(hand(p, dst, sepias[p]) for p, dst in enumerate(first))
+    if shape == "n_renderers":
         for p in range(n):
             stages.append(StageNode(
                 f"render[{p}]", placement.input_cores[p], (sepias[p],),
                 pipeline=p,
                 program=(StageOp("compute", "render-strip", p), sends[p])))
-    elif config == "one_renderer":
+    elif shape == "one_renderer":
         stages.append(StageNode(
             "render", placement.input_cores[0], sepias,
             program=(StageOp("compute", "render"), *sends)))
     else:
-        stages.append(StageNode(
-            "connect", placement.input_cores[0], sepias,
-            program=(StageOp("get", SIF_SOCKET), StageOp("mesh", "sif"),
-                     StageOp("compute", "connect"), StageOp("write_own"),
-                     *sends)))
+        queues[SIF_SOCKET] = SIF_CAPACITY
+        if cluster:  # the socket lands in the node's own memory
+            connect = (StageOp("get", SIF_SOCKET),
+                       StageOp("compute", "connect"))
+        else:
+            connect = (StageOp("get", SIF_SOCKET), StageOp("mesh", "sif"),
+                       StageOp("compute", "connect"), StageOp("write_own"))
+        stages.append(StageNode("connect", placement.input_cores[0], sepias,
+                                program=(*connect, *sends)))
 
     for p, chain in enumerate(placement.filter_cores):
-        hops = (placement.input_cores[p if config == "n_renderers" else 0],
+        hops = (placement.input_cores[p if shape == "n_renderers" else 0],
                 *chain, placement.transfer_core)
+        names = [f"{key}[{p}]" for key in (*FILTER_KEYS, "transfer")]
         for j, key in enumerate(FILTER_KEYS):
-            feeds = (f"{FILTER_KEYS[j + 1]}[{p}]"
-                     if j + 1 < len(FILTER_KEYS) else "transfer")
+            feeds = names[j + 1] if j + 1 < len(FILTER_KEYS) else "transfer"
             stages.append(StageNode(
-                f"{key}[{p}]", chain[j], (feeds,), pipeline=p,
-                program=(StageOp("recv", hops[j], p),
+                names[j], chain[j], (feeds,), pipeline=p,
+                program=(take(p, hops[j], names[j]),
                          StageOp("compute", key, p),
-                         StageOp("send", hops[j + 2], p))))
+                         hand(p, hops[j + 2], names[j + 1]))))
 
     stages.append(StageNode(
         "transfer", placement.transfer_core, ("viewer",),
-        program=(*(StageOp("recv", chain[-1], p)
+        program=(*(take(p, chain[-1], f"transfer[{p}]")
                    for p, chain in enumerate(placement.filter_cores)),
                  StageOp("compute", "assemble"), StageOp("udp", "downlink"),
                  StageOp("done"))))
-    if config == "mcpc_renderer":
-        stages.append(StageNode(
-            "mcpc-render", None, ("connect",),
+    if shape == "mcpc_renderer":
+        stages.insert(0 if cluster else len(stages), StageNode(
+            "render" if cluster else "mcpc-render", None, ("connect",),
             program=(StageOp("compute", "render"), StageOp("udp", "uplink"),
                      StageOp("put", SIF_SOCKET))))
     return desc

@@ -1,4 +1,4 @@
-"""Extract the channel protocol of a pipeline arrangement — statically.
+"""The hand-off protocol of a stage graph: proved and timed.
 
 This is the pipeline-side hook for the static deadlock checker
 (:mod:`repro.analysis.concurrency.protocol`): it reads the per-frame
@@ -11,17 +11,23 @@ abstract execution is exact for rendezvous semantics, so ``repro
 lint`` can prove the paper's three arrangements deadlock-free on every
 run, and ``repro analyze --concurrency`` can render the channel
 wait-for graph for the exact configuration being analysed.
+
+With nothing shared a run is a timed event graph (Baccelli et al.,
+*Synchronization and Linearity*, 1992), which :func:`evaluate` times
+with the event kernel's own additions and maxima, bit for bit
+(``tests/cluster/event_oracle.py``).  The Mogon cluster runs on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.concurrency.protocol import Op, Process, ProtocolModel
 from .arrangements import Placement
-from .describe import FILTER_KEYS, StageNode, describe
+from .describe import (FILTER_KEYS, ConfigDescription, StageNode, StageOp,
+                       describe)
 
-__all__ = ["extract_protocol", "channel_edges"]
+__all__ = ["extract_protocol", "channel_edges", "evaluate"]
 
 
 def _process(node: StageNode, frames: int) -> Process:
@@ -62,28 +68,70 @@ def channel_edges(model: ProtocolModel) -> List[Tuple[str, str, str]]:
     The wait-for summary ``repro analyze --concurrency`` renders: every
     rendezvous channel as a sender->receiver edge, plus queue edges.
     """
-    senders = {}
-    receivers = {}
+    first: Dict[Tuple[str, Any], str] = {}  # (op kind, end) -> process
     for proc in model.processes:
         for op in proc.ops:
-            if op.kind == "send":
-                senders.setdefault(op.channel, proc.name)
-            elif op.kind == "recv":
-                receivers.setdefault(op.channel, proc.name)
+            end = op.queue if op.kind in ("put", "get") else op.channel
+            first.setdefault((op.kind, end), proc.name)
     edges: List[Tuple[str, str, str]] = []
-    for channel in sorted(set(senders) | set(receivers)):
-        label = f"{channel[0]}->{channel[1]}"
-        edges.append((senders.get(channel, "?"),
-                      receivers.get(channel, "?"), label))
-    putters = {}
-    getters = {}
-    for proc in model.processes:
-        for op in proc.ops:
-            if op.kind == "put":
-                putters.setdefault(op.queue, proc.name)
-            elif op.kind == "get":
-                getters.setdefault(op.queue, proc.name)
-    for queue in sorted(set(putters) | set(getters)):
-        edges.append((putters.get(queue, "?"), getters.get(queue, "?"),
-                      f"queue:{queue}"))
+    for tx, rx in (("send", "recv"), ("put", "get")):
+        for end in sorted({e for kind, e in first if kind in (tx, rx)}):
+            label = f"queue:{end}" if tx == "put" else f"{end[0]}->{end[1]}"
+            edges.append((first.get((tx, end), "?"),
+                          first.get((rx, end), "?"), label))
     return edges
+
+
+def evaluate(graph: ConfigDescription, frames: int,
+             costs: Callable[[StageOp], Sequence[List[float]]]
+             ) -> Tuple[float, Dict[str, List[float]], Dict[str, List[float]]]:
+    """Run ``graph`` for ``frames`` frames: ``(makespan, idle, busy)``.
+
+    Walks the (frame, node) grid in hand-off order (nodes must come
+    producer before consumer), keeping each node's time ``t``.  A
+    ``get`` takes frame ``f`` at ``max(t, hand-off of f)``; a ``put``
+    hands it on at ``max(t, take of f - depth)`` for a queue of capacity
+    ``depth``; ``costs(op)`` gives the seconds each op adds before that,
+    one per-frame list per addition, in program order.  Nodes that both
+    take and hand on frames record per base key and frame their idle
+    (loop top to first take) and busy time (first take to frame end).
+    """
+    puts: Dict[str, List[float]] = {q: [] for q in graph.queues}
+    # takes[q][f] is the take of frame f - depth: ``depth`` zeros first
+    takes = {q: [0.0] * depth for q, depth in graph.queues.items()}
+    idle: Dict[str, List[float]] = {}
+    busy: Dict[str, List[float]] = {}
+    nodes = []
+    for node in graph.stages:
+        # (x, None) adds x[f]; (x, y) waits for x[f] and appends to y
+        steps = []
+        for op in node.program:
+            steps.extend((x, None) for x in costs(op))
+            if op.kind == "get":
+                steps.append((puts[op.arg], takes[op.arg]))
+            elif op.kind == "put":
+                steps.append((takes[op.arg], puts[op.arg]))
+        gets = [takes[op.arg] for op in node.program if op.kind == "get"]
+        if gets and any(op.kind == "put" for op in node.program):
+            nodes.append((steps, gets[0], idle.setdefault(node.base, []),
+                          busy.setdefault(node.base, [])))
+        else:
+            nodes.append((steps, None, [], []))
+    free = [0.0] * len(nodes)
+    for f in range(frames):
+        for i, (steps, first, idle_f, busy_f) in enumerate(nodes):
+            t = top = free[i]
+            for x, y in steps:
+                if y is None:
+                    t += x[f]
+                else:
+                    u = x[f]
+                    if u > t:
+                        t = u
+                    y.append(t)
+            if first is not None:
+                g = first[-1]
+                idle_f.append(g - top)
+                busy_f.append(t - g)
+            free[i] = t
+    return max(free), idle, busy

@@ -34,7 +34,7 @@ from .stage import Stage, StageContext
 from .workload import WalkthroughWorkload, default_workload
 
 __all__ = ["CONFIGURATIONS", "ENGINES", "PipelineRunner", "FILTER_KEYS",
-           "DOWNLINK_CONFIG"]
+           "DOWNLINK_CONFIG", "whole"]
 
 #: available execution engines (see ``repro.engine`` for "batched")
 ENGINES = ("event", "batched")
@@ -44,6 +44,21 @@ ENGINES = ("event", "batched")
 #: transfer-stage budget of Fig. 8).
 DOWNLINK_CONFIG = UDPConfig(mtu_payload=1472, bandwidth=40e6,
                             per_datagram_overhead=10e-6, latency_s=100e-6)
+
+
+def whole(value: Any, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int, refusing a bool and any lossy conversion
+    (``2.5``); ``"3"`` and ``10.0`` pass.  ``least`` bounds it below."""
+    try:
+        number = int(value)
+        lossy = number != value and not isinstance(value, str)
+    except (TypeError, ValueError, OverflowError):
+        lossy = True
+    if lossy or isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return number
 
 
 class PipelineRunner:
@@ -112,11 +127,9 @@ class PipelineRunner:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}")
         self.config = config
-        self.pipelines = int(pipelines)
+        self.pipelines = whole(pipelines, "pipelines")
         self.arrangement = arrangement
-        self.frames = int(frames)
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        self.frames = whole(frames, "frames", least=1)
         self.image_side = image_side
         if workload is not None:
             self.workload = workload
@@ -344,7 +357,7 @@ class PipelineRunner:
             pipelines=graph.pipelines,
             frames=self.frames,
             walkthrough_seconds=end_time,
-            cores_used=graph.scc_cores_used,
+            cores_used=len(graph.cores),
             scc_energy_j=chip.power.energy(0.0, end_time),
             scc_avg_power_w=chip.power.average_power(0.0, end_time),
             mcpc_energy_above_idle_j=ctx.mcpc.energy_above_idle(0.0, end_time),

@@ -99,7 +99,7 @@ def compute_cost(op: StageOp, cost: CostModel, workload: WalkthroughWorkload,
 
     Only the :data:`~repro.pipeline.describe.PER_FRAME_COSTS` kinds
     depend on the frame; ``connect`` needs the uplink (its datagram
-    count).  Both engines cost their compute ops here.
+    count).  Both engines and the cluster cost their compute ops here.
     """
     kind, p = op.arg, op.strip
     if kind == "render":

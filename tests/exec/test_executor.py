@@ -37,6 +37,20 @@ def test_spec_coerces_scalar_types():
     assert spec.frames == 10 and isinstance(spec.frames, int)
 
 
+@pytest.mark.parametrize("field", ("pipelines", "frames", "image_side",
+                                   "seed"))
+@pytest.mark.parametrize("value", (2.5, True, False, "2.5", float("inf")))
+def test_spec_rejects_lossy_scalars(field, value):
+    """2.5 must not quietly run (and cache) the 2-pipeline point."""
+    with pytest.raises(ValueError, match=field):
+        RunSpec(**{field: value})
+
+
+def test_spec_rejects_lossy_placement_cores():
+    with pytest.raises(ValueError, match="placement core"):
+        RunSpec(placement=("ordered", [0], [[1, 2, 3, 4, 5.5]], 6))
+
+
 def test_from_dict_ignores_unknown_keys():
     doc = RunSpec(pipelines=2).as_dict()
     doc["schema_leak"] = 99

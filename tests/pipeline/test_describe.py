@@ -20,7 +20,7 @@ def test_describe_validates_config():
 def test_single_core_description():
     d = describe("single_core")
     assert d.pipelines == 0
-    assert d.scc_cores_used == 1
+    assert len(d.cores) == 1
     assert d.stage("single-core").feeds == ("viewer",)
 
 
@@ -31,7 +31,7 @@ def test_one_renderer_graph_wiring():
     assert d.stage("blur[1]").feeds == ("scratch[1]",)
     assert d.stage("swap[2]").feeds == ("transfer",)
     assert d.stage("transfer").feeds == ("viewer",)
-    assert d.scc_cores_used == 1 + 15 + 1
+    assert len(d.cores) == 1 + 15 + 1
 
 
 def test_mcpc_description_includes_host_stage():
@@ -39,7 +39,7 @@ def test_mcpc_description_includes_host_stage():
     host = d.stage("mcpc-render")
     assert host.core is None
     assert host.feeds == ("connect",)
-    assert d.scc_cores_used == 2 + 10  # connect + transfer + filters
+    assert len(d.cores) == 2 + 10  # connect + transfer + filters
 
 
 def test_description_matches_runner_core_count():
@@ -47,7 +47,7 @@ def test_description_matches_runner_core_count():
                       ("mcpc_renderer", 5)):
         d = describe(config, n)
         result = PipelineRunner(config=config, pipelines=n, frames=2).run()
-        assert d.scc_cores_used == result.cores_used
+        assert len(d.cores) == result.cores_used
 
 
 def test_description_to_text():
@@ -123,7 +123,7 @@ def test_description_matches_runner_for_all_shapes():
         d = describe(config, n, arrangement)
         result = PipelineRunner(config=config, pipelines=n,
                                 arrangement=arrangement, frames=2).run()
-        assert d.scc_cores_used == result.cores_used
+        assert len(d.cores) == result.cores_used
         assert d.pipelines == result.pipelines
 
     check()

@@ -20,6 +20,15 @@ def test_unknown_config_rejected():
         PipelineRunner(frames=0)
 
 
+@pytest.mark.parametrize("value", (2.7, True, "2.5"))
+def test_lossy_counts_rejected(value):
+    """2.7 pipelines must not quietly run 2."""
+    with pytest.raises(ValueError, match="pipelines"):
+        PipelineRunner(pipelines=value)
+    with pytest.raises(ValueError, match="frames"):
+        PipelineRunner(frames=value)
+
+
 def test_all_configurations_run():
     for cfg in CONFIGURATIONS:
         result = run(cfg)

@@ -80,6 +80,16 @@ def test_invalid_spec_value_is_400(service):
     assert doc["error"] == "bad_request"
 
 
+@pytest.mark.parametrize("field, value", (("pipelines", 2.5),
+                                          ("frames", True)))
+def test_lossy_spec_number_is_400(service, field, value):
+    status, _, doc = http_json("POST", service.url + "/runs",
+                               {**TINY, field: value})
+    assert status == 400
+    assert doc["error"] == "bad_request"
+    assert field in doc["detail"]
+
+
 def test_oversized_body_is_413(make_service):
     service = make_service(max_body_bytes=256)
     status, _, doc = http_json("POST", service.url + "/runs",

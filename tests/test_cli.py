@@ -91,6 +91,16 @@ def test_table1_quick(capsys):
     assert "2 pl." in out
 
 
+def test_describe_prints_a_cluster_graph(capsys):
+    assert main(["describe", "--config", "external_renderer",
+                 "--pipelines", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "Node cores used: 12"
+    assert lines[2].startswith("  render       [remote node] -> connect: ")
+    assert lines[3].endswith(": get sif-socket, compute, put sepia[0], "
+                             "put sepia[1]")
+
+
 def test_film_writes_frames(tmp_path, capsys):
     out_dir = tmp_path / "frames"
     assert main(["film", "--frames", "3", "--side", "48",
