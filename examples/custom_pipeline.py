@@ -46,7 +46,11 @@ def main() -> None:
                          size=args.items)
 
     pipe = build_pipeline()
-    result = pipe.run([int(s) for s in sizes])
+    items = [int(s) for s in sizes]
+    # the stage graph the run interprets: a source core sends each batch
+    # to the first stage; every stage receives, computes and sends on
+    print(pipe.graph(items).to_text(), end="\n\n")
+    result = pipe.run(items)
 
     rows = []
     for name in ("parse", "filter", "aggregate", "compress"):

@@ -89,8 +89,9 @@ class StageOp(NamedTuple):
     * ``mesh`` (``arg`` = ``"sif"``): the frame crosses the mesh from
       the system interface to this core;
     * ``compute`` (``arg`` = cost kind: a filter key, ``"render"``,
-      ``"render-strip"``, ``"single-core"``, ``"connect"`` or
-      ``"assemble"``): a compute burst on the stage's processor;
+      ``"render-strip"``, ``"single-core"``, ``"connect"``, ``"assemble"``
+      or a macro stage's ``"item"``): a compute burst on the stage's
+      processor;
     * ``write_own``: land the frame in the own partition;
     * ``send`` (``arg`` = destination core): deposit a strip in the
       receiver's partition (RCCE send);

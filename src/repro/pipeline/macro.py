@@ -7,6 +7,11 @@ module is that generalization: build a pipeline of *arbitrary* stages
 cores, and run a stream of work items through it with the same
 no-local-memory hand-off semantics as the silent-film pipeline.
 
+A pipeline is a stage graph (:meth:`MacroPipeline.graph`) that runs on
+the event engine like the paper configurations
+(:func:`repro.pipeline.stage.run_stages`), from per-item tables of
+service times and byte sizes.
+
 Example
 -------
 >>> from repro.pipeline.macro import MacroPipeline
@@ -22,27 +27,28 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
+from ..host import VisualizationClient
 from ..rcce import RCCEComm
 from ..scc import SCCChip
-from ..sim import Store
+from .costmodel import CostModel
+from .describe import ConfigDescription, StageNode, StageOp
 from .metrics import RunMetrics
+from .runner import whole
+from .stage import StageContext, run_stages
 
 __all__ = ["WorkItem", "MacroStageSpec", "MacroRunResult", "MacroPipeline"]
 
 ServiceTime = Union[float, Callable[["WorkItem"], float]]
+#: byte counts or ``(nbytes, payload)`` tuples
+Items = Sequence[Union[int, Tuple[int, Any]]]
+
+#: the graph node that sends the items into the first stage
+SOURCE = "source"
 
 
 @dataclass
@@ -68,8 +74,9 @@ class MacroStageSpec:
     def service_for(self, item: WorkItem) -> float:
         t = (self.service_s(item) if callable(self.service_s)
              else float(self.service_s))
-        if t < 0:
-            raise ValueError(f"stage {self.name!r}: negative service time")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"stage {self.name!r}: service time must be "
+                             f"finite and >= 0, not {t!r}")
         return t
 
 
@@ -91,6 +98,17 @@ class MacroRunResult:
     energy_j: float = 0.0
 
 
+class _ItemTables(NamedTuple):
+    """A run's per-item data, read where a walkthrough's per-frame data
+    is: by ``send`` ops and by ``compute`` ``item`` ops."""
+
+    nbytes: List[int]
+    seconds: List[List[float]]
+
+    def send_bytes(self, strip: Optional[int], pipelines: int) -> List[int]:
+        return self.nbytes
+
+
 class MacroPipeline:
     """Builder + runner for arbitrary macro pipelines on the SCC model.
 
@@ -106,7 +124,6 @@ class MacroPipeline:
     def __init__(self, chip: Optional[SCCChip] = None,
                  cores: Optional[Sequence[int]] = None) -> None:
         self.chip = chip or SCCChip()
-        self.comm = RCCEComm(self.chip)
         self.stages: List[MacroStageSpec] = []
         self._explicit_cores = list(cores) if cores is not None else None
 
@@ -114,119 +131,89 @@ class MacroPipeline:
                   func: Optional[Callable[[Any], Any]] = None,
                   core_id: Optional[int] = None) -> "MacroPipeline":
         """Append a stage; returns ``self`` for chaining."""
-        if any(s.name == name for s in self.stages):
-            raise ValueError(f"duplicate stage name {name!r}")
+        if name in (SOURCE, *(s.name for s in self.stages)) or "[" in name:
+            # a graph node key; the metrics strip a ``[...]`` suffix
+            raise ValueError(f"stage name {name!r} is taken or contains '['")
         self.stages.append(MacroStageSpec(name, service_s, func, core_id))
         return self
 
-    # -- placement ------------------------------------------------------------
     def _assign_cores(self) -> List[int]:
-        if self._explicit_cores is not None:
-            cores = list(self._explicit_cores)
-            if len(cores) != len(self.stages):
-                raise ValueError("cores must match the number of stages")
-        else:
-            free = iter(range(self.chip.num_cores))
-            used = {s.core_id for s in self.stages if s.core_id is not None}
-            cores = []
-            for spec in self.stages:
-                if spec.core_id is not None:
-                    cores.append(spec.core_id)
-                else:
-                    c = next(free)
-                    while c in used:
-                        c = next(free)
-                    used.add(c)
-                    cores.append(c)
+        """The source's core, then one per stage."""
+        n, num_cores = len(self.stages), self.chip.num_cores
+        if n + 1 > num_cores:
+            raise ValueError(f"{n} stages plus the source need {n + 1} "
+                             f"cores; the chip has {num_cores}")
+        pins = ([s.core_id for s in self.stages]
+                if self._explicit_cores is None else self._explicit_cores)
+        if len(pins) != n:
+            raise ValueError("cores must match the number of stages")
+        free = (c for c in range(num_cores) if c not in pins)
+        cores = [next(free) if c is None else c for c in pins]
         if len(set(cores)) != len(cores):
             raise ValueError("stages must run on distinct cores")
         for c in cores:
             self.chip.topology.core(c)
-        return cores
+        source = next(c for c in range(num_cores) if c not in cores)
+        return [source, *cores]
 
-    # -- processes ------------------------------------------------------------
-    def _source_proc(self, items: List[WorkItem],
-                     first_core: int, source_core: int
-                     ) -> Generator[Any, Any, None]:
-        for item in items:
-            yield from self.comm.send(source_core, first_core, item.nbytes,
-                                      tag=item.index, payload=item)
+    def _work(self, items: Items) -> List[WorkItem]:
+        if not items:
+            raise ValueError("nothing to process")
+        pairs = (item if isinstance(item, tuple) else (item, None)
+                 for item in items)
+        return [WorkItem(i, whole(nbytes, "item size", least=0), payload)
+                for i, (nbytes, payload) in enumerate(pairs)]
 
-    def _stage_proc(self, spec: MacroStageSpec, core: int, prev: int,
-                    nxt: Optional[int], sink: Store,
-                    metrics: RunMetrics, n_items: int
-                    ) -> Generator[Any, Any, None]:
-        for _ in range(n_items):
-            msg = yield from self.comm.recv(
-                core, prev,
-                idle_cb=lambda d: metrics.record_idle(spec.name, d))
-            start = self.chip.sim.now
-            item: WorkItem = msg.payload
-            yield self.chip.sim.timeout(
-                self.chip.compute_time(core, spec.service_for(item)))
-            if spec.func is not None:
-                item = WorkItem(item.index, item.nbytes,
-                                spec.func(item.payload))
-            if nxt is not None:
-                yield from self.comm.send(core, nxt, item.nbytes,
-                                          tag=item.index, payload=item)
-            else:
-                yield sink.put(item)
-            metrics.record_busy(spec.name, self.chip.sim.now - start)
+    def graph(self, items: Items) -> ConfigDescription:
+        """The stage graph :meth:`run` runs ``items`` through: the source
+        node, then stage ``i`` costed by row ``i`` of the cost table."""
+        if not self.stages:
+            raise ValueError("add at least one stage before running")
+        hops, n = self._assign_cores(), len(self.stages)
+        names = [SOURCE, *(s.name for s in self.stages)]
+        desc = ConfigDescription("macro", "custom", 1,
+                                 f"{len(items)} item(s) through {n} stage(s)")
+        for i, (name, core) in enumerate(zip(names, hops)):
+            ops = [StageOp("recv", hops[i - 1]),
+                   StageOp("compute", "item", i - 1)] if i else []
+            ops.append(StageOp("send", hops[i + 1]) if i < n
+                       else StageOp("done"))
+            desc.stages.append(StageNode(name, core, tuple(names[i + 1:i + 2]),
+                                         program=tuple(ops)))
+        return desc
 
-    # -- run ------------------------------------------------------------
-    def run(self, items: Sequence[Union[int, Tuple[int, Any]]]
-            ) -> MacroRunResult:
+    def run(self, items: Items) -> MacroRunResult:
         """Push ``items`` through the pipeline.
 
         Each item is a byte count or a ``(nbytes, payload)`` tuple.
+        Transforms run first, as a fold in stage order (each service
+        time sees the item as earlier stages left it); the timed run
+        moves byte counts only.
         """
-        if not self.stages:
-            raise ValueError("add at least one stage before running")
-        if not items:
-            raise ValueError("nothing to process")
-        work: List[WorkItem] = []
-        for i, item in enumerate(items):
-            if isinstance(item, tuple):
-                nbytes, payload = item
-            else:
-                nbytes, payload = item, None
-            if nbytes < 0:
-                raise ValueError("item sizes must be >= 0")
-            work.append(WorkItem(i, int(nbytes), payload))
+        graph, work = self.graph(items), self._work(items)
+        seconds = []
+        for spec in self.stages:
+            seconds.append([spec.service_for(item) for item in work])
+            if spec.func is not None:
+                work = [WorkItem(item.index, item.nbytes,
+                                 spec.func(item.payload)) for item in work]
 
-        cores = self._assign_cores()
-        # The source occupies its own core in front of the first stage.
-        source_core = next(c for c in range(self.chip.num_cores)
-                           if c not in set(cores))
-        sim = self.chip.sim
-        metrics = RunMetrics()
-        sink: Store = Store(sim, name="macro-sink")
-
+        sim, metrics = self.chip.sim, RunMetrics()
         t0 = sim.now
-        self.chip.power.set_cores_active([source_core, *cores], True)
-        procs = [sim.process(self._source_proc(work, cores[0], source_core),
-                             name="source")]
-        for i, spec in enumerate(self.stages):
-            prev = source_core if i == 0 else cores[i - 1]
-            nxt = cores[i + 1] if i + 1 < len(cores) else None
-            procs.append(sim.process(
-                self._stage_proc(spec, cores[i], prev, nxt, sink, metrics,
-                                 len(work)),
-                name=spec.name))
-        sim.run(until=sim.all_of(procs))
+        run_stages(StageContext(
+            chip=self.chip, comm=RCCEComm(self.chip), cost=CostModel(),
+            workload=_ItemTables([item.nbytes for item in work], seconds),
+            metrics=metrics, frames=len(work), num_pipelines=1,
+            viewer=VisualizationClient(sim)), graph)
         end = sim.now
-        self.chip.power.set_cores_active([source_core, *cores], False)
-
-        outputs = [item.payload for item in sink.items
-                   if item.payload is not None]
-        makespan = end - t0
+        done, makespan = len(metrics.frame_completions), end - t0
         return MacroRunResult(
-            items_completed=len(sink.items),
-            makespan_s=makespan,
-            throughput=len(sink.items) / makespan if makespan > 0 else 0.0,
-            stage_busy_means={k: a.mean for k, a in metrics.busy.items()},
+            items_completed=done, makespan_s=makespan,
+            throughput=done / makespan if makespan > 0 else 0.0,
+            stage_busy_means={k: a.mean for k, a in metrics.busy.items()
+                              if k != SOURCE},
             stage_idle_means={k: a.mean for k, a in metrics.idle.items()},
-            outputs=outputs,
+            outputs=[item.payload for item in work
+                     if item.payload is not None],
             energy_j=self.chip.power.energy(t0, end),
         )

@@ -20,7 +20,7 @@ with the event kernel's own additions and maxima, bit for bit
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.concurrency.protocol import Op, Process, ProtocolModel
 from .arrangements import Placement
@@ -33,7 +33,8 @@ __all__ = ["extract_protocol", "channel_edges", "evaluate"]
 def _process(node: StageNode, frames: int) -> Process:
     """One stage node's program projected onto its blocking hand-offs."""
     name = (f"filter[{node.pipeline}].{node.base}"
-            if node.base in FILTER_KEYS else node.key)
+            if node.pipeline is not None and node.base in FILTER_KEYS
+            else node.key)
     ops = []
     for op in node.program:
         if op.kind == "recv":
@@ -45,19 +46,20 @@ def _process(node: StageNode, frames: int) -> Process:
     return Process(name=name, ops=tuple(ops), iterations=frames)
 
 
-def extract_protocol(config: str, pipelines: int,
-                     arrangement: str = "ordered",
+def extract_protocol(config: Union[str, ConfigDescription],
+                     pipelines: int = 1, arrangement: str = "ordered",
                      placement: Optional[Placement] = None,
                      frames: int = 2) -> ProtocolModel:
-    """The channel-protocol IR for one runner configuration.
+    """The channel-protocol IR for one runner configuration or graph.
 
     ``frames`` bounds the abstract execution; rendezvous channels are
     unbuffered, so any wiring deadlock manifests within the first
     couple of frames — 2 is enough, and keeps ``repro lint`` fast.
     """
-    graph = describe(config, pipelines, arrangement, placement)
+    graph = (config if isinstance(config, ConfigDescription) else
+             describe(config, pipelines, arrangement, placement))
     return ProtocolModel(
-        name=f"{config}/{arrangement} x{pipelines}",
+        name=f"{graph.config}/{graph.arrangement} x{graph.pipelines}",
         processes=tuple(_process(node, frames) for node in graph.stages),
         queues=graph.queues)
 
@@ -95,8 +97,12 @@ def evaluate(graph: ConfigDescription, frames: int,
     one per-frame list per addition, in program order.  Nodes that both
     take and hand on frames record per base key and frame their idle
     (loop top to first take) and busy time (first take to frame end).
+    A graph out of hand-off order, or with a queue nobody takes from,
+    raises ``ValueError``.
     """
-    puts: Dict[str, List[float]] = {q: [] for q in graph.queues}
+    taken = {op.arg for node in graph.stages for op in node.program
+             if op.kind == "get"}
+    puts: Dict[str, List[float]] = {}  # the queues earlier ops put to
     # takes[q][f] is the take of frame f - depth: ``depth`` zeros first
     takes = {q: [0.0] * depth for q, depth in graph.queues.items()}
     idle: Dict[str, List[float]] = {}
@@ -108,9 +114,15 @@ def evaluate(graph: ConfigDescription, frames: int,
         for op in node.program:
             steps.extend((x, None) for x in costs(op))
             if op.kind == "get":
+                if op.arg not in puts:
+                    raise ValueError(f"node {node.key!r} gets from queue "
+                                     f"{op.arg!r} before any node puts to it")
                 steps.append((puts[op.arg], takes[op.arg]))
             elif op.kind == "put":
-                steps.append((takes[op.arg], puts[op.arg]))
+                if op.arg not in taken:
+                    raise ValueError(f"node {node.key!r} puts to queue "
+                                     f"{op.arg!r}, which no node takes from")
+                steps.append((takes[op.arg], puts.setdefault(op.arg, [])))
         gets = [takes[op.arg] for op in node.program if op.kind == "get"]
         if gets and any(op.kind == "put" for op in node.program):
             nodes.append((steps, gets[0], idle.setdefault(node.base, []),

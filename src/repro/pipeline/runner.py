@@ -18,19 +18,19 @@ Configurations (paper §V):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
 from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
 from ..scc import SCCChip, SCCConfig
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from ..telemetry import Telemetry
 from .arrangements import Placement
 from .costmodel import CostModel
 from .describe import CONFIGURATIONS, FILTER_KEYS, ConfigDescription, describe
 from .metrics import RunMetrics, RunResult
-from .stage import Stage, StageContext
+from .stage import StageContext, run_stages
 from .workload import WalkthroughWorkload, default_workload
 
 __all__ = ["CONFIGURATIONS", "ENGINES", "PipelineRunner", "FILTER_KEYS",
@@ -250,38 +250,20 @@ class PipelineRunner:
                 suite.telemetry = telemetry
             telemetry.sanitizers = suite
         chip = SCCChip(sim, self.chip_config, telemetry=telemetry)
-        comm = RCCEComm(chip)
         mcpc = MCPC(sim, self.mcpc_config)
-        viewer = VisualizationClient(sim)
-        downlink = UDPChannel(sim, DOWNLINK_CONFIG, name="scc-viewer")
-        metrics = RunMetrics()
         graph = self._stage_graph()
-
         ctx = StageContext(
-            chip=chip,
-            comm=comm,
-            cost=self.cost,
-            workload=self.workload,
-            metrics=metrics,
-            frames=self.frames,
+            chip=chip, comm=RCCEComm(chip), cost=self.cost,
+            workload=self.workload, metrics=RunMetrics(), frames=self.frames,
             num_pipelines=max(graph.pipelines, 1),
-            viewer=viewer,
-            downlink=downlink,
-            uplink=mcpc.link,
-            mcpc=mcpc,
-            telemetry=telemetry,
-        )
+            viewer=VisualizationClient(sim),
+            downlink=UDPChannel(sim, DOWNLINK_CONFIG, name="scc-viewer"),
+            uplink=mcpc.link, mcpc=mcpc, telemetry=telemetry)
 
         try:
-            stages = self._build_stages(ctx, graph)
             self._apply_frequency_plan(chip, graph)
-            chip.power.set_cores_active(graph.cores, True)
-            processes = [s.start() for s in stages]
-
-            # The transfer stage (or the single core) finishes last.
-            sim.run(until=sim.all_of(processes))
+            processes = run_stages(ctx, graph)
             end = sim.now
-            chip.power.set_cores_active(graph.cores, False)
             if suite is not None:
                 suite.check_teardown(sim, processes)
         finally:
@@ -302,13 +284,6 @@ class PipelineRunner:
                      walkthrough_s=result.walkthrough_seconds,
                      sim_events=sim.event_count)
         return result
-
-    def _build_stages(self, ctx: StageContext,
-                      graph: ConfigDescription) -> List[Stage]:
-        """One event-engine stage per graph node, in node order."""
-        queues = {name: Store(ctx.sim, capacity=capacity, name=name)
-                  for name, capacity in graph.queues.items()}
-        return [Stage(node, ctx, queues) for node in graph.stages]
 
     def _apply_frequency_plan(self, chip: SCCChip,
                               graph: ConfigDescription) -> None:

@@ -33,7 +33,7 @@ the workload and seed (:mod:`repro.pipeline.film`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..host import MCPC, UDPChannel, UDPConfig, VisualizationClient
 from ..rcce import RCCEComm
@@ -42,11 +42,11 @@ from ..scc.topology import SIF_LOCATION
 from ..sim import Store
 from ..telemetry import MetricsSink, Telemetry
 from .costmodel import CostModel
-from .describe import StageNode, StageOp
+from .describe import ConfigDescription, StageNode, StageOp
 from .metrics import RunMetrics
 from .workload import WalkthroughWorkload
 
-__all__ = ["StageContext", "Stage", "compute_cost"]
+__all__ = ["StageContext", "Stage", "compute_cost", "run_stages"]
 
 
 @dataclass
@@ -56,6 +56,7 @@ class StageContext:
     chip: SCCChip
     comm: RCCEComm
     cost: CostModel
+    #: the walkthrough, or a macro run's item tables
     workload: WalkthroughWorkload
     metrics: RunMetrics
     frames: int
@@ -99,9 +100,12 @@ def compute_cost(op: StageOp, cost: CostModel, workload: WalkthroughWorkload,
 
     Only the :data:`~repro.pipeline.describe.PER_FRAME_COSTS` kinds
     depend on the frame; ``connect`` needs the uplink (its datagram
-    count).  Both engines and the cluster cost their compute ops here.
+    count); ``item`` reads a macro run's ``seconds[stage][item]``.  Both
+    engines and the cluster cost their compute ops here.
     """
     kind, p = op.arg, op.strip
+    if kind == "item":
+        return workload.seconds[p].__getitem__
     if kind == "render":
         return lambda f: cost.render_seconds(workload.profile(f))
     if kind == "render-strip":
@@ -205,7 +209,6 @@ class Stage:
         core = self.core_id
         n = ctx.num_pipelines
         wl = ctx.workload
-        frame_bytes = wl.frame_bytes()
         inputs = self.node.input_steps
         uplink = ctx.uplink.config if ctx.uplink is not None else None
         # Loop-invariant work (costs, byte counts, callbacks) is
@@ -226,13 +229,16 @@ class Stage:
                     kind = "mcpc"
                 arg = compute_cost(op, ctx.cost, wl, n, uplink)
             elif kind == "send":
-                extra = wl.strip_bytes(op.strip, n)
-            elif kind == "udp":
-                arg = self.links[arg]
+                # bytes by frame: a strip's size, or each macro item's
+                extra = wl.send_bytes(op.strip, n)
             elif kind == "put":
                 arg = self.queues[arg]
-            elif kind == "mesh":
-                arg = chip.topology.core(core).coord
+            elif kind != "done":  # whole-frame moves
+                extra = wl.frame_bytes()
+                if kind == "udp":
+                    arg = self.links[arg]
+                elif kind == "mesh":
+                    arg = chip.topology.core(core).coord
             steps.append((kind, arg, extra))
         compute_time = chip.compute_time
         for frame in range(ctx.frames):
@@ -248,7 +254,7 @@ class Stage:
                 elif kind == "compute":
                     yield sim.timeout(compute_time(core, arg(frame)))
                 elif kind == "send":
-                    yield from comm.send(core, arg, extra, tag=tag)
+                    yield from comm.send(core, arg, extra[frame], tag=tag)
                 elif kind == "get":
                     wait_start = sim.now
                     tag = yield arg.get()
@@ -258,12 +264,12 @@ class Stage:
                 elif kind == "mesh":
                     # the frame enters the chip at the system interface
                     # router and crosses the mesh to this core
-                    yield from chip.mesh.transfer(SIF_LOCATION, arg,
-                                                  frame_bytes, core=core)
+                    yield from chip.mesh.transfer(SIF_LOCATION, arg, extra,
+                                                  core=core)
                 elif kind == "write_own":
-                    yield from chip.memory.write_own(core, frame_bytes)
+                    yield from chip.memory.write_own(core, extra)
                 elif kind == "udp":
-                    yield from arg.transfer(frame_bytes)
+                    yield from arg.transfer(extra)
                 elif kind == "mcpc":
                     # mcpc.compute() takes SCC-core-seconds and applies
                     # the Xeon's speed-up internally
@@ -296,3 +302,17 @@ class Stage:
 
     def __repr__(self) -> str:
         return f"<Stage {self.key!r} core={self.core_id}>"
+
+
+def run_stages(ctx: StageContext, graph: ConfigDescription) -> List[Any]:
+    """Run ``graph`` until every stage ends (at ``ctx.sim.now``), its
+    cores powered on; the processes.  Both runners run here."""
+    sim, power = ctx.sim, ctx.chip.power
+    queues = {name: Store(sim, capacity=capacity, name=name)
+              for name, capacity in graph.queues.items()}
+    stages = [Stage(node, ctx, queues) for node in graph.stages]
+    power.set_cores_active(graph.cores, True)
+    processes = [stage.start() for stage in stages]
+    sim.run(until=sim.all_of(processes))
+    power.set_cores_active(graph.cores, False)
+    return processes

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,6 +143,10 @@ class WalkthroughWorkload:
         """RGBA bytes of one strip (4 bytes/pixel, as the paper's frame
         buffers)."""
         return self.viewport(strip_index, num_strips).bytes_rgba
+
+    def send_bytes(self, strip_index: int, num_strips: int) -> List[int]:
+        """Bytes a send of the strip moves, by frame."""
+        return [self.strip_bytes(strip_index, num_strips)] * self.frames
 
     def frame_bytes(self) -> int:
         """RGBA bytes of the full frame."""

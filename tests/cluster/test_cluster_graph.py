@@ -48,6 +48,21 @@ def test_deadlock_proof_flags_a_put_nobody_gets(config, monkeypatch):
     assert [issue.rule for issue in issues] == ["CON004"]
 
 
+def test_evaluate_refuses_a_consumer_before_its_producer():
+    graph = describe("single_renderer", 1)
+    graph.stages.reverse()
+    with pytest.raises(ValueError, match=r"node 'transfer' gets from queue "
+                       r"'transfer\[0\]' before any node puts to it"):
+        protocol.evaluate(graph, 2, lambda op: ())
+
+
+def test_evaluate_refuses_a_queue_nobody_takes_from():
+    graph = _orphan_put(describe("single_renderer", 1))
+    with pytest.raises(ValueError, match=r"node 'blur\[0\]' puts to queue "
+                       r"'orphan', which no node takes from"):
+        protocol.evaluate(graph, 2, lambda op: ())
+
+
 @pytest.mark.parametrize("config, pipelines", POINTS)
 def test_cluster_graph_shape(config, pipelines):
     graph = describe(config, pipelines)
