@@ -8,28 +8,33 @@ sequence of operations once per frame, at times that advance by one
 constant period Δ.  This engine exploits that structure twice:
 
 1. **Coarse operations.**  Each stage node's op program (the stage
-   graph's, :mod:`repro.pipeline.describe`) compiles to a generator of
-   coarse ops, and one scheduler loop executes them in place: a
-   compute, a store get or put, a *fused program* — a whole DRAM
-   access (command trip over the mesh, memory controller occupancy,
-   payload trip, core-side copy) is one precomputed list of
-   ``(resource, hold)`` steps instead of ~10 separate heap events —
-   and the compound RCCE send (token wait, write program, data-ready
-   put).  Resources are
-   plain ``free_at`` floats; a grant is ``max(now, free_at)`` — the
-   identical arithmetic the event kernel performs via request/release
-   events, so uncontended and FIFO-contended timings are reproduced
-   bit-for-bit.
+   graph's, :mod:`repro.pipeline.describe`) compiles to a flat list of
+   one frame's coarse ops, which one scheduler loop steps in place with
+   a program counter: a compute, a store get or put, a *fused program* —
+   a whole DRAM access (command trip over the mesh, memory controller
+   occupancy, payload trip, core-side copy) is one precomputed list of
+   ``(resource, hold)`` steps instead of ~10 separate heap events.  An
+   RCCE send is three such ops (token wait, write program, data-ready
+   put); the per-frame bookkeeping (idle and busy samples, births, the
+   snapshot trigger) sits between them as ops that take no time.
+   Resources are plain ``free_at`` floats; a grant is ``max(now,
+   free_at)`` — the identical arithmetic the event kernel performs via
+   request/release events, so uncontended and FIFO-contended timings
+   are reproduced bit-for-bit.
 
 2. **Windowed frame-wave jumps.**  The completion stage (transfer, or
-   the lone single-core stage) takes a snapshot every frame: per-stage
-   frame counts and anchor deltas, per-store occupancy, per-resource
-   ``free_at`` offsets, the newest frames' birth offsets and the last
-   period's metric samples (numpy arrays for the vectorised
-   closeness checks).  Three snapshots ``k`` frames apart that agree
-   *lock* a period ``D`` of ``k`` frames (``k ≤ 8``; ``k = 1`` is the
-   plain period ``Δ``, larger ``k`` a super-period such as a transfer
-   period alternating between two floats).  The engine then advances
+   the lone single-core stage) takes a snapshot every frame, as plain
+   tuples built at C speed: per-stage frame counts, op counts and last
+   frame times, every store's item/getter/putter counts, every
+   resource's ``free_at``, the memory controllers' busy totals and every
+   sample list's length.  The checks read them lazily, cheapest first:
+   the period from the snapshots' times alone, then the counts, then
+   float by float (``|a - b| <= atol + rtol·|b|``, NaN never matching)
+   the frame times, resource offsets, the newest frames' birth offsets
+   and the last period's metric samples.  Three snapshots ``k`` frames
+   apart that agree *lock* a period ``D`` of ``k`` frames (``k ≤ 8``;
+   ``k = 1`` is the plain period ``Δ``, larger ``k`` a super-period such
+   as a transfer period alternating between two floats).  The engine then advances
    every clock, heap entry, store item and resource by ``J·D`` in one
    step, synthesises the skipped frames' metrics from the locked
    period, and re-locks from scratch.  Render costs vary per frame
@@ -69,15 +74,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from heapq import heapify, heappush, heappop
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from heapq import heapify, heappop, heappush, heappushpop
+from itertools import repeat
+from operator import attrgetter, sub
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..host import MCPCConfig
 from ..pipeline.describe import PER_FRAME_COSTS
 from ..pipeline.metrics import RunMetrics, RunResult
-from ..pipeline.stage import compute_cost
+from ..pipeline.stage import compute_cost, cost_table
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
 from ..sim import Simulator, TimeSeries
@@ -179,23 +186,21 @@ class _Res:
 
 
 class _Store:
-    """FIFO store with the event kernel's rendezvous wake order."""
+    """FIFO store with the event kernel's rendezvous wake order.
 
-    __slots__ = ("capacity", "items", "getters", "putters", "shift")
+    A ``tagged`` store carries frame tags (a message's or a queue item's
+    frame), which a wave jump renumbers; an untagged one carries the
+    RCCE rendezvous tokens (None)."""
+
+    __slots__ = ("capacity", "items", "getters", "putters", "tagged")
 
     def __init__(self, capacity: Optional[int] = None,
-                 shift: Optional[Callable[[Any, int], Any]] = None) -> None:
+                 tagged: bool = False) -> None:
         self.capacity: float = math.inf if capacity is None else capacity
         self.items: deque = deque()
         self.getters: deque = deque()
         self.putters: deque = deque()
-        #: renumbers a queued item's frame tag across a wave jump
-        self.shift = shift
-
-
-def _shift_tag(item: Tuple[Any, int], j: int) -> Tuple[Any, int]:
-    """Renumber a frame-carrying store item ``(bytes, tag)`` by ``j``."""
-    return (item[0], item[1] + j)
+        self.tagged = tagged
 
 
 class _Chan:
@@ -206,7 +211,7 @@ class _Chan:
 
     def __init__(self, src: int, dst: int) -> None:
         self.recv_posted = _Store()
-        self.data_ready = _Store(shift=_shift_tag)
+        self.data_ready = _Store(tagged=True)
         self.src = src
         self.dst = dst
 
@@ -241,11 +246,10 @@ def admissible_prefix(costs: np.ndarray, start: int, count: int, k: int,
     return int(bad[0]) if bad.size else int(seg.size)
 
 
-def _close(a: np.ndarray, b: Any, atol: float) -> np.ndarray:
-    """``np.isclose(a, b, rtol=_RTOL, atol=atol)`` without its NaN/inf
-    generality (a NaN never matches) — and without its call overhead,
-    which dominated the per-frame detector."""
-    return np.asarray(np.abs(a - b) <= atol + _RTOL * np.abs(b))
+_frame_of = attrgetter("frame")
+_ops_of = attrgetter("op_i")
+_delta_of = attrgetter("delta")
+_free_at_of = attrgetter("free_at")
 
 
 def _replica(i: int, k: int) -> Tuple[int, int]:
@@ -260,62 +264,56 @@ def _replica(i: int, k: int) -> Tuple[int, int]:
 # the actor: one per stage node
 # ---------------------------------------------------------------------------
 
-def _send_op(chan: _Chan, write_prog: Prog, nbytes: int) -> Op:
-    """The compound RCCE send: rendezvous token, deposit payload, signal
-    data-ready.
-
-    The scheduler loop runs it in place as its three phases (see
-    :meth:`BatchedEngine._run_loop`).  The message carries the sender's
-    ``tag``, read when the message is stamped rather than when the send
-    starts: a wave jump renumbers in-flight frames (``f -> f+j``), and a
-    sender parked mid-send must stamp the *renumbered* tag on the message
-    and its telemetry, exactly as the event engine (whose stages would be
-    ``j`` frames further along) would have.
-    """
-    return ("x", ("g", chan.recv_posted), ("s", write_prog), chan, nbytes)
-
-
 class _Actor:
-    """One stage node's compiled op program as a coarse-op generator,
+    """One stage node's op program, compiled to a flat per-frame op list,
     plus its schedulable state.
 
-    ``steps`` is the program compiled by :meth:`BatchedEngine._compile`:
-    one ``(kind, op, src, first)`` per stage op, ``op`` being what the
-    body yields (for an input, ``recv`` or ``get``, its post/wait/read
-    triple), ``src`` an input's source and ``first`` whether it is the
-    first input.  The
-    bookkeeping follows the program's shape, as in the event interpreter
-    (:class:`repro.pipeline.stage.Stage`): the first input's wait is
-    idle, busy runs from the last input to the frame's end, inputs set
-    the tag.  Two more step kinds carry the jump rules: ``trigger``
-    (the completion stage's snapshot) and the ``hand-send`` /
-    ``hand-put`` that closes a per-frame compute's blocking window.
+    ``code`` is one frame of the program as :meth:`BatchedEngine._compile`
+    builds it, from ``top`` (the loop top) to ``end``; the scheduler loop
+    steps it with the program counter ``pc``.  Its ops are of two sorts.
+    *Coarse ops* take simulated time, count in ``op_i`` and are where the
+    actor may yield the floor: a fused program ``("s", prog)``, a compute
+    ``("d", hold)`` or a per-frame one (``c``, and ``h`` on the MCPC host),
+    a store get ``("g", store)`` or put ``("p", store)``.  An RCCE send is
+    three of them: the rendezvous token's get, the write program and the
+    data-ready put.  *Bookkeeping ops* run in place at the actor's clock:
+    the loop ``top`` and ``end``, an input's idle sample (``in``, and
+    ``wait`` for a later input's span), the busy span's start (``span``),
+    the token grant (``tok``), a delivery (``dlv``), the blocking window's
+    start and end (``arr``, ``win``), the host compute's power segment
+    (``hc``), the completion stage's snapshot (``trig``) and its
+    completion record (``done``).  The bookkeeping follows the program's
+    shape, as in the event interpreter
+    (:class:`repro.pipeline.stage.Stage`): the first input's wait is idle,
+    busy runs from the last input to the frame's end, inputs set the tag.
 
     A per-frame ``compute`` (the renderers) draws its cost from one
     table built with the program (a list for the live loop, an array
-    for the admissibility scan).  Each frame draws its cost at its loop
-    top, before any snapshot can see it, so the frame in flight at a
-    lock already carries its cost forward: a ``j``-frame jump relabels
-    it ``frame + j`` and must admit frames ``frame … frame + j``.
+    for the admissibility scan).  Each frame draws its cost when its
+    compute starts, before any snapshot can see it, so the frame in
+    flight at a lock already carries its cost forward: a ``j``-frame
+    jump relabels it ``frame + j`` and must admit frames ``frame …
+    frame + j``.
     """
 
-    def __init__(self, eng: "BatchedEngine", node: Any, steps: List[Any],
-                 costs: List[float], slack: float) -> None:
+    def __init__(self, eng: "BatchedEngine", node: Any, code: List[Op],
+                 costs: np.ndarray, slack: float) -> None:
         self.eng = eng
-        #: metrics base key ("render", "sepia", "transfer", ...)
-        self.key = node.base
         #: telemetry track (the event stage's per-instance key)
         self.span_key = node.key
         #: the MCPC host has no SCC core (-1)
         self.core_id = -1 if node.core is None else node.core
         self.host = node.core is None
-        self.steps = steps
+        self.code = code
         self.no_input = not node.input_steps
+        # the host has no samples: it has no inputs and a host span
+        self.idle: List[float] = eng.idle_samples.get(node.base, [])
+        self.busy: List[float] = eng.busy_samples.get(node.base, [])
         #: per-frame time after the compute that the blocking window
         #: must also absorb (the MCPC's uplink)
         self.slack = slack
-        self.costs = costs
-        self.cost_arr = np.array(costs) if costs else np.empty(0)
+        self.costs: List[float] = costs.tolist()
+        self.cost_arr = costs
         #: the latest frames' blocking windows: loop top -> hand-off grant
         #: (durations, so jump-safe), None for a frame that was not blocked
         self.windows: deque = deque(maxlen=_MAX_K)
@@ -324,25 +322,20 @@ class _Actor:
         #: frame tag of the message the stage is handling (what its sends
         #: stamp); the jump renumbers it with the frames in flight
         self.tag = 0
-        #: op counter since the last anchor (part of the phase signature)
+        #: coarse ops since the last anchor (part of the phase signature)
         self.op_i = 0
-        self.done = False
-        self.resume: Any = None
-        #: renumbers ``resume`` across a jump (the shift fn of the store
-        #: the pending wake-up value came from)
-        self.resume_shift: Optional[Callable[[Any, int], Any]] = None
-        #: where a parked actor continues: the op to run again (None =
-        #: take the next op), and for a program the step to resume at
-        self.op: Optional[Op] = None
+        #: where a parked actor continues: the next op in ``code``; or the
+        #: op it parked in (None = none), a store op to run again or a
+        #: program to resume at ``step``
         self.pc = 0
-        #: the compound send in progress and its next phase
-        self.send: Optional[Op] = None
-        self.phase = 0
-        self.gen: Any = None
+        self.op: Optional[Op] = None
+        self.step = 0
         self.anchor_t: Optional[float] = None
         self.prev_anchor_t: Optional[float] = None
-        # absolute times a body must never keep in generator locals
-        # across a yield — the jump shifts these attributes instead
+        #: ``anchor_t - prev_anchor_t``, the last frame's time (NaN before
+        #: the second frame)
+        self.delta = math.nan
+        # absolute times: the jump shifts these attributes
         self.wait_start: Optional[float] = None
         self.span_start: Optional[float] = None
         #: when the last send's rendezvous token was granted
@@ -354,96 +347,7 @@ class _Actor:
         self.seg_start: Optional[float] = None
         self.cur_dur = 0.0
 
-    def anchor(self) -> None:
-        """Mark the top of a frame loop (the periodicity reference)."""
-        self.prev_anchor_t = self.anchor_t
-        self.anchor_t = self.t
-        self.op_i = 0
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        # the host has no samples: it has no inputs and a host span
-        idle = eng.idle_samples.get(self.key, [])
-        busy = eng.busy_samples.get(self.key, [])
-        births = eng.births
-        steps = self.steps
-        costs = self.costs
-        host = self.host
-        no_input = self.no_input
-        while self.frame < eng.frames:
-            self.anchor()
-            if no_input:
-                self.span_start = self.t
-                self.tag = self.frame
-                births.setdefault(self.frame, self.t)
-            for kind, op, src, first in steps:
-                if kind == "op":
-                    yield op
-                elif kind == "in":
-                    # an input: post the rendezvous token (recv), wait
-                    # for the (bytes, tag) item, fetch the strip from the
-                    # own partition (recv)
-                    post_op, wait_op, read_op = op
-                    if post_op is not None:
-                        yield post_op
-                    self.wait_start = self.t
-                    self.tag = (yield wait_op)[1]
-                    wait_start = self.wait_start
-                    assert wait_start is not None
-                    if first:
-                        idle.append(_idle_value(self.t, wait_start))
-                        if synth is not None:
-                            synth.stage_idle(self.span_key, self.t,
-                                             wait_start)
-                    elif synth is not None:
-                        # later inputs' waits are span-only (Fig. 15
-                        # idle counts only the first)
-                        synth.input_wait(self.span_key, self.t, wait_start,
-                                         src)
-                    if read_op is not None:
-                        yield read_op
-                    self.span_start = self.t
-                elif kind == "cost":
-                    d = costs[self.frame]
-                    if host:
-                        self.seg_start = self.t
-                        self.cur_dur = d
-                        self.in_compute = True
-                    yield ("d", d)
-                    if host:
-                        self.in_compute = False
-                        # the frame's own cost: a jump may have renamed
-                        # this compute (its timing absorbed by the
-                        # blocking window)
-                        eng.mcpc_segments.append((self.seg_start,
-                                                  costs[self.frame]))
-                elif kind == "hand-send":
-                    self.arr_t = self.t
-                    yield op
-                    self._window(self.token_t)
-                elif kind == "hand-put":
-                    self.arr_t = self.t
-                    yield ("p", op, (None, self.tag))
-                    self._window(self.t)
-                elif kind == "put":
-                    yield ("p", op, (None, self.tag))
-                elif kind == "trigger":
-                    eng.on_trigger_anchor(self)
-                else:  # done
-                    eng.record_completion(self.tag, self.t)
-            assert self.span_start is not None
-            if host:
-                if synth is not None:
-                    synth.host_busy(self.span_start, self.t, self.tag)
-            else:
-                busy.append(self.t - self.span_start)
-                if synth is not None:
-                    synth.stage_busy(self.span_key, self.span_start, self.t,
-                                     self.tag)
-            self.frame += 1
-
-    def _window(self, grant: Optional[float]) -> None:
+    def close_window(self, grant: Optional[float]) -> None:
         """Close the blocking window of a hand-off pinned to the
         downstream period: loop top -> grant, None when it did not wait."""
         arr, top = self.arr_t, self.anchor_t
@@ -459,17 +363,15 @@ class _Actor:
             v = getattr(self, attr)
             if v is not None:
                 setattr(self, attr, v + s)
+        top, prev = self.anchor_t, self.prev_anchor_t
+        if top is not None and prev is not None:
+            # recomputed from the shifted clocks, as a snapshot reads it
+            self.delta = top - prev
+        # the frame in flight renumbers with the jump, as queued store
+        # items do; a put reads the tag when it runs, so a parked one
+        # stamps the renumbered frame
         self.frame += j
         self.tag += j
-        # Frame-tagged values in flight through the scheduler renumber
-        # with the jump, exactly like queued store items do:
-        if self.resume is not None and self.resume_shift is not None:
-            self.resume = self.resume_shift(self.resume, j)
-        op = self.op
-        if op is not None and op[0] == "p":
-            store: _Store = op[1]
-            if store.shift is not None and op[2] is not None:
-                self.op = ("p", store, store.shift(op[2], j))
 
     def max_jump(self, limit: int, delta: float, k: int) -> int:
         """Most frames (``<= limit``) a jump locked on a ``k``-frame
@@ -525,31 +427,47 @@ class _Actor:
 # ---------------------------------------------------------------------------
 
 class _Snapshot:
-    """Phase signature of the run at one completion-stage snapshot."""
+    """Phase signature of the run at one completion-stage snapshot.
 
-    __slots__ = ("T", "frames", "ops", "deltas", "stores", "res_off",
-                 "birth_off", "mc_busy", "lens", "tel")
+    Plain tuples, built at C speed from the live state and compared
+    value by value only when the cheaper criteria before them pass."""
+
+    __slots__ = ("T", "frames", "ops", "deltas", "stores", "free_at", "head",
+                 "mc_busy", "lens", "tel")
 
     def __init__(self, T: float, frames: Tuple[int, ...],
-                 ops: Tuple[int, ...], deltas: np.ndarray,
-                 stores: Tuple[Tuple[int, int, int], ...],
-                 res_off: np.ndarray, birth_off: np.ndarray,
-                 mc_busy: np.ndarray, lens: Tuple[int, ...],
+                 ops: Tuple[int, ...], deltas: Tuple[float, ...],
+                 stores: Tuple[int, ...], free_at: Tuple[float, ...],
+                 mc_busy: List[float], lens: Tuple[int, ...],
                  tel: Optional[Any] = None) -> None:
         self.T = T
+        #: per stage: frame, coarse ops since its loop top, last frame time
+        #: (NaN before its second frame)
         self.frames = frames
         self.ops = ops
         self.deltas = deltas
+        #: every store's item, getter and putter count
         self.stores = stores
-        self.res_off = res_off
-        #: the newest births relative to T (NaN = none): a jump continues
-        #: their pattern past the head frame, so they must repeat too
-        self.birth_off = birth_off
+        #: every resource's ``free_at``, and the memory controllers' busy
+        #: seconds up to T
+        self.free_at = free_at
         self.mc_busy = mc_busy
+        #: the newest frame in flight: a jump continues the pattern of
+        #: the births up to it, so they must repeat too (a birth, once
+        #: recorded, never changes, so the check reads them later)
+        self.head = max(frames)
         #: every sample list's length, in ``BatchedEngine._samples`` order
         self.lens = lens
         #: telsynth phase signature (event count + counter/gauge state)
         self.tel = tel
+
+
+def _close_all(xs: Iterable[float], ys: Iterable[float], atol: float) -> bool:
+    """Every pair within ``atol + _RTOL·|y|`` (a NaN never matches)."""
+    for x, y in zip(xs, ys):
+        if not abs(x - y) <= atol + _RTOL * abs(y):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +531,8 @@ class BatchedEngine:
         self.lock_misses: Counter[str] = Counter()
         #: the last 2·_MAX_K + 1 snapshots, oldest first
         self._hist: deque = deque(maxlen=2 * _MAX_K + 1)
+        #: actors that have run their last frame
+        self.finished = 0
         self._build()
 
     # -- program construction ---------------------------------------------
@@ -740,7 +660,7 @@ class BatchedEngine:
                               ("uplink", self.mcpc_config.udp))
             if name in used}
         self._queues = {
-            name: _Store(capacity=capacity, shift=_shift_tag)
+            name: _Store(capacity=capacity, tagged=True)
             for name, capacity in graph.queues.items()}
         self.stores.extend(self._queues.values())
 
@@ -752,6 +672,12 @@ class BatchedEngine:
 
         self._samples = (list(self.idle_samples.values())
                          + list(self.busy_samples.values()))
+        #: every store's items, getters and putters (the snapshots' order)
+        self._deques = [q for store in self.stores
+                        for q in (store.items, store.getters, store.putters)]
+        #: per super-period k, every stage's frame advance in a lock
+        self._strides = {k: (k,) * len(self.actors)
+                         for k in range(1, _MAX_K + 1)}
         synth = self.synth
         if synth is not None:
             # Track -> core bindings in the runner's stage-start order
@@ -761,23 +687,25 @@ class BatchedEngine:
                     synth.bind(actor.span_key, actor.core_id, self.sim.now)
 
     def _compile(self, node: Any) -> _Actor:
-        """One stage node's op program as an actor's coarse-op steps.
+        """One stage node's op program as an actor's per-frame op list.
 
-        Besides the steps, the program's shape fixes the actor's jump
+        Besides the ops, the program's shape fixes the actor's jump
         rules: a ``done`` program is the completion stage, whose
-        snapshots (a ``trigger`` step) sit before its first op that can
+        snapshots (a ``trig`` op) sit before its first op that can
         wait; a per-frame ``compute`` gets a cost table and a blocking
-        window, closed by the first hand-off after it (a ``hand-*``
-        step), with ``slack`` the fixed program time in between.
+        window, closed by the first hand-off after it (``arr`` ...
+        ``win``), with ``slack`` the fixed program time in between.
+        Ops only telemetry reads are left out of a plain run.
         """
         core = -1 if node.core is None else node.core
         wl = self.workload
         n = self.num_pipelines
+        telemetry = self.synth is not None
         frame_bytes = wl.frame_bytes()
         program = node.program
         inputs = node.input_steps
-        steps: List[Tuple[str, Any, Any, bool]] = []
-        costs: List[float] = []
+        code: List[Op] = [("top",)]
+        costs = np.empty(0)
         slack = 0.0
         # program positions of the trigger and of the blocking window
         trigger = hand = -1
@@ -785,47 +713,67 @@ class BatchedEngine:
             trigger = next(i for i, op in enumerate(program)
                            if op.kind != "compute")
         for pc, op in enumerate(program):
-            kind, first = op.kind, bool(inputs) and pc == inputs[0]
+            kind = op.kind
             if pc == trigger:
-                steps.append(("trigger", None, None, False))
-            if kind == "recv":
-                chan = self._chan(op.arg, core)
-                steps.append(("in", (
-                    ("p", chan.recv_posted, None), ("g", chan.data_ready),
-                    ("s", self._read_own_prog(
-                        core, self._strip_bytes[op.strip]))), op.arg, first))
-            elif kind == "get":
-                steps.append(("in", (None, ("g", self._queues[op.arg]),
-                                     None), op.arg, first))
-            elif kind == "mesh":
-                steps.append(("op", ("s", self._mesh_prog(
-                    SIF_LOCATION, self._coord(core), frame_bytes,
-                    core=core)), None, False))
-            elif kind == "compute":
-                fn = compute_cost(op, self.cost, wl, n, self.mcpc_config.udp)
-                if op.arg not in PER_FRAME_COSTS:
-                    steps.append(("op", (
-                        "d", self.chip.compute_time(core, fn(0))), None,
-                        False))
-                    continue
-                if node.core is None:
-                    speedup = self.mcpc_config.speedup_vs_scc_core
-                    costs = [fn(f) / speedup for f in range(self.frames)]
+                code.append(("trig",))
+            if kind in ("recv", "get"):
+                # an input: post the rendezvous token (recv), wait for the
+                # tagged item, fetch the strip from the own partition
+                # (recv); the busy span starts after it
+                if kind == "recv":
+                    chan = self._chan(op.arg, core)
+                    code.append(("p", chan.recv_posted))
+                    code.append(("g", chan.data_ready))
                 else:
-                    costs = [self.chip.compute_time(core, fn(f))
-                             for f in range(self.frames)]
-                steps.append(("cost", None, None, False))
+                    code.append(("g", self._queues[op.arg]))
+                if pc == inputs[0]:
+                    code.append(("in",))
+                elif telemetry:
+                    # later inputs' waits are span-only (Fig. 15 idle
+                    # counts only the first)
+                    code.append(("wait", op.arg))
+                if kind == "recv":
+                    code.append(("s", self._read_own_prog(
+                        core, self._strip_bytes[op.strip])))
+                code.append(("span",))
+            elif kind == "mesh":
+                code.append(("s", self._mesh_prog(
+                    SIF_LOCATION, self._coord(core), frame_bytes,
+                    core=core)))
+            elif kind == "compute":
+                if op.arg not in PER_FRAME_COSTS:
+                    fn = compute_cost(op, self.cost, wl, n,
+                                      self.mcpc_config.udp)
+                    code.append(("d", self.chip.compute_time(core, fn(0))))
+                    continue
+                table = cost_table(op, self.cost, wl, n)[:self.frames]
+                if node.core is None:
+                    costs = table / self.mcpc_config.speedup_vs_scc_core
+                    code.extend((("h",), ("hc",)))
+                else:
+                    # chip.compute_time, element-wise
+                    costs = table * self.chip.dvfs.scaling_factor(core)
+                    code.append(("c",))
                 hand = next((i for i in range(pc + 1, len(program))
                              if program[i].kind in ("send", "put")), -1)
             elif kind == "write_own":
-                steps.append(("op", ("s", self._write_own_prog(
-                    core, frame_bytes)), None, False))
+                code.append(("s", self._write_own_prog(core, frame_bytes)))
             elif kind == "send":
+                # the RCCE send: rendezvous token, deposit the payload,
+                # signal data-ready with the sender's tag
                 nbytes = self._strip_bytes[op.strip]
-                steps.append(("hand-send" if pc == hand else "op", _send_op(
-                    self._chan(core, op.arg),
-                    self._write_to_prog(core, op.arg, nbytes), nbytes), None,
-                    False))
+                chan = self._chan(core, op.arg)
+                if pc == hand:
+                    code.append(("arr",))
+                code.append(("g", chan.recv_posted))
+                if pc == hand or telemetry:
+                    code.append(("tok", chan, nbytes))
+                code.append(("s", self._write_to_prog(core, op.arg, nbytes)))
+                code.append(("p", chan.data_ready))
+                if telemetry:
+                    code.append(("dlv", nbytes))
+                if pc == hand:
+                    code.append(("win", True))
             elif kind == "udp":
                 res, cfg = self._links[op.arg]
                 prog = self._udp_prog(res, cfg, frame_bytes)
@@ -833,100 +781,71 @@ class BatchedEngine:
                     # fixed program time between the compute and its
                     # hand-off
                     slack += sum(hold for _, hold, _ in prog)
-                steps.append(("op", ("s", prog), None, False))
+                code.append(("s", prog))
             elif kind == "put":
-                steps.append(("hand-put" if pc == hand else "put",
-                               self._queues[op.arg], None, False))
+                if pc == hand:
+                    code.append(("arr",))
+                code.append(("p", self._queues[op.arg]))
+                if pc == hand:
+                    code.append(("win", False))
             else:  # done
-                steps.append(("done", None, None, False))
-        return _Actor(self, node, steps, costs, slack)
+                code.append(("done",))
+        code.append(("end",))
+        return _Actor(self, node, code, costs, slack)
 
     # -- scheduler ---------------------------------------------------------
     def _run_loop(self) -> None:
         """Run every actor to completion: the one scheduler loop.
 
-        It pops the earliest actor (ties in push order) and runs its ops
-        in place — computes ``("d", hold)``, fused programs ``("s",
-        prog)``, store gets and puts ``("g"/"p", store, …)`` and the
-        compound send ``("x", …)`` — until the actor parks.  An actor
-        yields the floor whenever its clock passes the next actor's,
+        It takes the earliest actor (ties in push order) and steps its op
+        list in place (see :class:`_Actor`) until the actor parks.  An
+        actor yields the floor whenever its clock passes the next actor's,
         strictly, where the event kernel would interleave: after a
         compute or a program, before a store op and before a resource
-        step; a program resumed mid-way goes straight on to the next op.
-        ``actor.t`` is written back where the actor parks and before its
-        body runs, and re-read after it: a jump inside the trigger's body
-        shifts it.
+        step; a program resumed mid-way goes straight on to the next op,
+        and bookkeeping never yields.  ``actor.t`` is written back where
+        the actor parks and around a snapshot, and re-read after it: a
+        jump inside the snapshot shifts it.
         """
         heap = self.heap
         push = heappush
         pop = heappop
+        pushpop = heappushpop
         seq = 0
         for actor in self.actors:
-            actor.gen = actor.body()
             push(heap, (0.0, seq, actor))
             seq += 1
+        frames = self.frames
+        births = self.births
         synth = self.synth
         step_synth = self._step_synth
-        while heap:
-            t, _, actor = pop(heap)
-            requeue = True
+        inf = math.inf
+        t, _, actor = pop(heap)
+        while True:
+            # the next actor's clock: this one yields the floor past it
+            nxt = heap[0][0] if heap else inf
+            code = actor.code
+            pc = actor.pc
             op = actor.op
-            if op is None:
-                pc = -1
-                val = actor.resume
-                if val is not None:
-                    actor.resume = None
-                    actor.resume_shift = None
-            else:
-                # parked before a store op, or mid-program at step pc
+            if op is not None:
+                # parked in a store op waiting its turn, or mid-program
                 actor.op = None
-                pc = actor.pc
-                val = None
+                i = actor.step
+            requeue = True
             while True:
                 if op is None:
-                    snd = actor.send
-                    if snd is None:
-                        actor.t = t
-                        try:
-                            op = actor.gen.send(val)
-                        except StopIteration:
-                            actor.done = True
-                            t = actor.t
-                            if t > self.end_time:
-                                self.end_time = t
-                            requeue = False
-                            break
-                        t = actor.t
-                        val = None
-                    else:
-                        chan = snd[3]
-                        phase = actor.phase
-                        if phase == 1:
-                            # token granted: deposit the payload
-                            actor.token_t = t
-                            if synth is not None:
-                                assert actor.wait_start is not None
-                                synth.rendezvous(chan.src, chan.dst,
-                                                 actor.wait_start, t, snd[4],
-                                                 actor.tag)
-                            actor.phase = 2
-                            op = snd[2]
-                        elif phase == 2:
-                            # payload written: signal data-ready
-                            actor.phase = 3
-                            op = ("p", chan.data_ready, (snd[4], actor.tag))
-                        else:
-                            if synth is not None:
-                                synth.delivered(snd[4])
-                            actor.send = None
-                            continue
-                    actor.op_i += 1
-                    pc = -1
+                    op = code[pc]
+                    pc += 1
+                    fresh = True
+                else:
+                    fresh = False
                 kind = op[0]
                 if kind == "s":
+                    if fresh:
+                        actor.op_i += 1
+                        i = 0
                     prog = op[1]
                     n = len(prog)
-                    i = 0 if pc < 0 else pc
                     while i < n:
                         res, hold, meta = prog[i]
                         if res is None:
@@ -934,7 +853,7 @@ class BatchedEngine:
                             if meta is not None and step_synth is not None:
                                 step_synth.step(meta, t, t, nt)
                         else:
-                            if heap and t > heap[0][0]:
+                            if t > nxt:
                                 break
                             fa = res.free_at
                             if t < fa:
@@ -959,72 +878,174 @@ class BatchedEngine:
                         i += 1
                     else:
                         op = None
-                        if pc < 0 and heap and t > heap[0][0]:
+                        if fresh and t > nxt:
                             break
                         continue
                     # reparked mid-program
                     actor.op = op
-                    actor.pc = i
+                    actor.step = i
                     break
-                if kind == "d":
-                    t += op[1]
-                    op = None
-                    if heap and t > heap[0][0]:
-                        break
-                    continue
-                if kind == "x":
-                    # the send starts with the rendezvous token wait
-                    actor.send = op
-                    actor.phase = 1
-                    actor.wait_start = t
-                    op = op[1]
-                    continue
-                # a store op waits its turn
-                if heap and t > heap[0][0]:
-                    actor.op = op
-                    break
-                store = op[1]
                 if kind == "g":
+                    if fresh:
+                        actor.op_i += 1
+                        actor.wait_start = t
+                    # a store op waits its turn
+                    if t > nxt:
+                        actor.op = op
+                        break
+                    store = op[1]
+                    op = None
                     items = store.items
                     if items:
-                        val = items.popleft()
+                        item = items.popleft()
+                        if item is not None:
+                            actor.tag = item
                         putters = store.putters
                         while putters and len(items) < store.capacity:
                             p_actor, item = putters.popleft()
                             items.append(item)
                             push(heap, (t, seq, p_actor))
                             seq += 1
-                        op = None
+                            nxt = t
                         continue
                     store.getters.append(actor)
                     requeue = False
                     break
                 if kind == "p":
+                    if fresh:
+                        actor.op_i += 1
+                    if t > nxt:
+                        actor.op = op
+                        break
+                    store = op[1]
+                    op = None
+                    item = actor.tag if store.tagged else None
                     if len(store.items) < store.capacity:
                         getters = store.getters
                         if getters:
                             getter = getters.popleft()
-                            getter.resume = op[2]
-                            getter.resume_shift = store.shift
+                            if item is not None:
+                                getter.tag = item
                             # the event kernel resumes the woken receiver
                             # before the sender continues — same order here
                             push(heap, (t, seq, getter))
                             seq += 1
                             break
-                        store.items.append(op[2])
-                        op = None
+                        store.items.append(item)
                         continue
-                    store.putters.append((actor, op[2]))
+                    store.putters.append((actor, item))
                     requeue = False
                     break
-                raise AssertionError(  # pragma: no cover - closed vocabulary
-                    f"unknown op {op!r}")
+                if kind == "d" or kind == "c" or kind == "h":
+                    actor.op_i += 1
+                    if kind == "d":
+                        t += op[1]
+                    else:
+                        d = actor.costs[actor.frame]
+                        if kind == "h":
+                            actor.seg_start = t
+                            actor.cur_dur = d
+                            actor.in_compute = True
+                        t += d
+                    op = None
+                    if t > nxt:
+                        break
+                    continue
+                # bookkeeping, in place
+                if kind == "end":
+                    span_start = actor.span_start
+                    assert span_start is not None
+                    if actor.host:
+                        if synth is not None:
+                            synth.host_busy(span_start, t, actor.tag)
+                    else:
+                        actor.busy.append(t - span_start)
+                        if synth is not None:
+                            synth.stage_busy(actor.span_key, span_start, t,
+                                             actor.tag)
+                    actor.frame += 1
+                    # straight on to the next loop top
+                    pc = 1
+                    kind = "top"
+                if kind == "top":
+                    frame = actor.frame
+                    if frame >= frames:
+                        self.finished += 1
+                        if t > self.end_time:
+                            self.end_time = t
+                        requeue = False
+                        break
+                    # the periodicity reference
+                    prev = actor.prev_anchor_t = actor.anchor_t
+                    actor.anchor_t = t
+                    if prev is not None:
+                        actor.delta = t - prev
+                    actor.op_i = 0
+                    if actor.no_input:
+                        actor.span_start = t
+                        actor.tag = frame
+                        births.setdefault(frame, t)
+                elif kind == "span":
+                    actor.span_start = t
+                elif kind == "in":
+                    wait_start = actor.wait_start
+                    assert wait_start is not None
+                    actor.idle.append(_idle_value(t, wait_start))
+                    if synth is not None:
+                        synth.stage_idle(actor.span_key, t, wait_start)
+                elif kind == "trig":
+                    actor.t = t
+                    self.on_trigger_anchor(actor)
+                    # a jump shifts every clock
+                    t = actor.t
+                    nxt = heap[0][0] if heap else inf
+                elif kind == "done":
+                    self.record_completion(actor.tag, t)
+                elif kind == "tok":
+                    # token granted: the payload goes next
+                    actor.token_t = t
+                    if synth is not None:
+                        chan = op[1]
+                        assert actor.wait_start is not None
+                        synth.rendezvous(chan.src, chan.dst,
+                                         actor.wait_start, t, op[2],
+                                         actor.tag)
+                elif kind == "arr":
+                    actor.arr_t = t
+                elif kind == "win":
+                    actor.close_window(actor.token_t if op[1] else t)
+                elif kind == "hc":
+                    actor.in_compute = False
+                    seg_start = actor.seg_start
+                    assert seg_start is not None
+                    # the frame's own cost: a jump may have renamed this
+                    # compute (its timing absorbed by the blocking window)
+                    self.mcpc_segments.append((seg_start,
+                                               actor.costs[actor.frame]))
+                elif kind == "dlv":
+                    assert synth is not None
+                    synth.delivered(op[1])
+                elif kind == "wait":
+                    assert synth is not None and actor.wait_start is not None
+                    synth.input_wait(actor.span_key, t, actor.wait_start,
+                                     op[1])
+                else:  # pragma: no cover - closed vocabulary
+                    raise AssertionError(f"unknown op {op!r}")
+                op = None
             actor.t = t
+            actor.pc = pc
             if requeue:
-                push(heap, (t, seq, actor))
+                # push, then pop the earliest: one sift, or none when the
+                # actor is still first
+                t, _, actor = pushpop(heap, (t, seq, actor))
                 seq += 1
-        stuck = [a for a in self.actors if not a.done]
-        if stuck:  # pragma: no cover - would mirror an event deadlock
+            elif heap:
+                t, _, actor = pop(heap)
+            else:
+                break
+        if self.finished < len(self.actors):  # pragma: no cover
+            # would mirror an event deadlock
+            stuck = [a for a in self.actors if a.frame < frames]
             raise RuntimeError(f"batched engine deadlock: {stuck}")
 
     # -- metric recording --------------------------------------------------
@@ -1036,26 +1057,16 @@ class BatchedEngine:
 
     # -- steady-state detection -------------------------------------------
     def _snapshot(self, trig: _Actor) -> _Snapshot:
+        actors = self.actors
         T = trig.t
-        frames = tuple(a.frame for a in self.actors)
-        ops = tuple(a.op_i for a in self.actors)
-        deltas = np.array([(a.anchor_t - a.prev_anchor_t)
-                           if (a.anchor_t is not None
-                               and a.prev_anchor_t is not None)
-                           else np.nan
-                           for a in self.actors])
-        stores = tuple([(len(s.items), len(s.getters), len(s.putters))
-                        for s in self.stores])
-        res_off = np.array([r.free_at for r in self._all_res]) - T
-        births = self.births
-        head = max(frames)
-        birth_off = np.array([births.get(f, np.nan) - T
-                              for f in range(head - _MAX_K + 1, head + 1)])
-        mc_busy = np.array([r.busy_until(T) for r in self._mc_res])
-        lens = tuple([len(v) for v in self._samples])
         tel = self.synth.phase_sig() if self.synth is not None else None
-        return _Snapshot(T, frames, ops, deltas, stores, res_off, birth_off,
-                         mc_busy, lens, tel)
+        return _Snapshot(T, tuple(map(_frame_of, actors)),
+                         tuple(map(_ops_of, actors)),
+                         tuple(map(_delta_of, actors)),
+                         tuple(map(len, self._deques)),
+                         tuple(map(_free_at_of, self._all_res)),
+                         [r.busy_until(T) for r in self._mc_res],
+                         tuple(map(len, self._samples)), tel)
 
     def _slices_match(self, snap: _Snapshot, prev: _Snapshot,
                       prev2: _Snapshot) -> bool:
@@ -1063,41 +1074,47 @@ class BatchedEngine:
                                    snap.lens):
             if l0 - l1 != l1 - l2:
                 return False
-            # a period's slice is a handful of floats: plain Python
-            # beats numpy's per-call overhead here
-            for a, b in zip(lst[l1:l0], lst[l2:l1]):
-                if abs(a - b) > _ATOL + _RTOL * abs(b):
-                    return False
+            if not _close_all(lst[l1:l0], lst[l2:l1], _ATOL):
+                return False
         return True
+
+    def _births_off(self, snap: _Snapshot, k: int) -> List[float]:
+        """The last ``k`` births up to the snapshot's head frame, relative
+        to its T (NaN = none)."""
+        births, T = self.births, snap.T
+        return [births.get(f, math.nan) - T
+                for f in range(snap.head - k + 1, snap.head + 1)]
 
     def _steady_miss(self, snap: _Snapshot, prev: _Snapshot,
                      prev2: _Snapshot, k: int) -> Optional[str]:
-        """The first steady-state criterion three snapshots ``k`` frames
-        apart fail, or None when they agree: a lock on the period
+        """The first criterion after ``period`` that three snapshots ``k``
+        frames apart fail, or None when they agree: a lock on the period
         ``D = snap.T - prev.T``."""
         delta = snap.T - prev.T
-        if delta <= 0.0 or not math.isclose(prev.T - prev2.T, delta,
-                                            rel_tol=_RTOL, abs_tol=_ATOL):
-            return "period"
-        for new, old in ((snap, prev), (prev, prev2)):
-            if any(nf - of != k for nf, of in zip(new.frames, old.frames)):
-                return "frames"
+        ks = self._strides[k]
+        if (tuple(map(sub, snap.frames, prev.frames)) != ks
+                or tuple(map(sub, prev.frames, prev2.frames)) != ks):
+            return "frames"
         if snap.ops != prev.ops or prev.ops != prev2.ops:
             return "ops"
         atol = _ATOL * max(1.0, delta)
         # every stage's last frame took Δ (k = 1), or the per-frame
         # spacings repeat with the super-period (k > 1)
-        spacing = delta if k == 1 else prev.deltas
-        if not _close(snap.deltas, spacing, atol).all():
+        spacing: Iterable[float] = repeat(delta) if k == 1 else prev.deltas
+        if not _close_all(snap.deltas, spacing, atol):
             return "spacing"
         if snap.stores != prev.stores:
             return "stores"
         # resources either repeat their phase offset or are long idle
-        off_ok = (_close(snap.res_off, prev.res_off, atol)
-                  | ((snap.res_off < -delta) & (prev.res_off < -delta)))
-        if not off_ok.all():
-            return "resources"
-        if not _close(snap.birth_off[-k:], prev.birth_off[-k:], atol).all():
+        T0, T1 = snap.T, prev.T
+        for a, b in zip(snap.free_at, prev.free_at):
+            a -= T0
+            b -= T1
+            if (not abs(a - b) <= atol + _RTOL * abs(b)
+                    and not (a < -delta and b < -delta)):
+                return "resources"
+        if not _close_all(self._births_off(snap, k),
+                          self._births_off(prev, k), atol):
             return "births"
         if not self._slices_match(snap, prev, prev2):
             return "samples"
@@ -1109,23 +1126,34 @@ class BatchedEngine:
         return None
 
     def on_trigger_anchor(self, trig: _Actor) -> None:
+        """Snapshot the run at the completion stage's frame; on a lock of
+        the smallest ``k`` that agrees, jump as far as every stage
+        admits."""
         self.frames_simulated += 1
-        snap = self._snapshot(trig)
         hist = self._hist
+        snap = self._snapshot(trig)
         hist.append(snap)
-        if any(a.done for a in self.actors):
+        if self.finished:
             return
+        T = snap.T
+        n = len(hist)
         for k in range(1, _MAX_K + 1):
-            if len(hist) < 2 * k + 1:
+            if n < 2 * k + 1:
                 return
             prev = hist[-1 - k]
-            miss = self._steady_miss(snap, prev, hist[-1 - 2 * k], k)
+            prev2 = hist[-1 - 2 * k]
+            # the first criterion, from the snapshots' T alone
+            period = T - prev.T
+            if period <= 0.0 or not math.isclose(
+                    prev.T - prev2.T, period, rel_tol=_RTOL, abs_tol=_ATOL):
+                self.lock_misses["period"] += 1
+                continue
+            miss = self._steady_miss(snap, prev, prev2, k)
             if miss is None:
                 break
             self.lock_misses[miss] += 1
         else:
             return
-        period = snap.T - prev.T
         # the windowed jump: every stage's longest admissible prefix
         j = min(self.frames - 1 - a.frame for a in self.actors)
         for a in self.actors:
@@ -1178,12 +1206,12 @@ class BatchedEngine:
                 self.latency_samples.append(t - birth)
 
         # 5. resources: accrue the skipped busy time, shift the clocks
-        mc_accrued = snap.mc_busy - prev.mc_busy
-        for r, accrued in zip(self._mc_res, mc_accrued):
+        for r, now, then in zip(self._mc_res, snap.mc_busy, prev.mc_busy):
+            accrued = now - then
             for _ in range(waves):
                 # one add per skipped period, mirroring the event
                 # kernel's per-period interval closes bit-for-bit:
-                r.busy_time += float(accrued)  # lint: disable=DET007
+                r.busy_time += accrued  # lint: disable=DET007
         for r in self._all_res:
             r.free_at += s
             if r.busy_since is not None:
@@ -1197,13 +1225,16 @@ class BatchedEngine:
         # In place: the scheduler loop holds this very list.
         self.heap[:] = [(t + s, seq, a) for (t, seq, a) in self.heap]
         heapify(self.heap)
+        # (in place: the snapshots count the items of these very deques)
         for store in self.stores:
-            if store.shift is not None and store.items:
-                store.items = deque(store.shift(item, j)
-                                    for item in store.items)
-            if store.shift is not None and store.putters:
-                store.putters = deque((a, store.shift(item, j))
-                                      for a, item in store.putters)
+            if not store.tagged:
+                continue
+            items, putters = store.items, store.putters
+            for _ in range(len(items)):
+                items.append(items.popleft() + j)
+            for _ in range(len(putters)):
+                a, item = putters.popleft()
+                putters.append((a, item + j))
 
         # 7. telemetry: register the captured period as a periodic block,
         # advance counters in closed form, mark the wave for live sinks

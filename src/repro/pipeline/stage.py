@@ -33,20 +33,24 @@ the workload and seed (:mod:`repro.pipeline.film`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+import numpy as np
 
 from ..host import MCPC, UDPChannel, UDPConfig, VisualizationClient
 from ..rcce import RCCEComm
+from ..render import RenderProfile
 from ..scc import SCCChip
 from ..scc.topology import SIF_LOCATION
 from ..sim import Store
 from ..telemetry import MetricsSink, Telemetry
 from .costmodel import CostModel
-from .describe import ConfigDescription, StageNode, StageOp
+from .describe import PER_FRAME_COSTS, ConfigDescription, StageNode, StageOp
 from .metrics import RunMetrics
 from .workload import WalkthroughWorkload
 
-__all__ = ["StageContext", "Stage", "compute_cost", "run_stages"]
+__all__ = ["StageContext", "Stage", "compute_cost", "cost_table",
+           "run_stages"]
 
 
 @dataclass
@@ -106,13 +110,9 @@ def compute_cost(op: StageOp, cost: CostModel, workload: WalkthroughWorkload,
     kind, p = op.arg, op.strip
     if kind == "item":
         return workload.seconds[p].__getitem__
-    if kind == "render":
-        return lambda f: cost.render_seconds(workload.profile(f))
-    if kind == "render-strip":
-        return lambda f: cost.render_seconds(
-            workload.profile(f, p, pipelines), sort_first=True)
-    if kind == "single-core":
-        return lambda f: cost.single_core_frame_seconds(workload.profile(f))
+    if kind in PER_FRAME_COSTS:
+        strip = _cost_strip(op, pipelines)
+        return lambda f: _frame_cost(kind, cost, workload.profile(f, *strip))
     if kind == "connect":
         assert uplink is not None
         seconds = cost.connect_seconds(
@@ -123,6 +123,30 @@ def compute_cost(op: StageOp, cost: CostModel, workload: WalkthroughWorkload,
         seconds = cost.filter_seconds(
             kind, workload.viewport(p, pipelines).pixels)
     return lambda f: seconds
+
+
+def cost_table(op: StageOp, cost: CostModel, workload: WalkthroughWorkload,
+               pipelines: int) -> np.ndarray:
+    """Every frame's :func:`compute_cost` of a per-frame ``compute`` op
+    (a :data:`~repro.pipeline.describe.PER_FRAME_COSTS` kind), priced in
+    one element-wise pass over the culling table: the same arithmetic in
+    the same order, so each entry equals the scalar cost bit for bit."""
+    return _frame_cost(op.arg, cost,
+                       workload.profile_table(*_cost_strip(op, pipelines)))
+
+
+def _cost_strip(op: StageOp, pipelines: int) -> Tuple[int, int]:
+    """``(strip, strips)`` a per-frame compute renders: its own strip of
+    the split, or the full frame."""
+    return (op.strip, pipelines) if op.arg == "render-strip" else (0, 1)
+
+
+def _frame_cost(kind: str, cost: CostModel, profile: RenderProfile) -> Any:
+    """Seconds of a per-frame compute over ``profile`` (scalar counters,
+    or :meth:`WalkthroughWorkload.profile_table`'s arrays)."""
+    if kind == "single-core":
+        return cost.single_core_frame_seconds(profile)
+    return cost.render_seconds(profile, sort_first=kind == "render-strip")
 
 
 class Stage:

@@ -178,6 +178,24 @@ class WalkthroughWorkload:
             self._trim()
             return prof
 
+    def profile_table(self, strip_index: int = 0,
+                      num_strips: int = 1) -> RenderProfile:
+        """Every frame's profile of one strip at once: ``nodes_visited``,
+        ``triangles_in_view`` and ``culled_everything`` are per-frame
+        arrays (the split's culling table columns), so a cost model
+        prices the whole walkthrough in one element-wise pass."""
+        with self._lock:
+            # validates the strip before any table is built
+            pixels = self.viewport(strip_index, num_strips).pixels
+            visited, triangles = self._table(num_strips)
+        tris = triangles[:, strip_index]
+        return RenderProfile(
+            nodes_visited=visited[:, strip_index],
+            triangles_in_view=tris,
+            pixels=pixels,
+            culled_everything=tris == 0,
+        )
+
     def _table(self, num_strips: int) -> np.ndarray:  # guarded-by: self._lock
         """The split's culling table, built whole on its first miss and
         published (kept) only once complete, and only if it fits the

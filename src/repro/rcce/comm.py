@@ -36,13 +36,12 @@ __all__ = ["Message", "RCCEComm"]
 
 @dataclass
 class Message:
-    """One delivered message: metadata plus an optional real payload."""
+    """One delivered message: who sent how many bytes, and its tag."""
 
     src: int
     dst: int
     nbytes: int
     tag: int = 0
-    payload: Any = None
 
 
 class _Channel:
@@ -95,7 +94,6 @@ class RCCEComm:
 
     # -- point to point -----------------------------------------------------
     def send(self, src: int, dst: int, nbytes: int, *, tag: int = 0,
-             payload: Any = None,
              via: str = "dram") -> Generator[Any, Any, None]:
         """Blocking send; use as ``yield from comm.send(...)``.
 
@@ -135,7 +133,7 @@ class RCCEComm:
             if san is not None:
                 san.on_mpb_complete(dst, src, self.sim.now)
 
-        msg = Message(src, dst, nbytes, tag=tag, payload=payload)
+        msg = Message(src, dst, nbytes, tag=tag)
         yield chan.data_ready.put((msg, via))
         self.messages_delivered += 1
         self.bytes_delivered += nbytes

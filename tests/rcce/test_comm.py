@@ -24,7 +24,7 @@ def test_send_recv_dram_roundtrip():
     got = {}
 
     def sender():
-        yield from comm.send(0, 5, 1000, payload={"frame": 1})
+        yield from comm.send(0, 5, 1000, tag=7)
 
     def receiver():
         msg = yield from comm.recv(5, 0)
@@ -35,7 +35,7 @@ def test_send_recv_dram_roundtrip():
     chip.sim.process(receiver())
     chip.sim.run()
     assert isinstance(got["msg"], Message)
-    assert got["msg"].payload == {"frame": 1}
+    assert got["msg"].tag == 7
     assert got["msg"].nbytes == 1000
     # write_to + read_own, each = MC + copy time
     expected = 2 * (1000 / 1e8 + 1000 / 1e7)
