@@ -63,11 +63,15 @@ changes a scheduling decision.
 
 Why frames were not jumped is counted in :attr:`BatchedEngine.lock_misses`.
 
+The engine builds no simulator and no event-time chip: it reads the
+static chip (:class:`SCCTopology`, :func:`xy_route`, :class:`SCCConfig`)
+and keeps its own DVFS and power models.
+
 Pixels never enter either engine: the film is a pure function of the
-workload and seed (:func:`repro.pipeline.film.render_film`).  Sanitizers
-and sampled power traces decline (see :func:`batched_decline_reason`,
-keyed by :data:`BATCHED_DECLINE_REASONS`) and the caller falls back to
-the event engine, whose results are then bit-identical by construction.
+workload and seed (:func:`repro.pipeline.film.render_film`).  Only
+sanitizers decline (see :func:`batched_decline_reason`, keyed by
+:data:`BATCHED_DECLINE_REASONS`); the caller then falls back to the
+event engine, whose results are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ from ..host import MCPCConfig
 from ..pipeline.describe import PER_FRAME_COSTS
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..pipeline.stage import compute_cost, cost_table
-from ..scc import SCCChip
-from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
-from ..sim import Simulator, TimeSeries
+from ..scc import DVFSController, PowerModel, SCCConfig, SCCTopology
+from ..scc.mesh import link_tag, xy_route
+from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION, Coord
+from ..sim import TimeSeries
 from ..telemetry import Telemetry
 from .telsynth import StepMeta, TelemetrySynth, make_synth
 
@@ -110,27 +115,21 @@ Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
 BATCHED_DECLINE_REASONS: Dict[str, str] = {
     "sanitizers": ("runtime sanitizers hook the RCCE/MPB model, which "
                    "only the event engine runs"),
-    "power_trace": "sampled power traces follow event-time DVFS edges",
 }
 
 
 def batched_decline_code(runner: Any) -> Optional[str]:
     """Decline code for this run (a :data:`BATCHED_DECLINE_REASONS` key),
     or None when the batched engine can serve it."""
-    if runner.sanitizers is not None:
-        return "sanitizers"
-    if runner.power_trace_dt is not None:
-        return "power_trace"
-    return None
+    return "sanitizers" if runner.sanitizers is not None else None
 
 
 def batched_decline_reason(runner: Any) -> Optional[str]:
     """Why the batched engine cannot serve this run (None = it can).
 
-    Every declined feature needs the full per-event machinery (kernel
-    hooks, event-time DVFS edges); the
-    caller falls back to the event engine, which then produces the one
-    true — bit-identical — result.
+    A declined feature needs the per-event machinery (the sanitizers'
+    kernel hooks); the caller falls back to the event engine, which then
+    produces the one true — bit-identical — result.
     """
     code = batched_decline_code(runner)
     return None if code is None else BATCHED_DECLINE_REASONS[code]
@@ -138,7 +137,7 @@ def batched_decline_reason(runner: Any) -> Optional[str]:
 
 def try_batched_run(runner: Any) -> Optional[RunResult]:
     """Run ``runner`` on the batched engine, or None to fall back."""
-    if batched_decline_reason(runner) is not None:
+    if batched_decline_code(runner):
         return None
     return BatchedEngine(runner).run()
 
@@ -490,22 +489,27 @@ class BatchedEngine:
         self.workload = runner.workload
         self.cost = runner.cost
         self.mcpc_config: MCPCConfig = runner.mcpc_config or MCPCConfig()
-        self.sim = Simulator()
+        self.chip_config = chip_config = runner.chip_config or SCCConfig()
+        self.topology = SCCTopology()
         #: telemetry synthesis (None on the plain fast path); full-detail
-        #: synthesis also hands the hub to the chip so DVFS/power emit
+        #: synthesis also hands the hub to DVFS and power so they emit
         #: their usual events from the real frequency-plan/power calls
         self.synth: Optional[TelemetrySynth] = make_synth(runner)
         self._step_synth: Optional[TelemetrySynth] = (
             self.synth if self.synth is not None and self.synth.detail
             else None)
-        self.chip = SCCChip(
-            self.sim, runner.chip_config,
-            telemetry=(self.synth.hub if self._step_synth is not None
-                       else None))
+        hub = self.synth.hub if self._step_synth is not None else None
+        #: the clock DVFS and power read: 0 while the run is built and
+        #: its end at teardown (a list cell: the clocks hold no engine)
+        now = self._now = [0.0]
+        self.dvfs = DVFSController(self.topology, telemetry=hub,
+                                   clock=lambda: now[0])
+        self.power = PowerModel(self.topology, self.dvfs, chip_config.power,
+                                telemetry=hub, clock=lambda: now[0])
         self.heap: List[Tuple[float, int, _Actor]] = []
         self.actors: List[_Actor] = []
         self.stores: List[_Store] = []
-        self._link_res: Dict[int, _Res] = {}
+        self._link_res: Dict[Tuple[Coord, Coord], _Res] = {}
         self._mc_res: List[_Res] = [_Res(acct=True)
                                     for _ in range(NUM_MEMORY_CONTROLLERS)]
         self._all_res: List[_Res] = list(self._mc_res)
@@ -536,11 +540,10 @@ class BatchedEngine:
         self._build()
 
     # -- program construction ---------------------------------------------
-    def _link(self, link: Any) -> _Res:
-        res = self._link_res.get(id(link))
+    def _link(self, hop: Tuple[Coord, Coord]) -> _Res:
+        res = self._link_res.get(hop)
         if res is None:
-            res = self._link_res[id(link)] = _Res()
-            self._all_res.append(res)
+            res = self._link_res[hop] = self._new_res()
         return res
 
     def _new_res(self) -> _Res:
@@ -548,11 +551,10 @@ class BatchedEngine:
         self._all_res.append(res)
         return res
 
-    def _mesh_prog(self, src: Any, dst: Any, nbytes: int,
+    def _mesh_prog(self, src: Coord, dst: Coord, nbytes: int,
                    core: Optional[int] = None) -> Prog:
-        mesh = self.chip.mesh
-        cfg = mesh.config
-        route = mesh._route(src, dst)
+        cfg = self.chip_config.mesh
+        route = xy_route(src, dst)
         hold = nbytes / cfg.link_bandwidth + cfg.hop_latency_s
         # Step metadata is only consumed by detail synthesis; skip the
         # per-step tuple allocations on the plain fast path.
@@ -564,50 +566,43 @@ class BatchedEngine:
             return [(None, len(route) * hold,
                      ("mesh", nbytes) if detail else None)]
         if not detail:
-            return [(self._link(link), hold, None) for link in route]
+            return [(self._link(hop), hold, None) for hop in route]
         # The head step carries the transfer-entry counters; every link
         # step emits its own per-link counters and queue/xfer spans.
-        return [(self._link(link), hold,
-                 ("link", link.tag, nbytes, core, i == 0))
-                for i, link in enumerate(route)]
+        return [(self._link(hop), hold,
+                 ("link", link_tag(*hop), nbytes, core, i == 0))
+                for i, hop in enumerate(route)]
 
-    def _coord(self, core_id: int) -> Any:
-        return self.chip.topology.core(core_id).coord
+    def _coord(self, core_id: int) -> Coord:
+        return self.topology.core(core_id).coord
 
     def _dram_prog(self, acting: int, owner: int, nbytes: int,
                    inbound: bool) -> Prog:
-        cfg = self.chip.memory.config
+        cfg = self.chip_config.memory
         if nbytes == 0:
             return []
         cc = self._coord(acting)
-        mc = self.chip.memory.controller_of(owner)
-        prog = self._mesh_prog(cc, mc.coord, cfg.command_bytes,
-                               core=acting)
+        mc = self.topology.core(owner).memory_controller
+        mc_coord = self.topology.mc_coord(mc)
+        prog = self._mesh_prog(cc, mc_coord, cfg.command_bytes, core=acting)
         service = cfg.mc_latency_s + nbytes / cfg.mc_bandwidth
-        prog.append((self._mc_res[mc.index], service,
-                     ("mc", mc.index, acting, nbytes, inbound)
+        prog.append((self._mc_res[mc], service,
+                     ("mc", mc, acting, nbytes, inbound)
                      if self._step_synth is not None else None))
-        if inbound:
-            prog.extend(self._mesh_prog(mc.coord, cc, nbytes, core=acting))
-        else:
-            prog.extend(self._mesh_prog(cc, mc.coord, nbytes, core=acting))
+        src, dst = (mc_coord, cc) if inbound else (cc, mc_coord)
+        prog.extend(self._mesh_prog(src, dst, nbytes, core=acting))
         prog.append((None, nbytes / cfg.core_copy_bandwidth, None))
         return prog
 
-    def _read_own_prog(self, core: int, nbytes: int) -> Prog:
-        cfg = self.chip.memory.config
+    def _own_prog(self, core: int, nbytes: int, inbound: bool) -> Prog:
+        """A read (``inbound``) or write of the core's own partition."""
+        cfg = self.chip_config.memory
         if cfg.local_memory:
             return [(None, nbytes / cfg.local_bandwidth, None)]
-        return self._dram_prog(core, core, nbytes, True)
-
-    def _write_own_prog(self, core: int, nbytes: int) -> Prog:
-        cfg = self.chip.memory.config
-        if cfg.local_memory:
-            return [(None, nbytes / cfg.local_bandwidth, None)]
-        return self._dram_prog(core, core, nbytes, False)
+        return self._dram_prog(core, core, nbytes, inbound)
 
     def _write_to_prog(self, src: int, dst: int, nbytes: int) -> Prog:
-        cfg = self.chip.memory.config
+        cfg = self.chip_config.memory
         if cfg.local_memory:
             prog = self._mesh_prog(self._coord(src), self._coord(dst),
                                    nbytes, core=src)
@@ -646,9 +641,9 @@ class BatchedEngine:
         self._strip_bytes = [self.workload.strip_bytes(p, n) for p in range(n)]
 
         # The frequency plan comes *before* the compute services below —
-        # chip.compute_time must see the planned clocks.
-        runner._apply_frequency_plan(self.chip, graph)
-        self.chip.power.set_cores_active(graph.cores, True)
+        # their scaling must see the planned clocks.
+        runner._apply_frequency_plan(self.dvfs, graph)
+        self.power.set_cores_active(graph.cores, True)
 
         # host links: a resource plus its UDP parameters, made in a fixed
         # order (downlink, uplink) for the snapshots' resource vector
@@ -684,7 +679,7 @@ class BatchedEngine:
             # (the host process never binds, exactly like the event path)
             for actor in self.actors:
                 if actor.core_id >= 0:
-                    synth.bind(actor.span_key, actor.core_id, self.sim.now)
+                    synth.bind(actor.span_key, actor.core_id, 0.0)
 
     def _compile(self, node: Any) -> _Actor:
         """One stage node's op program as an actor's per-frame op list.
@@ -733,8 +728,8 @@ class BatchedEngine:
                     # counts only the first)
                     code.append(("wait", op.arg))
                 if kind == "recv":
-                    code.append(("s", self._read_own_prog(
-                        core, self._strip_bytes[op.strip])))
+                    code.append(("s", self._own_prog(
+                        core, self._strip_bytes[op.strip], True)))
                 code.append(("span",))
             elif kind == "mesh":
                 code.append(("s", self._mesh_prog(
@@ -744,20 +739,20 @@ class BatchedEngine:
                 if op.arg not in PER_FRAME_COSTS:
                     fn = compute_cost(op, self.cost, wl, n,
                                       self.mcpc_config.udp)
-                    code.append(("d", self.chip.compute_time(core, fn(0))))
+                    code.append(("d", fn(0) * self.dvfs.scaling_factor(core)))
                     continue
                 table = cost_table(op, self.cost, wl, n)[:self.frames]
                 if node.core is None:
                     costs = table / self.mcpc_config.speedup_vs_scc_core
                     code.extend((("h",), ("hc",)))
                 else:
-                    # chip.compute_time, element-wise
-                    costs = table * self.chip.dvfs.scaling_factor(core)
+                    # the same scaling, element-wise
+                    costs = table * self.dvfs.scaling_factor(core)
                     code.append(("c",))
                 hand = next((i for i in range(pc + 1, len(program))
                              if program[i].kind in ("send", "put")), -1)
             elif kind == "write_own":
-                code.append(("s", self._write_own_prog(core, frame_bytes)))
+                code.append(("s", self._own_prog(core, frame_bytes, False)))
             elif kind == "send":
                 # the RCCE send: rendezvous token, deposit the payload,
                 # signal data-ready with the sender's tag
@@ -1251,13 +1246,10 @@ class BatchedEngine:
         runner = self.runner
         self._run_loop()
         end = self.end_time
-        if self._step_synth is not None:
-            # mirror the event path's teardown: advance the kernel clock
-            # to the finish line and power the cores back down, so the
-            # power gauge, trace point and closing sample land at the
-            # same instant the event engine records them
-            self.sim.run(until=end)
-            self.chip.power.set_cores_active(self.graph.cores, False)
+        # the event path's teardown: the cores power down at the finish
+        # line, where the event engine's power trace (and telemetry) ends
+        self._now[0] = end
+        self.power.set_cores_active(self.graph.cores, False)
 
         metrics = RunMetrics()
         metrics.frame_birth = dict(self.births)
@@ -1277,7 +1269,7 @@ class BatchedEngine:
                     for r in self._mc_res]
 
         runner.last_metrics = metrics
-        runner.last_chip = self.chip
+        runner.last_chip = None
         runner.last_viewer = None
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
@@ -1285,23 +1277,5 @@ class BatchedEngine:
         # the engine) lets refcounting free the run's whole state now
         # instead of at the next full GC pass
         self.actors = []
-        chip = self.chip
-        graph = self.graph
-        busy_means = {key: acc.mean for key, acc in metrics.busy.items()}
-        return RunResult(
-            config=runner.config,
-            arrangement=graph.arrangement,
-            pipelines=graph.pipelines,
-            frames=self.frames,
-            walkthrough_seconds=end,
-            cores_used=len(graph.cores),
-            scc_energy_j=chip.power.energy(0.0, end),
-            scc_avg_power_w=chip.power.average_power(0.0, end),
-            mcpc_energy_above_idle_j=mcpc_energy,
-            idle_quartiles=metrics.idle_quartiles(),
-            busy_means=busy_means,
-            mc_utilizations=mc_utils,
-            power_trace=[],
-            latency_quartiles=(metrics.latency.quartiles()
-                               if len(metrics.latency) else None),
-        )
+        return runner._result(self.graph, end, metrics, self.power,
+                              mcpc_energy, mc_utils)

@@ -18,12 +18,12 @@ Configurations (paper §V):
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
 from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
-from ..scc import SCCChip, SCCConfig
+from ..scc import DVFSController, PowerModel, SCCChip, SCCConfig
 from ..sim import Simulator
 from ..telemetry import Telemetry
 from .arrangements import Placement
@@ -99,6 +99,10 @@ class PipelineRunner:
         MPB-race checker during the simulation (``repro run
         --sanitize``).  Diagnostics accumulate on the suite; the runner
         also performs the event-lifecycle teardown accounting pass.
+
+    After :meth:`run`, ``last_chip`` is the event engine's
+    :class:`~repro.scc.SCCChip` with its mesh, memory and power state;
+    a run the batched engine served builds no chip and leaves it None.
     """
 
     def __init__(
@@ -238,9 +242,9 @@ class PipelineRunner:
                     obs.info("run.finish", engine="batched",
                              walkthrough_s=result.walkthrough_seconds)
                 return result
-            # declined (sanitizers, sampled power — see
-            # BATCHED_DECLINE_REASONS; telemetry is synthesized) — the
-            # event engine is the one true result
+            # declined: only sanitizers decline (see
+            # BATCHED_DECLINE_REASONS) — the event engine is the one
+            # true result
         sim = Simulator()
         sim.obs_log = obs
         telemetry = self.telemetry or Telemetry(enabled=False)
@@ -261,7 +265,7 @@ class PipelineRunner:
             uplink=mcpc.link, mcpc=mcpc, telemetry=telemetry)
 
         try:
-            self._apply_frequency_plan(chip, graph)
+            self._apply_frequency_plan(chip.dvfs, graph)
             processes = run_stages(ctx, graph)
             end = sim.now
             if suite is not None:
@@ -278,18 +282,22 @@ class PipelineRunner:
         self.last_chip = chip
         self.last_viewer = ctx.viewer
         self.last_telemetry = telemetry
-        result = self._summarize(ctx, graph, end)
+        assert ctx.mcpc is not None
+        result = self._result(graph, end, ctx.metrics, chip.power,
+                              ctx.mcpc.energy_above_idle(0.0, end),
+                              chip.memory.utilizations())
         if obs is not None:
             obs.info("run.finish", engine="event",
                      walkthrough_s=result.walkthrough_seconds,
                      sim_events=sim.event_count)
         return result
 
-    def _apply_frequency_plan(self, chip: SCCChip,
+    def _apply_frequency_plan(self, dvfs: DVFSController,
                               graph: ConfigDescription) -> None:
         """Set per-tile frequencies for the §VI-D DVFS experiments."""
         if not self.frequency_plan:
             return
+        topology = dvfs.topology
         stage_cores = graph.stage_cores()
         planned_tiles: dict = {}
         for key, mhz in self.frequency_plan.items():
@@ -297,49 +305,43 @@ class PipelineRunner:
             if not cores:
                 raise ValueError(f"frequency plan names unknown stage {key!r}")
             for core in cores:
-                tile = chip.topology.core(core).tile.tile_id
-                chip.dvfs.set_tile_frequency(tile, mhz)
+                tile = topology.core(core).tile.tile_id
+                dvfs.set_tile_frequency(tile, mhz)
                 planned_tiles[tile] = mhz
         # Let unused tiles of an affected island follow the island's
         # minimum planned frequency so the island voltage can drop.
-        used_tiles = {chip.topology.core(c).tile.tile_id
-                      for c in graph.cores}
-        islands = {chip.topology.tiles[t].voltage_domain: []
+        used_tiles = {topology.core(c).tile.tile_id for c in graph.cores}
+        islands = {topology.tiles[t].voltage_domain: []
                    for t in planned_tiles}
         for tile, mhz in planned_tiles.items():
-            islands[chip.topology.tiles[tile].voltage_domain].append(mhz)
+            islands[topology.tiles[tile].voltage_domain].append(mhz)
         for domain, freqs in islands.items():
             floor = min(freqs)
-            for tile in chip.topology.voltage_domain_tiles(domain):
+            for tile in topology.voltage_domain_tiles(domain):
                 if tile.tile_id not in used_tiles:
-                    chip.dvfs.set_tile_frequency(tile.tile_id, floor)
+                    dvfs.set_tile_frequency(tile.tile_id, floor)
 
     # -- report ------------------------------------------------------------
-    def _summarize(self, ctx: StageContext, graph: ConfigDescription,
-                   end_time: float) -> RunResult:
-        chip = ctx.chip
-        assert ctx.mcpc is not None
-        busy_means = {}
-        for key, acc in ctx.metrics.busy.items():
-            busy_means[key] = acc.mean
-        trace = []
-        if self.power_trace_dt is not None:
-            trace = chip.power.sampled_trace(0.0, end_time,
-                                             self.power_trace_dt)
+    def _result(self, graph: ConfigDescription, end: float,
+                metrics: RunMetrics, power: PowerModel, mcpc_energy: float,
+                mc_utilizations: List[float]) -> RunResult:
+        """The run's :class:`RunResult`; both engines report through it."""
+        dt = self.power_trace_dt
         return RunResult(
             config=self.config,
             arrangement=graph.arrangement,
             pipelines=graph.pipelines,
             frames=self.frames,
-            walkthrough_seconds=end_time,
+            walkthrough_seconds=end,
             cores_used=len(graph.cores),
-            scc_energy_j=chip.power.energy(0.0, end_time),
-            scc_avg_power_w=chip.power.average_power(0.0, end_time),
-            mcpc_energy_above_idle_j=ctx.mcpc.energy_above_idle(0.0, end_time),
-            idle_quartiles=ctx.metrics.idle_quartiles(),
-            busy_means=busy_means,
-            mc_utilizations=chip.memory.utilizations(),
-            power_trace=trace,
-            latency_quartiles=(ctx.metrics.latency.quartiles()
-                               if len(ctx.metrics.latency) else None),
+            scc_energy_j=power.energy(0.0, end),
+            scc_avg_power_w=power.average_power(0.0, end),
+            mcpc_energy_above_idle_j=mcpc_energy,
+            idle_quartiles=metrics.idle_quartiles(),
+            busy_means={key: acc.mean for key, acc in metrics.busy.items()},
+            mc_utilizations=mc_utilizations,
+            power_trace=([] if dt is None
+                         else power.sampled_trace(0.0, end, dt)),
+            latency_quartiles=(metrics.latency.quartiles()
+                               if len(metrics.latency) else None),
         )

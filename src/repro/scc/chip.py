@@ -69,8 +69,8 @@ class SCCChip:
         sim = self.sim
         self.dvfs = DVFSController(self.topology, telemetry=tel,
                                    clock=lambda: sim.now)
-        self.power = PowerModel(self.sim, self.topology, self.dvfs,
-                                self.config.power, telemetry=tel)
+        self.power = PowerModel(self.topology, self.dvfs, self.config.power,
+                                telemetry=tel, clock=lambda: sim.now)
 
     @property
     def num_cores(self) -> int:

@@ -23,7 +23,7 @@ from ..sim import Resource, Simulator
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .topology import GRID_HEIGHT, GRID_WIDTH, Coord
 
-__all__ = ["MeshConfig", "Link", "Mesh", "xy_route"]
+__all__ = ["MeshConfig", "Link", "Mesh", "link_tag", "xy_route"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,11 @@ def xy_route(src: Coord, dst: Coord) -> List[Tuple[Coord, Coord]]:
     return hops
 
 
+def link_tag(src: Coord, dst: Coord) -> str:
+    """Stable telemetry id of the link ``src -> dst``, e.g. ``"3,0->2,0"``."""
+    return f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
+
+
 class Link:
     """One directed router-to-router link."""
 
@@ -77,8 +82,8 @@ class Link:
         self.resource = Resource(sim, capacity=1, name=f"link{src}->{dst}")
         self.bytes_carried = 0
         self.messages = 0
-        #: stable telemetry id, e.g. ``"3,0->2,0"``
-        self.tag = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
+        #: stable telemetry id (:func:`link_tag`)
+        self.tag = link_tag(src, dst)
 
     @property
     def utilization(self) -> float:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..sim import Simulator, TimeSeries
+from ..sim import TimeSeries
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dvfs import DEFAULT_FREQUENCY_MHZ, DVFSController
 from .topology import NUM_CORES, SCCTopology
@@ -67,17 +67,18 @@ class PowerModel:
 
     def __init__(
         self,
-        sim: Simulator,
         topology: SCCTopology,
         dvfs: DVFSController,
         config: Optional[PowerConfig] = None,
         telemetry: Optional[Telemetry] = None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.sim = sim
         self.topology = topology
         self.dvfs = dvfs
         self.config = config or PowerConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
+        #: time source of the trace points (the chip wires ``sim.now``)
+        self._clock = clock or (lambda: 0.0)
         self._active: Set[int] = set()
         self.trace = TimeSeries("scc_power", initial=self.config.p_idle)
         # subscribed weakly, so the controller and its power model do not
@@ -118,12 +119,13 @@ class PowerModel:
 
     def _on_change(self) -> None:
         watts = self.current_power()
-        self.trace.record(self.sim.now, watts)
+        now = self._clock()
+        self.trace.record(now, watts)
         tel = self.telemetry
         if tel.enabled:
             tel.counters.set_gauge("power.scc_watts", watts)
             tel.counters.inc("power.trace_points")
-            tel.sample("power", "scc_watts", self.sim.now, watts)
+            tel.sample("power", "scc_watts", now, watts)
 
     # -- the model ------------------------------------------------------------
     def current_power(self) -> float:
@@ -150,13 +152,13 @@ class PowerModel:
     # -- reporting ------------------------------------------------------------
     def energy(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
         """Joules consumed over ``[t0, t1]`` (defaults to the whole run)."""
-        end = t1 if t1 is not None else self.sim.now
+        end = t1 if t1 is not None else self._clock()
         return self.trace.integrate(t0, end)
 
     def average_power(self, t0: float = 0.0,
                       t1: Optional[float] = None) -> float:
         """Mean power over ``[t0, t1]`` in watts."""
-        end = t1 if t1 is not None else self.sim.now
+        end = t1 if t1 is not None else self._clock()
         if end <= t0:
             raise ValueError("empty interval")
         return self.energy(t0, end) / (end - t0)

@@ -2,8 +2,8 @@
 
 Three layers of the contract from docs/performance.md:
 
-* **fallback is bit-identical** — every golden scenario runs with a
-  sampled power trace, which the batched engine declines;
+* **fallback is bit-identical** — every golden scenario runs with the
+  runtime sanitizers, which the batched engine declines;
   ``engine="batched"`` must then return the event engine's exact
   floats, field for field;
 * **timing mode is tolerance-clean** — the same scenario matrix at 20
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import Tolerances, diff_snapshots, snapshot_from_result
+from repro.analysis.sanitizers import SanitizerSuite
 from repro.engine import (BATCHED_DECLINE_REASONS, BatchedEngine,
                           batched_decline_reason)
 from repro.pipeline import PipelineRunner
@@ -36,7 +37,7 @@ TOLERANCES = Tolerances.from_dict(
 
 
 def _runner(scenario: str, *, engine: str, frames: int = FRAMES,
-            power_trace_dt=None) -> PipelineRunner:
+            sanitizers=None) -> PipelineRunner:
     spec = SCENARIOS[scenario]
     return PipelineRunner(
         config=spec["config"],
@@ -45,9 +46,9 @@ def _runner(scenario: str, *, engine: str, frames: int = FRAMES,
         frames=frames,
         image_side=IMAGE_SIDE,
         workload=_workload(frames, IMAGE_SIDE),
-        power_trace_dt=power_trace_dt,
         seed=SEED,
         frequency_plan=spec.get("frequency_plan"),
+        sanitizers=sanitizers,
         engine=engine,
     )
 
@@ -62,12 +63,11 @@ def _assert_identical(event_result, batched_result):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_golden_scenarios_fallback_bit_identical(scenario):
-    """A sampled power trace declines -> the event kernel answers both
-    calls."""
-    batched = _runner(scenario, engine="batched", power_trace_dt=0.01)
+    """Sanitizers decline -> the event kernel answers both calls."""
+    batched = _runner(scenario, engine="batched", sanitizers=SanitizerSuite())
     assert batched_decline_reason(batched) is not None
     event_result = _runner(scenario, engine="event",
-                           power_trace_dt=0.01).run()
+                           sanitizers=SanitizerSuite()).run()
     _assert_identical(event_result, batched.run())
 
 
@@ -112,15 +112,18 @@ def test_jump_engages_and_stays_within_tolerances():
 def test_decline_reasons():
     base = dict(config="one_renderer", pipelines=1, frames=3, image_side=16)
     assert batched_decline_reason(
-        PipelineRunner(power_trace_dt=0.1, **base)) is not None
+        PipelineRunner(sanitizers=SanitizerSuite(), **base)) is not None
     # telemetry is synthesized now — no longer declined
     assert batched_decline_reason(
         PipelineRunner(telemetry=Telemetry(), **base)) is None
     assert batched_decline_reason(
         PipelineRunner(telemetry=Telemetry(enabled=False), **base)) is None
     assert batched_decline_reason(PipelineRunner(**base)) is None
+    # a sampled power trace is derived from the engine's own power model
+    assert batched_decline_reason(
+        PipelineRunner(power_trace_dt=0.1, **base)) is None
     # the decline surface is a closed registry: exactly these remain
-    assert set(BATCHED_DECLINE_REASONS) == {"sanitizers", "power_trace"}
+    assert set(BATCHED_DECLINE_REASONS) == {"sanitizers"}
 
 
 @settings(max_examples=12, deadline=None,

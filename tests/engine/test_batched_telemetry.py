@@ -51,11 +51,18 @@ FIG_SCENARIOS = [
 ]
 
 
-def _run(engine, config, pipelines, frames):
+#: DVFS plans of the pre-jump checks: their ``dvfs`` and ``power``
+#: events come from the batched engine's own DVFS and power models
+PLANS = pytest.mark.parametrize(
+    "plan", [None, {"blur": 800}, {"sepia": 400.0}],
+    ids=["no-plan", "blur800", "sepia400"])
+
+
+def _run(engine, config, pipelines, frames, plan=None):
     telemetry = Telemetry(enabled=True)
     runner = PipelineRunner(config=config, pipelines=pipelines,
                             frames=frames, telemetry=telemetry,
-                            engine=engine)
+                            frequency_plan=plan, engine=engine)
     result = runner.run()
     return telemetry, result
 
@@ -73,11 +80,12 @@ def _counters(telemetry):
 
 # -- pre-jump region: bit-exact -----------------------------------------------
 
-def test_pre_jump_stream_bit_exact():
+@PLANS
+def test_pre_jump_stream_bit_exact(plan):
     """8 frames on mcpc_renderer stays pre-steady-state: the synthesized
     stream must equal the event engine's exactly, not approximately."""
-    tel_event, res_event = _run("event", "mcpc_renderer", 3, 8)
-    tel_batched, res_batched = _run("batched", "mcpc_renderer", 3, 8)
+    tel_event, res_event = _run("event", "mcpc_renderer", 3, 8, plan)
+    tel_batched, res_batched = _run("batched", "mcpc_renderer", 3, 8, plan)
     assert res_batched.walkthrough_seconds == res_event.walkthrough_seconds
     events = sorted(_key(e) for e in tel_event.events)
     synthesized = sorted(_key(e) for e in tel_batched.events)
@@ -112,11 +120,12 @@ def _canonical_trace(doc):
     return sorted(canon)
 
 
-def test_pre_jump_chrome_trace_bit_exact():
+@PLANS
+def test_pre_jump_chrome_trace_bit_exact(plan):
     """The Chrome-trace export of the synthesized stream carries the
     identical span set (serialized floats and fields included)."""
-    tel_event, _ = _run("event", "mcpc_renderer", 3, 8)
-    tel_batched, _ = _run("batched", "mcpc_renderer", 3, 8)
+    tel_event, _ = _run("event", "mcpc_renderer", 3, 8, plan)
+    tel_batched, _ = _run("batched", "mcpc_renderer", 3, 8, plan)
     assert (_canonical_trace(chrome_trace(tel_batched))
             == _canonical_trace(chrome_trace(tel_event)))
 

@@ -2,10 +2,10 @@
 
 :func:`repro.pipeline.stage.cost_table` prices every frame of a
 per-frame compute in one element-wise pass; the engine then scales the
-table to the core's clock (``chip.compute_time``) or to the MCPC
-(``/ speedup``).  Each entry must equal the scalar path — the event
-engine's ``compute_cost(op, …)(f)`` followed by the same scaling — bit
-for bit, on every frame.
+table to the core's clock or to the MCPC (``/ speedup``).  Each entry
+must equal the scalar path — the event engine's ``compute_cost(op,
+…)(f)`` followed by its chip's ``compute_time`` — bit for bit, on every
+frame.
 """
 
 import pytest
@@ -14,12 +14,21 @@ from repro.engine import BatchedEngine
 from repro.pipeline import PipelineRunner
 from repro.pipeline.describe import PER_FRAME_COSTS
 from repro.pipeline.stage import compute_cost
+from repro.scc import SCCChip
 
 FRAMES = 400
 
 
+def _event_chip(runner, graph):
+    """A chip clocked as the event engine clocks it for ``runner``."""
+    chip = SCCChip()
+    runner._apply_frequency_plan(chip.dvfs, graph)
+    return chip
+
+
 def _assert_tables_match_scalar(runner):
     engine = BatchedEngine(runner)
+    chip = _event_chip(runner, engine.graph)
     seen = set()
     for node, actor in zip(engine.graph.stages, engine.actors):
         ops = [op for op in node.program
@@ -34,7 +43,7 @@ def _assert_tables_match_scalar(runner):
             speedup = engine.mcpc_config.speedup_vs_scc_core
             want = [fn(f) / speedup for f in range(FRAMES)]
         else:
-            want = [engine.chip.compute_time(node.core, fn(f))
+            want = [chip.compute_time(node.core, fn(f))
                     for f in range(FRAMES)]
         assert len(actor.costs) == FRAMES
         assert all(got == w for got, w in zip(actor.costs, want))
@@ -71,7 +80,8 @@ def test_tables_are_bit_equal_under_a_frequency_plan(config, plan, kind):
     (the plan's first stage) by a factor other than one."""
     runner = PipelineRunner(config=config, pipelines=4, frames=FRAMES,
                             engine="batched", frequency_plan=plan)
-    chip = BatchedEngine(runner).chip
-    cores = runner._stage_graph().stage_cores()[next(iter(plan))]
+    graph = runner._stage_graph()
+    chip = _event_chip(runner, graph)
+    cores = graph.stage_cores()[next(iter(plan))]
     assert all(chip.dvfs.scaling_factor(core) != 1.0 for core in cores)
     assert _assert_tables_match_scalar(runner) == {kind}

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.sanitizers import SanitizerSuite
+from repro.engine import BatchedEngine
 from repro.pipeline import CONFIGURATIONS, PipelineRunner, RunResult
 from repro.pipeline.arrangements import dvfs_study_placement
 
@@ -99,13 +101,57 @@ def test_mcpc_energy_accounted_only_for_mcpc_config():
     assert scc_only.mcpc_energy_above_idle_j == pytest.approx(0.0)
 
 
-def test_power_trace_sampling():
+@pytest.mark.parametrize("engine", ["event", "batched"])
+def test_power_trace_sampling(engine):
     result = PipelineRunner(config="n_renderers", pipelines=2, frames=FRAMES,
-                            power_trace_dt=1.0).run()
+                            power_trace_dt=1.0, engine=engine).run()
     assert len(result.power_trace) >= 2
     t0, p0 = result.power_trace[0]
     assert t0 == 0.0
     assert p0 > 22.0  # cores already active at t=0
+
+
+@pytest.mark.parametrize("config, plan", [
+    ("n_renderers", None),
+    ("mcpc_renderer", {"blur": 800}),
+    ("one_renderer", {"sepia": 400.0}),
+])
+def test_batched_power_trace_equals_event(config, plan):
+    """The batched engine serves a sampled power trace from its own
+    power model: sample for sample the event engine's, through jumps."""
+    def runner(engine, frames):
+        return PipelineRunner(config=config, pipelines=3, frames=frames,
+                              frequency_plan=plan, power_trace_dt=0.5,
+                              engine=engine)
+
+    event = runner("event", 400).run()
+    served = runner("batched", 400)
+    batched = served.run()
+    assert served.last_chip is None  # not the event fallback
+    assert len(batched.power_trace) > 100
+    assert batched.power_trace == event.power_trace
+    # a short run takes no jump, so its energy is bit-identical too (a
+    # jump's wave shift moves it in the last ulps)
+    event = runner("event", 8).run()
+    engine = BatchedEngine(runner("batched", 8))
+    batched = engine.run()
+    assert not engine.jumps
+    assert batched.power_trace == event.power_trace
+    assert batched.scc_energy_j == event.scc_energy_j
+    assert batched.scc_avg_power_w == event.scc_avg_power_w
+
+
+def test_batched_run_builds_no_chip():
+    """``last_chip`` is the event engine's chip; a batched run has none
+    (its MC utilizations are in the result)."""
+    runner = PipelineRunner(config="n_renderers", pipelines=2, frames=20,
+                            engine="batched")
+    result = runner.run()
+    assert runner.last_chip is None
+    assert max(result.mc_utilizations) > 0.0
+    runner = PipelineRunner(config="n_renderers", pipelines=2, frames=20)
+    runner.run()
+    assert runner.last_chip.memory.controllers[1].requests > 0
 
 
 def test_viewer_gets_every_frame_in_order():
@@ -193,7 +239,7 @@ def test_event_log_names_the_engine_that_ran():
     assert batched[1]["engine"] == "batched"
     assert "sim_events" not in batched[1]
 
-    declined = _run_log(engine="batched", power_trace_dt=0.5)
+    declined = _run_log(engine="batched", sanitizers=SanitizerSuite())
     assert [r["event"] for r in declined] == ["run.start", "run.finish"]
     assert declined[1]["engine"] == "event"
     assert declined[1]["sim_events"] > 0

@@ -106,7 +106,8 @@ def make_power():
     sim = Simulator()
     topo = SCCTopology()
     dvfs = DVFSController(topo)
-    return sim, PowerModel(sim, topo, dvfs, PowerConfig()), dvfs
+    return sim, PowerModel(topo, dvfs, PowerConfig(),
+                           clock=lambda: sim.now), dvfs
 
 
 def test_idle_power_is_22w():
