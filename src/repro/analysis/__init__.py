@@ -1,8 +1,7 @@
 """Analysis around the simulation: the post-run trace insight engine
 (:mod:`repro.analysis.insights`), metrics snapshots and the regression gate
-(:mod:`repro.analysis.metrics_snapshot`), static determinism lints
-(:mod:`repro.analysis.lints`) and runtime sanitizers
-(:mod:`repro.analysis.sanitizers`)."""
+(:mod:`repro.analysis.metrics_snapshot`), and static determinism lints
+(:mod:`repro.analysis.lints`)."""
 
 from .insights import (
     ATTRIBUTION_CATEGORIES,
@@ -27,11 +26,8 @@ from .metrics_snapshot import (
     snapshot_from_result,
     write_snapshot,
 )
-from .sanitizers import Diagnostic, SanitizerSuite
 
 __all__ = [
-    "Diagnostic",
-    "SanitizerSuite",
     "ATTRIBUTION_CATEGORIES",
     "PathSegment",
     "CriticalPath",

@@ -23,8 +23,8 @@ without executing anything); this module executes the IR abstractly:
 ``CON005``
     flag-handshake discipline violations: an MPB-path send that skips
     the rendezvous (``handshake=False`` models a raw window write with
-    no flag exchange) — the static counterpart of the runtime
-    ``mpb_race`` sanitizer, which only ever sees executed schedules.
+    no flag exchange).  The check covers every schedule, not only the
+    ones a run happens to execute.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ def simulate(model: ProtocolModel) -> SimOutcome:
     Channel state is two counters per ``(src, dst)`` pair: posted recv
     tokens and undelivered payloads.  A handshook send needs a token; a
     non-handshook (raw MPB write) send never blocks — exactly the race
-    the runtime sanitizer exists for, so it must not *hide* behind a
-    deadlock here.  Queue state is one occupancy counter bounded by the
+    CON005 reports, so it must not *hide* behind a deadlock here.  Queue state is one occupancy counter bounded by the
     declared capacity.
     """
     cursors = [_Cursor(proc) for proc in model.processes]
@@ -265,8 +264,7 @@ def check_protocol(model: ProtocolModel) -> List[ProtocolIssue]:
                              f"RCCE flag handshake "
                              f"({op.describe()}); without coherence "
                              f"the receiver can read a torn or stale "
-                             f"payload (runtime counterpart: the "
-                             f"mpb_race sanitizer)")))
+                             f"payload")))
     outcome = simulate(model)
     if outcome.deadlocked:
         if outcome.wait_cycle:

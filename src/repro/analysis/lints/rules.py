@@ -651,9 +651,8 @@ class MpbHandshakeRule(Rule):
         "The SCC has no cache coherence: an MPB window write is only "
         "ordered with respect to its reader through the RCCE flag "
         "rendezvous.  A protocol op that writes a window without the "
-        "handshake races the reader on every schedule — the runtime "
-        "mpb_race sanitizer catches the schedules that execute; this "
-        "static check covers the ones that do not.")
+        "handshake races the reader on every schedule, so this check "
+        "proves the handshake on the stage graph before any run.")
 
     def check(self, ctx: LintContext) -> Iterator[Tuple[ast.AST, str]]:
         from ..concurrency.pipelines import protocol_findings

@@ -161,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="FILE",
                      help="write a Chrome trace-event JSON of the run "
                           "(open in Perfetto or chrome://tracing)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="enable the runtime sanitizers (MPB races, "
-                          "event-lifecycle teardown); exits 3 when any "
-                          "diagnostic fires")
     run.add_argument("--engine", choices=ENGINES, default="event",
                      help="execution engine: 'event' replays every "
                           "simulation event; 'batched' advances whole "
@@ -172,12 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "(same results within committed tolerances)")
     run.add_argument("--json", action="store_true",
                      help="machine-readable run summary on stdout, "
-                          "including which engine actually ran and the "
-                          "batched decline code on fallback")
+                          "including the engine requested and the engine "
+                          "used")
     run.add_argument("--strict-differential", action="store_true",
                      help="run BOTH engines and diff their metric "
-                          "snapshots (committed tolerances; exact where "
-                          "the batched engine falls back); exits 1 on "
+                          "snapshots (committed tolerances); exits 1 on "
                           "any deviation")
     _add_exec_args(run, jobs=False)
 
@@ -331,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip event analysis: verdict and snapshot "
                               "from the RunResult only (cache-eligible; "
                               "byte-identical for cached vs fresh runs)")
-    analyze.add_argument("--sanitize", action="store_true",
-                         help="enable the runtime sanitizers during the "
-                              "run; exits 3 when any diagnostic fires")
     analyze.add_argument("--json", action="store_true",
                          help="machine-readable insight summary on stdout")
     analyze.add_argument("--concurrency", action="store_true",
@@ -467,31 +459,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(problem, file=sys.stderr)
         return 2
     telemetry = Telemetry() if (args.trace_out or args.gantt) else None
-    suite = None
-    if args.sanitize:
-        from .analysis.sanitizers import SanitizerSuite
-
-        suite = SanitizerSuite()
     if args.strict_differential:
         return _cmd_strict_differential(args)
     runner = PipelineRunner(config=args.config, pipelines=args.pipelines,
                             arrangement=args.arrangement, frames=args.frames,
-                            telemetry=telemetry,
-                            sanitizers=suite, engine=args.engine)
-    engine_info: Dict[str, Any] = {"requested": args.engine,
-                                   "used": args.engine}
-    if args.engine == "batched":
-        from .engine import BATCHED_DECLINE_REASONS, batched_decline_code
-
-        code = batched_decline_code(runner)
-        if code is not None:
-            engine_info["used"] = "event"
-            engine_info["decline_code"] = code
-            engine_info["decline_reason"] = BATCHED_DECLINE_REASONS[code]
-    # A Gantt chart, Chrome trace or sanitized run needs the live
-    # simulation; otherwise the content-addressed cache can answer
-    # (and record) the result.
-    cache = (None if (args.gantt or args.trace_out or args.sanitize)
+                            telemetry=telemetry, engine=args.engine)
+    # A Gantt chart or Chrome trace needs the live simulation;
+    # otherwise the content-addressed cache can answer (and record) the
+    # result.
+    cache = (None if (args.gantt or args.trace_out)
              else _cache_from(args))
     cache_note = ""
     if cache is not None:
@@ -512,25 +488,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seconds_per_frame": result.seconds_per_frame,
             "scc_energy_j": result.scc_energy_j,
             "scc_avg_power_w": result.scc_avg_power_w,
-            "engine": engine_info,
+            "engine": {"requested": args.engine, "used": args.engine},
         }
         if cache_note:
             doc["cache"] = cache_note
-        if suite is not None:
-            doc["sanitizers_clean"] = suite.clean
         print(json.dumps(doc, indent=2, sort_keys=True))
         if args.trace_out is not None and telemetry is not None:
             write_chrome_trace(args.trace_out, telemetry)
-        if suite is not None and not suite.clean:
-            print(suite.summary(), file=sys.stderr)
-            return 3
         return 0
     if args.engine == "batched":
-        mode = ("fallback to event engine "
-                f"({engine_info.get('decline_reason')})"
-                if "decline_code" in engine_info
-                else "batched steady-state engine")
-        print(f"engine        : {mode}")
+        print("engine        : batched steady-state engine")
     print(f"config        : {result.config} / {result.arrangement}")
     print(f"pipelines     : {result.pipelines} "
           f"({result.cores_used} SCC cores)")
@@ -560,10 +527,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"({len(telemetry.events)} events)")
     if cache_note:
         print(f"result cache  : {cache_note}")
-    if suite is not None:
-        print(suite.summary())
-        if not suite.clean:
-            return 3
     return 0
 
 
@@ -571,20 +534,14 @@ def _cmd_strict_differential(args: argparse.Namespace) -> int:
     """Run both engines and diff their metric snapshots.
 
     Uses the committed ``metrics-tolerances.json`` when present in the
-    working directory; otherwise the diff is exact.  Where the batched
-    engine declines the scenario it falls back to the event kernel, so
-    the comparison is bit-identical by construction — the diff then
-    passes even under exact tolerances.
+    working directory; otherwise the diff is exact.
     """
     from .analysis import Tolerances, diff_snapshots, snapshot_from_result
-    from .engine import batched_decline_reason
 
     kwargs = dict(config=args.config, pipelines=args.pipelines,
                   arrangement=args.arrangement, frames=args.frames)
     event_result = PipelineRunner(engine="event", **kwargs).run()
-    batched_runner = PipelineRunner(engine="batched", **kwargs)
-    reason = batched_decline_reason(batched_runner)
-    batched_result = batched_runner.run()
+    batched_result = PipelineRunner(engine="batched", **kwargs).run()
 
     tol_path = pathlib.Path("metrics-tolerances.json")
     if tol_path.is_file():
@@ -596,11 +553,8 @@ def _cmd_strict_differential(args: argparse.Namespace) -> int:
     diff = diff_snapshots(snapshot_from_result(event_result),
                           snapshot_from_result(batched_result),
                           tolerances)
-    mode = (f"fallback to event engine ({reason})" if reason
-            else "batched steady-state engine")
     print(f"strict differential: {args.config} x{args.pipelines} "
           f"{args.frames} frames")
-    print(f"batched path  : {mode}")
     print(f"tolerances    : {tol_note}")
     print(diff.format_text())
     return 0 if diff.ok else 1
@@ -899,9 +853,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.trace is not None:
         # A trace file carries events but no RunResult: deep analysis
         # only, nothing to snapshot.
-        if args.shallow or args.sanitize or args.snapshot_out:
-            print("error: --trace is incompatible with --shallow, "
-                  "--sanitize and --snapshot-out (no RunResult)",
+        if args.shallow or args.snapshot_out:
+            print("error: --trace is incompatible with --shallow "
+                  "and --snapshot-out (no RunResult)",
                   file=sys.stderr)
             return 2
         from .telemetry import events_from_chrome
@@ -927,22 +881,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         snapshot = snapshot_from_result(result, digest=spec.digest())
         insight = None
     else:
-        suite = None
-        if args.sanitize:
-            from .analysis.sanitizers import SanitizerSuite
-
-            suite = SanitizerSuite()
         telemetry = Telemetry()
         runner = PipelineRunner(config=args.config,
                                 pipelines=args.pipelines,
                                 arrangement=args.arrangement,
                                 frames=args.frames, telemetry=telemetry,
-                                sanitizers=suite, engine=args.engine)
+                                engine=args.engine)
         result = runner.run()
         insight = analyze_telemetry(telemetry, result)
-        if suite is not None and not suite.clean:
-            print(suite.summary(), file=sys.stderr)
-            return 3
 
     if args.shallow:
         from .analysis import verdict_from_result

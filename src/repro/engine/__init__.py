@@ -11,21 +11,7 @@ feeds the spec digest, so the :class:`~repro.exec.ResultCache` never
 conflates results produced by different engines.
 """
 
-from .batched import (
-    BATCHED_DECLINE_REASONS,
-    BatchedEngine,
-    batched_decline_code,
-    batched_decline_reason,
-    try_batched_run,
-)
+from .batched import BatchedEngine
 from .telsynth import TelemetrySynth, make_synth
 
-__all__ = [
-    "BATCHED_DECLINE_REASONS",
-    "BatchedEngine",
-    "TelemetrySynth",
-    "batched_decline_code",
-    "batched_decline_reason",
-    "make_synth",
-    "try_batched_run",
-]
+__all__ = ["BatchedEngine", "TelemetrySynth", "make_synth"]

@@ -68,10 +68,8 @@ static chip (:class:`SCCTopology`, :func:`xy_route`, :class:`SCCConfig`)
 and keeps its own DVFS and power models.
 
 Pixels never enter either engine: the film is a pure function of the
-workload and seed (:func:`repro.pipeline.film.render_film`).  Only
-sanitizers decline (see :func:`batched_decline_reason`, keyed by
-:data:`BATCHED_DECLINE_REASONS`); the caller then falls back to the
-event engine, whose results are bit-identical by construction.
+workload and seed (:func:`repro.pipeline.film.render_film`).  The
+engine declines no run.
 """
 
 from __future__ import annotations
@@ -96,9 +94,7 @@ from ..sim import TimeSeries
 from ..telemetry import Telemetry
 from .telsynth import StepMeta, TelemetrySynth, make_synth
 
-__all__ = ["BatchedEngine", "BATCHED_DECLINE_REASONS",
-           "batched_decline_code", "batched_decline_reason",
-           "try_batched_run"]
+__all__ = ["BatchedEngine"]
 
 #: relative tolerance for "two periods look identical" float comparisons
 _RTOL = 1e-9
@@ -108,39 +104,6 @@ _MAX_K = 8
 
 Op = Tuple[Any, ...]
 Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
-
-#: The complete decline surface, keyed by a stable machine-readable code
-#: (surfaced in ``repro run --json`` and docs/performance.md).  Telemetry
-#: (and so the Gantt chart) is deliberately *absent*: telsynth serves it.
-BATCHED_DECLINE_REASONS: Dict[str, str] = {
-    "sanitizers": ("runtime sanitizers hook the RCCE/MPB model, which "
-                   "only the event engine runs"),
-}
-
-
-def batched_decline_code(runner: Any) -> Optional[str]:
-    """Decline code for this run (a :data:`BATCHED_DECLINE_REASONS` key),
-    or None when the batched engine can serve it."""
-    return "sanitizers" if runner.sanitizers is not None else None
-
-
-def batched_decline_reason(runner: Any) -> Optional[str]:
-    """Why the batched engine cannot serve this run (None = it can).
-
-    A declined feature needs the per-event machinery (the sanitizers'
-    kernel hooks); the caller falls back to the event engine, which then
-    produces the one true — bit-identical — result.
-    """
-    code = batched_decline_code(runner)
-    return None if code is None else BATCHED_DECLINE_REASONS[code]
-
-
-def try_batched_run(runner: Any) -> Optional[RunResult]:
-    """Run ``runner`` on the batched engine, or None to fall back."""
-    if batched_decline_code(runner):
-        return None
-    return BatchedEngine(runner).run()
-
 
 # ---------------------------------------------------------------------------
 # primitive state: resources and stores

@@ -94,11 +94,6 @@ class PipelineRunner:
         :func:`~repro.telemetry.render_gantt`); available as
         ``self.last_telemetry`` afterwards.  When omitted, a private
         disabled hub carries the metrics with near-zero overhead.
-    sanitizers:
-        A :class:`~repro.analysis.sanitizers.SanitizerSuite` to run the
-        MPB-race checker during the simulation (``repro run
-        --sanitize``).  Diagnostics accumulate on the suite; the runner
-        also performs the event-lifecycle teardown accounting pass.
 
     After :meth:`run`, ``last_chip`` is the event engine's
     :class:`~repro.scc.SCCChip` with its mesh, memory and power state;
@@ -121,7 +116,6 @@ class PipelineRunner:
         placement: Optional[Placement] = None,
         frequency_plan: Optional[dict] = None,
         telemetry: Optional[Telemetry] = None,
-        sanitizers: Optional[Any] = None,
         engine: str = "event",
     ) -> None:
         if config not in CONFIGURATIONS:
@@ -167,12 +161,8 @@ class PipelineRunner:
         self.frequency_plan = frequency_plan
         #: optional telemetry hub shared by all subsystems of the run
         self.telemetry = telemetry
-        #: optional runtime-sanitizer suite (duck-typed: the runner never
-        #: imports repro.analysis, which would create an import cycle)
-        self.sanitizers = sanitizers
         #: ``"event"`` (the discrete-event kernel) or ``"batched"`` (the
-        #: steady-state frame-wave engine in :mod:`repro.engine`, which
-        #: falls back to the event kernel whenever it declines the run)
+        #: steady-state frame-wave engine in :mod:`repro.engine`)
         self.engine = engine
 
     def spec(self):
@@ -234,25 +224,16 @@ class PipelineRunner:
                      arrangement=self.arrangement)
         if self.engine == "batched":
             # Imported lazily: repro.engine depends on this module.
-            from ..engine import try_batched_run
+            from ..engine import BatchedEngine
 
-            result = try_batched_run(self)
-            if result is not None:
-                if obs is not None:
-                    obs.info("run.finish", engine="batched",
-                             walkthrough_s=result.walkthrough_seconds)
-                return result
-            # declined: only sanitizers decline (see
-            # BATCHED_DECLINE_REASONS) — the event engine is the one
-            # true result
+            result = BatchedEngine(self).run()
+            if obs is not None:
+                obs.info("run.finish", engine="batched",
+                         walkthrough_s=result.walkthrough_seconds)
+            return result
         sim = Simulator()
         sim.obs_log = obs
         telemetry = self.telemetry or Telemetry(enabled=False)
-        suite = self.sanitizers
-        if suite is not None:
-            if suite.telemetry is None:
-                suite.telemetry = telemetry
-            telemetry.sanitizers = suite
         chip = SCCChip(sim, self.chip_config, telemetry=telemetry)
         mcpc = MCPC(sim, self.mcpc_config)
         graph = self._stage_graph()
@@ -266,16 +247,12 @@ class PipelineRunner:
 
         try:
             self._apply_frequency_plan(chip.dvfs, graph)
-            processes = run_stages(ctx, graph)
+            run_stages(ctx, graph)
             end = sim.now
-            if suite is not None:
-                suite.check_teardown(sim, processes)
         finally:
             # The metrics sink is per-run; leave a caller-supplied
             # hub clean so a second run does not double-record.
             ctx.detach_sinks()
-            if suite is not None:
-                telemetry.sanitizers = None
 
         #: exposed for post-run inspection (tests, notebooks)
         self.last_metrics = ctx.metrics

@@ -33,7 +33,7 @@ the workload and seed (:mod:`repro.pipeline.film`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -328,9 +328,9 @@ class Stage:
         return f"<Stage {self.key!r} core={self.core_id}>"
 
 
-def run_stages(ctx: StageContext, graph: ConfigDescription) -> List[Any]:
+def run_stages(ctx: StageContext, graph: ConfigDescription) -> None:
     """Run ``graph`` until every stage ends (at ``ctx.sim.now``), its
-    cores powered on; the processes.  Both runners run here."""
+    cores powered on.  Both runners run here."""
     sim, power = ctx.sim, ctx.chip.power
     queues = {name: Store(sim, capacity=capacity, name=name)
               for name, capacity in graph.queues.items()}
@@ -339,4 +339,3 @@ def run_stages(ctx: StageContext, graph: ConfigDescription) -> List[Any]:
     processes = [stage.start() for stage in stages]
     sim.run(until=sim.all_of(processes))
     power.set_cores_active(graph.cores, False)
-    return processes

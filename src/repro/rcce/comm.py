@@ -124,14 +124,7 @@ class RCCEComm:
         if via == "dram":
             yield from self.chip.memory.write_to(src, dst, nbytes)
         else:
-            # The completed rendezvous is the RCCE handshake that entitles
-            # the sender to the receiver's MPB window.
-            san = self.chip.telemetry.sanitizers
-            if san is not None:
-                san.on_mpb_handshake(dst, src, self.sim.now)
             yield from self._mpb_push(src, dst, nbytes)
-            if san is not None:
-                san.on_mpb_complete(dst, src, self.sim.now)
 
         msg = Message(src, dst, nbytes, tag=tag)
         yield chan.data_ready.put((msg, via))
@@ -180,7 +173,6 @@ class RCCEComm:
         src_coord = self.chip.topology.core(src).coord
         dst_coord = self.chip.topology.core(dst).coord
         tel = self.chip.telemetry
-        san = tel.sanitizers
         remaining = nbytes
         while remaining > 0:
             chunk = min(remaining, self.mpb_chunk_bytes)
@@ -196,17 +188,11 @@ class RCCEComm:
             else:
                 yield mpb.reserve(chunk)
             # Sender-side copy into the window, over the mesh.
-            write_start = self.sim.now
             yield from self.chip.mesh.transfer(src_coord, dst_coord, chunk,
                                                core=src)
             yield self.sim.timeout(chunk / mem_cfg.core_copy_bandwidth)
-            if san is not None:
-                san.on_mpb_write(dst, src, write_start, self.sim.now)
             # Receiver-side copy out of the window.
-            read_start = self.sim.now
             yield self.sim.timeout(chunk / mem_cfg.core_copy_bandwidth)
-            if san is not None:
-                san.on_mpb_read(dst, dst, read_start, self.sim.now)
             yield mpb.release(chunk)
             remaining -= chunk
 

@@ -55,11 +55,6 @@ class FlagVariable:
         dst = self.chip.topology.core(self.owner).coord
         if writer != self.owner:
             yield from self.chip.mesh.transfer(src, dst, CACHE_LINE_BYTES)
-        # A flag write *is* the RCCE handshake protocol: it entitles the
-        # writer to the owner's MPB window until the transfer completes.
-        san = self.chip.telemetry.sanitizers
-        if san is not None:
-            san.on_mpb_handshake(self.owner, writer, self.chip.sim.now)
         self.writes += 1
         self._value = int(value)
         still_waiting: List[Tuple[int, Event]] = []

@@ -76,10 +76,6 @@ class SCCChip:
     def num_cores(self) -> int:
         return NUM_CORES
 
-    def core_frequency(self, core_id: int) -> float:
-        """Clock of ``core_id`` in MHz (convenience passthrough)."""
-        return self.dvfs.core_frequency(core_id)
-
     def compute_time(self, core_id: int, seconds_at_533: float) -> float:
         """Scale a 533 MHz compute duration to the core's actual clock.
 

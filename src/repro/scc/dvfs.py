@@ -90,10 +90,6 @@ class DVFSController:
         """Clock of ``core_id`` in MHz (cores share their tile's clock)."""
         return self._tile_freq[self.topology.core(core_id).tile.tile_id]
 
-    def core_frequency_hz(self, core_id: int) -> float:
-        """Clock of ``core_id`` in Hz."""
-        return self.core_frequency(core_id) * 1e6
-
     def island_voltage(self, domain: int) -> float:
         """Current supply voltage of voltage island ``domain``."""
         tiles = self.topology.voltage_domain_tiles(domain)

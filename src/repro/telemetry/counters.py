@@ -34,7 +34,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "CounterRegistry",
 #: whose static name root is not listed here — add the root *and* its
 #: convention to ``docs/observability.md`` when opening a new subsystem.
 KNOWN_COUNTER_ROOTS = frozenset({
-    "mesh", "dram", "mpb", "stage", "dvfs", "power", "rcce", "sanitizer",
+    "mesh", "dram", "mpb", "stage", "dvfs", "power", "rcce",
 })
 
 #: The registered first segments of the *derived-metric* namespace: the

@@ -121,12 +121,6 @@ class Telemetry:
         self._blocks: List[Tuple[int, int, int, float, int]] = []
         self._materialized: Optional[
             Tuple[Tuple[int, int], List[TelemetryEvent]]] = None
-        #: Optional runtime sanitizer suite (repro.analysis.sanitizers),
-        #: set for one run by the runner.  Model-layer hooks (RCCE, MPB)
-        #: guard with ``if sanitizers is not None`` — a direct attribute
-        #: check, no event allocation — so sanitizer-off runs pay one
-        #: comparison per site.
-        self.sanitizers: Optional[Any] = None
 
     # -- sinks ------------------------------------------------------------
     def add_sink(self, sink: Sink) -> Sink:

@@ -23,8 +23,11 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.concurrency.pipelines import protocol_findings
 from repro.analysis.lints.engine import LintContext
+from repro.pipeline import PipelineRunner
 from repro.pipeline.arrangements import ARRANGEMENTS, make_placement
+from repro.pipeline.describe import FILTER_KEYS, StageOp, describe
 from repro.pipeline.protocol import channel_edges, extract_protocol
+from repro.sim import DeadlockError
 
 CONFIGS = ("one_renderer", "n_renderers", "mcpc_renderer")
 
@@ -174,6 +177,23 @@ def test_reversed_channel_yields_exactly_one_con004():
     issues = check_protocol(model)
     assert [i.rule for i in issues] == ["CON004"]
     assert "deadlock" in issues[0].message
+
+
+def test_reversed_channel_deadlocks_the_run_and_the_proof(monkeypatch):
+    """The same miswiring on the stage graph itself: the event kernel
+    stops the run with ``DeadlockError`` and the proof of that graph
+    reports exactly one CON004."""
+    graph = describe("one_renderer", 2, "ordered")
+    node = next(n for n in graph.stages if n.base in FILTER_KEYS)
+    flipped = dataclasses.replace(node, program=tuple(
+        StageOp("recv", op.arg, op.strip) if op.kind == "send" else op
+        for op in node.program))
+    graph.stages[graph.stages.index(node)] = flipped
+    monkeypatch.setattr(PipelineRunner, "_stage_graph", lambda self: graph)
+    with pytest.raises(DeadlockError):
+        PipelineRunner(config="one_renderer", pipelines=2, frames=2).run()
+    issues = check_protocol(extract_protocol(graph))
+    assert [i.rule for i in issues] == ["CON004"]
 
 
 def test_skipped_handshake_yields_exactly_one_con005():

@@ -1,11 +1,7 @@
 """Differential suite: the batched engine vs the event engine.
 
-Three layers of the contract from docs/performance.md:
+Two layers of the contract from docs/performance.md:
 
-* **fallback is bit-identical** — every golden scenario runs with the
-  runtime sanitizers, which the batched engine declines;
-  ``engine="batched"`` must then return the event engine's exact
-  floats, field for field;
 * **timing mode is tolerance-clean** — the same scenario matrix at 20
   frames exercises the coarse scheduler and (where the run turns
   periodic) the frame-wave jump; ``diff_snapshots`` under the committed
@@ -14,7 +10,6 @@ Three layers of the contract from docs/performance.md:
   two engines glued together on configurations nobody hand-picked.
 """
 
-import dataclasses
 import json
 import pathlib
 
@@ -22,9 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import Tolerances, diff_snapshots, snapshot_from_result
-from repro.analysis.sanitizers import SanitizerSuite
-from repro.engine import (BATCHED_DECLINE_REASONS, BatchedEngine,
-                          batched_decline_reason)
+from repro.engine import BatchedEngine
 from repro.pipeline import PipelineRunner
 from repro.telemetry import Telemetry
 
@@ -36,8 +29,8 @@ TOLERANCES = Tolerances.from_dict(
     json.loads((REPO_ROOT / "metrics-tolerances.json").read_text()))
 
 
-def _runner(scenario: str, *, engine: str, frames: int = FRAMES,
-            sanitizers=None) -> PipelineRunner:
+def _runner(scenario: str, *, engine: str,
+            frames: int = FRAMES) -> PipelineRunner:
     spec = SCENARIOS[scenario]
     return PipelineRunner(
         config=spec["config"],
@@ -48,27 +41,8 @@ def _runner(scenario: str, *, engine: str, frames: int = FRAMES,
         workload=_workload(frames, IMAGE_SIDE),
         seed=SEED,
         frequency_plan=spec.get("frequency_plan"),
-        sanitizers=sanitizers,
         engine=engine,
     )
-
-
-def _assert_identical(event_result, batched_result):
-    """Every RunResult field equal to the last bit (fallback contract)."""
-    for field in dataclasses.fields(event_result):
-        a = getattr(event_result, field.name)
-        b = getattr(batched_result, field.name)
-        assert a == b, (field.name, a, b)
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_golden_scenarios_fallback_bit_identical(scenario):
-    """Sanitizers decline -> the event kernel answers both calls."""
-    batched = _runner(scenario, engine="batched", sanitizers=SanitizerSuite())
-    assert batched_decline_reason(batched) is not None
-    event_result = _runner(scenario, engine="event",
-                           sanitizers=SanitizerSuite()).run()
-    _assert_identical(event_result, batched.run())
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -80,11 +54,11 @@ def test_golden_scenarios_timing_mode_within_tolerances(scenario):
     """
     frames = 20
     batched = _runner(scenario, engine="batched", frames=frames)
-    assert batched_decline_reason(batched) is None
     event_result = _runner(scenario, engine="event", frames=frames).run()
     diff = diff_snapshots(snapshot_from_result(event_result),
                           snapshot_from_result(batched.run()),
                           TOLERANCES)
+    assert batched.last_chip is None  # the batched engine served it
     assert diff.ok, diff.format_text(verbose=True)
 
 
@@ -109,21 +83,20 @@ def test_jump_engages_and_stays_within_tolerances():
         event_result.walkthrough_seconds, rel=1e-9)
 
 
-def test_decline_reasons():
-    base = dict(config="one_renderer", pipelines=1, frames=3, image_side=16)
-    assert batched_decline_reason(
-        PipelineRunner(sanitizers=SanitizerSuite(), **base)) is not None
-    # telemetry is synthesized now — no longer declined
-    assert batched_decline_reason(
-        PipelineRunner(telemetry=Telemetry(), **base)) is None
-    assert batched_decline_reason(
-        PipelineRunner(telemetry=Telemetry(enabled=False), **base)) is None
-    assert batched_decline_reason(PipelineRunner(**base)) is None
-    # a sampled power trace is derived from the engine's own power model
-    assert batched_decline_reason(
-        PipelineRunner(power_trace_dt=0.1, **base)) is None
-    # the decline surface is a closed registry: exactly these remain
-    assert set(BATCHED_DECLINE_REASONS) == {"sanitizers"}
+def test_batched_engine_serves_every_run_mode():
+    """Telemetry on or off, a sampled power trace, a plain run: the
+    batched engine serves each one itself (the event engine would leave
+    its chip on ``last_chip``)."""
+    base = dict(config="one_renderer", pipelines=1, frames=3, image_side=16,
+                engine="batched")
+    # telemetry is synthesized; a sampled power trace is derived from the
+    # engine's own power model
+    for extra in ({"telemetry": Telemetry()},
+                  {"telemetry": Telemetry(enabled=False)}, {},
+                  {"power_trace_dt": 0.1}):
+        runner = PipelineRunner(**base, **extra)
+        runner.run()
+        assert runner.last_chip is None, extra
 
 
 @settings(max_examples=12, deadline=None,
@@ -145,8 +118,8 @@ def test_hypothesis_differential(config, pipelines, frames, plan):
         kwargs["frequency_plan"] = plan
     event_result = PipelineRunner(engine="event", **kwargs).run()
     batched = PipelineRunner(engine="batched", **kwargs)
-    assert batched_decline_reason(batched) is None
     diff = diff_snapshots(snapshot_from_result(event_result),
                           snapshot_from_result(batched.run()),
                           TOLERANCES)
+    assert batched.last_chip is None  # the batched engine served it
     assert diff.ok, diff.format_text(verbose=True)

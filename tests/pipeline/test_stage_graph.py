@@ -39,7 +39,7 @@ def _proved_channels(config, arrangement, pipelines, placement):
             if op.kind in ("send", "recv")}
 
 
-def _event_channels(monkeypatch, runner):
+def _event_comm(monkeypatch, runner):
     comms = []
 
     class RecordingComm(RCCEComm):
@@ -50,7 +50,7 @@ def _event_channels(monkeypatch, runner):
     monkeypatch.setattr(runner_module, "RCCEComm", RecordingComm)
     runner.run()
     (comm,) = comms
-    return set(comm._channels)
+    return comm
 
 
 def _bound_stage_cores(hub):
@@ -67,13 +67,17 @@ def _bound_stage_cores(hub):
 def test_proved_channels_are_the_opened_channels(
         monkeypatch, config, arrangement, pipelines, placement):
     proved = _proved_channels(config, arrangement, pipelines, placement)
-    event = _event_channels(
+    comm = _event_comm(
         monkeypatch, _runner(config, arrangement, pipelines, placement))
     batched = set(BatchedEngine(_runner(
         config, arrangement, pipelines, placement,
         engine="batched"))._chans)
-    assert proved == event == batched
+    assert proved == set(comm._channels) == batched
     assert bool(proved) == (config != "single_core")
+    # Every message goes through a memory controller, none through an
+    # MPB window.  Should a stage program ever take the MPB path, it
+    # would need a run-time MPB race check, and the project has none.
+    assert comm.chip.mpb.total_bytes_through() == 0
 
 
 @pytest.mark.parametrize("config, arrangement, pipelines, placement", CASES)

@@ -197,7 +197,7 @@ def test_invalid_core_rejected():
 def test_chip_assembles_and_scales_compute():
     chip = SCCChip()
     assert chip.num_cores == 48
-    assert chip.core_frequency(0) == 533.0
+    assert chip.dvfs.core_frequency(0) == 533.0
     assert chip.compute_time(0, 1.0) == pytest.approx(1.0)
     chip.dvfs.set_core_frequency(0, 800.0)
     assert chip.compute_time(0, 1.0) == pytest.approx(533.0 / 800.0)

@@ -245,9 +245,9 @@ def test_analyze_shallow_json_snapshot(capsys):
     assert not any(k.startswith("critpath.") for k in doc["metrics"])
 
 
-def test_analyze_sanitized_run(capsys):
+def test_analyze_run_names_the_bottleneck(capsys):
     assert main(["analyze", "--config", "one_renderer", "--pipelines", "2",
-                 "--frames", "10", "--no-cache", "--sanitize"]) == 0
+                 "--frames", "10", "--no-cache"]) == 0
     assert "bottleneck" in capsys.readouterr().out
 
 
