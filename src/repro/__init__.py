@@ -6,8 +6,8 @@ Subpackages
 ``repro.sim``
     Deterministic discrete-event simulation kernel.
 ``repro.scc``
-    The simulated SCC chip: mesh NoC, memory controllers, caches, MPBs,
-    DVFS, power model.
+    The simulated SCC chip: mesh NoC, memory controllers, caches, DVFS,
+    power model.
 ``repro.rcce``
     RCCE-style blocking message passing over the simulated chip.
 ``repro.host``

@@ -14,8 +14,7 @@ engine (:mod:`repro.analysis.lints`):
   pipeline's send/recv channel protocol (extracted without executing a
   run by :mod:`repro.pipeline.protocol`).  CON004 proves or refutes
   deadlock-freedom by abstract rendezvous execution and reports the
-  wait-for cycle; CON005 proves the MPB flag-handshake discipline on
-  every schedule.
+  wait-for cycle.
 
 The :class:`~repro.analysis.lints.engine.Rule` wrappers live in
 :mod:`repro.analysis.lints.rules` (the rule catalog); this package

@@ -1,11 +1,12 @@
 """Lint bridge: run the static deadlock proofs under ``repro lint``.
 
-The CON004/CON005 checks are whole-protocol facts, not single-line AST
-patterns, but they still belong in the lint gate — the wiring they
-prove safe is read off the stage graph both engines build from
+The CON004 check is a whole-protocol fact, not a single-line AST
+pattern, but it still belongs in the lint gate — the wiring it proves
+safe is read off the stage graph both engines build from
 (``repro.pipeline.describe``), and ``repro.pipeline.runner`` runs it,
 so the findings anchor at the runner and flow through the same
-fingerprint/baseline/suppression machinery as every other rule.  Each ``repro lint src`` run therefore
+fingerprint/baseline/suppression machinery as every other rule.  Each
+``repro lint src`` run therefore
 *re-proves* the paper's three arrangements deadlock-free; a wiring edit
 that introduces a cyclic rendezvous turns up as a new CON004 finding on
 ``runner.py`` in the same report as any determinism lint.
@@ -34,8 +35,8 @@ _PIPELINE_COUNTS = (1, 2)
 def paper_protocol_issues() -> Tuple[Tuple[str, str], ...]:
     """``(rule, message)`` for every paper configuration x arrangement.
 
-    Cached: both rules below share one sweep, and repeated lint runs in
-    one process (tests) pay the extraction once.  An empty result *is*
+    Cached: repeated lint runs in one process (tests) pay the
+    extraction once.  An empty result *is*
     the deadlock-freedom proof for the paper's arrangement matrix.
     """
     from ...pipeline.arrangements import ARRANGEMENTS
@@ -56,8 +57,8 @@ def protocol_findings(ctx: "LintContext", rule_id: str
                       ) -> Iterator[Tuple[ast.AST, str]]:
     """Findings of one protocol rule, anchored at the runner module.
 
-    Shared by the CON004/CON005 :class:`~repro.analysis.lints.engine.
-    Rule` wrappers in :mod:`repro.analysis.lints.rules`.
+    Used by the CON004 :class:`~repro.analysis.lints.engine.Rule`
+    wrapper in :mod:`repro.analysis.lints.rules`.
     """
     if ctx.module != _ANCHOR_MODULE:
         return

@@ -1,9 +1,9 @@
-"""Static pipeline/MPB deadlock checking over a channel-protocol IR.
+"""Static pipeline deadlock checking over a channel-protocol IR.
 
 The RCCE layer (:mod:`repro.rcce.comm`) gives every ``send``/``recv``
 pair rendezvous semantics: ``recv`` posts a token for the channel and
 blocks until data arrives; ``send`` blocks until the matching token is
-posted, then transfers (DRAM bounce or MPB flag-handshake) and
+posted, then transfers through the receiver's DRAM partition and
 completes.  A pipeline arrangement is therefore a closed system of
 blocking operations whose deadlock-freedom is decidable without running
 the simulator: the per-process operation sequences are finite and the
@@ -20,11 +20,6 @@ without executing anything); this module executes the IR abstractly:
     but none can step — a guaranteed deadlock.  The diagnostic names
     the wait-for cycle (or the unmatched channel when a peer simply
     finished early, e.g. a reversed channel direction).
-``CON005``
-    flag-handshake discipline violations: an MPB-path send that skips
-    the rendezvous (``handshake=False`` models a raw window write with
-    no flag exchange).  The check covers every schedule, not only the
-    ones a run happens to execute.
 """
 
 from __future__ import annotations
@@ -46,13 +41,8 @@ class Op:
     #: channel endpoints (core ids) for send/recv
     src: int = -1
     dst: int = -1
-    #: transfer path for sends: ``"dram"`` or ``"mpb"``
-    via: str = "dram"
     #: queue name for put/get
     queue: str = ""
-    #: MPB sends only: False models a raw window write that skips the
-    #: RCCE flag rendezvous (the miswiring CON005 exists to catch)
-    handshake: bool = True
 
     @property
     def channel(self) -> Tuple[int, int]:
@@ -60,7 +50,7 @@ class Op:
 
     def describe(self) -> str:
         if self.kind in ("send", "recv"):
-            return f"{self.kind}({self.src}->{self.dst}, via={self.via})"
+            return f"{self.kind}({self.src}->{self.dst})"
         return f"{self.kind}({self.queue!r})"
 
 
@@ -87,7 +77,7 @@ class ProtocolModel:
 class ProtocolIssue:
     """One static diagnostic against a protocol."""
 
-    rule: str  # "CON004" | "CON005"
+    rule: str  # "CON004"
     message: str
 
 
@@ -135,10 +125,8 @@ def simulate(model: ProtocolModel) -> SimOutcome:
     """Execute the protocol abstractly until completion or no progress.
 
     Channel state is two counters per ``(src, dst)`` pair: posted recv
-    tokens and undelivered payloads.  A handshook send needs a token; a
-    non-handshook (raw MPB write) send never blocks — exactly the race
-    CON005 reports, so it must not *hide* behind a deadlock here.  Queue state is one occupancy counter bounded by the
-    declared capacity.
+    tokens and undelivered payloads; a send needs a token.  Queue state
+    is one occupancy counter bounded by the declared capacity.
     """
     cursors = [_Cursor(proc) for proc in model.processes]
     tokens: Dict[Tuple[int, int], int] = {}
@@ -165,10 +153,9 @@ def simulate(model: ProtocolModel) -> SimOutcome:
                 return True
             return changed
         if op.kind == "send":
-            if op.handshake:
-                if tokens.get(op.channel, 0) <= 0:
-                    return False
-                tokens[op.channel] -= 1
+            if tokens.get(op.channel, 0) <= 0:
+                return False
+            tokens[op.channel] -= 1
             data[op.channel] = data.get(op.channel, 0) + 1
             cur.advance()
             steps += 1
@@ -250,21 +237,10 @@ def _wait_cycle(model: ProtocolModel,
 def check_protocol(model: ProtocolModel) -> List[ProtocolIssue]:
     """All static diagnostics for one protocol (empty == proven safe).
 
-    At most one CON004 per protocol (the stuck state is a single global
-    fact) and one CON005 per offending operation.
+    At most one CON004 per protocol: the stuck state is a single global
+    fact.
     """
     issues: List[ProtocolIssue] = []
-    for proc in model.processes:
-        for op in proc.ops:
-            if op.kind == "send" and op.via == "mpb" and not op.handshake:
-                issues.append(ProtocolIssue(
-                    rule="CON005",
-                    message=(f"{model.name}: `{proc.name}` writes the "
-                             f"MPB window of core {op.dst} without the "
-                             f"RCCE flag handshake "
-                             f"({op.describe()}); without coherence "
-                             f"the receiver can read a torn or stale "
-                             f"payload")))
     outcome = simulate(model)
     if outcome.deadlocked:
         if outcome.wait_cycle:

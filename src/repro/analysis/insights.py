@@ -14,8 +14,8 @@ module derives *why the run took as long as it did*:
     approximate;
   - **per-stage wall-time attribution**: every track's ``[0, makespan]``
     window is partitioned into labelled intervals (compute, blocked on
-    the downstream rendezvous, MC queueing, mesh contention, MPB
-    back-pressure, idle-starved, uncontended handoff, drained) whose
+    the downstream rendezvous, MC queueing, mesh contention,
+    idle-starved, uncontended handoff, drained) whose
     boundaries are the exact event timestamps, so the categories tile
     the wall time with shared floats — no residual bucket;
   - **upstream-cause attribution** for idle time ("blur idle because
@@ -66,7 +66,6 @@ ATTRIBUTION_CATEGORIES = (
     "blocked",     # inside busy, stalled in the send rendezvous
     "mc_queue",    # waiting for a memory-controller grant
     "mesh_queue",  # waiting for a mesh-link grant
-    "mpb_wait",    # MPB window back-pressure
     "starved",     # waiting for upstream input (idle + wait spans)
     "handoff",     # uncontended data movement between spans (fetches)
     "drained",     # after the stage's last activity (pipeline drain)
@@ -80,7 +79,6 @@ _SUB_CATEGORY = {
     "rendezvous": "blocked",
     "dram_queue": "mc_queue",
     "mesh_queue": "mesh_queue",
-    "mpb_wait": "mpb_wait",
 }
 
 #: busy sub-category -> bottleneck resource name
@@ -88,8 +86,10 @@ _RESOURCE_OF = {
     "blocked": "downstream",
     "mc_queue": "memory-controller",
     "mesh_queue": "mesh",
-    "mpb_wait": "mpb",
 }
+
+#: the categories that count as a stage's busy time
+_BUSY = ("compute", "blocked", "mc_queue", "mesh_queue")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +168,7 @@ class StageAttribution:
 
     @property
     def busy_s(self) -> float:
-        return math.fsum(self.seconds.get(c, 0.0) for c in
-                         ("compute", "blocked", "mc_queue", "mesh_queue",
-                          "mpb_wait"))
+        return math.fsum(self.seconds.get(c, 0.0) for c in _BUSY)
 
     def total(self) -> float:
         """``fsum`` over the partition (equals ``wall_s`` up to fp)."""
@@ -183,7 +181,7 @@ class BottleneckVerdict:
 
     #: stage kind ("render", "blur", "connect", ..., "mcpc-render")
     stage: str
-    #: "core" | "memory-controller" | "mesh" | "mpb" | "downstream"
+    #: "core" | "memory-controller" | "mesh" | "downstream"
     resource: str
     #: (u1 - u2) / u1 — separation of the top utilization from the next
     confidence: float
@@ -401,11 +399,6 @@ class _Collected:
                 if core is not None and t1 > t0:
                     self.subs.setdefault(int(core), []).append(
                         (t0, t1, "mesh_queue"))
-            elif ev.category == "mpb" and ev.name == "wait":
-                src = ev.fields.get("src")
-                if src is not None and t1 > t0:
-                    self.subs.setdefault(int(src), []).append(
-                        (t0, t1, "mpb_wait"))
         for spans in self.spans.values():
             spans.sort(key=lambda s: (s[0], s[1]))
         for subs in self.subs.values():
@@ -694,9 +687,7 @@ def _deep_verdict(kind_utils: Dict[str, float],
                   ) -> BottleneckVerdict:
     resource_of: Dict[str, str] = {}
     for kind, sec in kind_seconds.items():
-        busy = math.fsum(sec.get(c, 0.0) for c in
-                         ("compute", "blocked", "mc_queue", "mesh_queue",
-                          "mpb_wait"))
+        busy = math.fsum(sec.get(c, 0.0) for c in _BUSY)
         compute = sec.get("compute", 0.0)
         if busy <= 0.0 or compute >= 0.5 * busy:
             resource_of[kind] = "core"
@@ -760,9 +751,7 @@ def analyze_events(events: Iterable[TelemetryEvent],
              for kind, cats in kind_seconds.items()}
     kind_utils = {}
     for kind, sec in kinds.items():
-        busy = math.fsum(sec.get(c, 0.0) for c in
-                         ("compute", "blocked", "mc_queue", "mesh_queue",
-                          "mpb_wait"))
+        busy = math.fsum(sec.get(c, 0.0) for c in _BUSY)
         kind_utils[kind] = busy / (kind_count[kind] * makespan)
 
     idle_stats: Dict[str, StatAccumulator] = {}

@@ -39,8 +39,7 @@ __all__ = ["ALL_RULES", "DETERMINISTIC_PACKAGES", "default_rules",
            "UnknownCounterRootRule", "UnknownMetricRootRule",
            "EngineEmissionRule",
            "DirectPrintRule", "GuardedStateRule", "LockOrderRule",
-           "UnlockedRmwRule", "PipelineDeadlockRule",
-           "MpbHandshakeRule"]
+           "UnlockedRmwRule", "PipelineDeadlockRule"]
 
 #: packages on the RunSpec -> RunResult path: nothing here may read the
 #: wall clock, the environment, or unseeded randomness
@@ -644,21 +643,6 @@ class PipelineDeadlockRule(Rule):
         yield from protocol_findings(ctx, self.rule_id)
 
 
-class MpbHandshakeRule(Rule):
-    rule_id = "CON005"
-    summary = "MPB transfer that skips the RCCE flag handshake"
-    rationale = (
-        "The SCC has no cache coherence: an MPB window write is only "
-        "ordered with respect to its reader through the RCCE flag "
-        "rendezvous.  A protocol op that writes a window without the "
-        "handshake races the reader on every schedule, so this check "
-        "proves the handshake on the stage graph before any run.")
-
-    def check(self, ctx: LintContext) -> Iterator[Tuple[ast.AST, str]]:
-        from ..concurrency.pipelines import protocol_findings
-        yield from protocol_findings(ctx, self.rule_id)
-
-
 def default_rules() -> Sequence[Rule]:
     """The project rule set, in catalog order."""
     return (WallClockRule(), UnseededRandomRule(), EnvDependenceRule(),
@@ -667,8 +651,7 @@ def default_rules() -> Sequence[Rule]:
             UnknownCounterRootRule(), UnknownMetricRootRule(),
             EngineEmissionRule(),
             DirectPrintRule(), GuardedStateRule(), LockOrderRule(),
-            UnlockedRmwRule(), PipelineDeadlockRule(),
-            MpbHandshakeRule())
+            UnlockedRmwRule(), PipelineDeadlockRule())
 
 
 ALL_RULES = tuple(type(r) for r in default_rules())

@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(same results within committed tolerances)")
     run.add_argument("--json", action="store_true",
                      help="machine-readable run summary on stdout, "
-                          "including the engine requested and the engine "
-                          "used")
+                          "including the engine that ran it")
     run.add_argument("--strict-differential", action="store_true",
                      help="run BOTH engines and diff their metric "
                           "snapshots (committed tolerances); exits 1 on "
@@ -488,7 +487,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seconds_per_frame": result.seconds_per_frame,
             "scc_energy_j": result.scc_energy_j,
             "scc_avg_power_w": result.scc_avg_power_w,
-            "engine": {"requested": args.engine, "used": args.engine},
+            "engine": args.engine,
         }
         if cache_note:
             doc["cache"] = cache_note

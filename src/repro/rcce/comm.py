@@ -1,20 +1,14 @@
 """RCCE-flavoured message passing over the simulated SCC.
 
 Intel's RCCE library gives each core a rank and provides blocking,
-MPI-like ``send``/``recv`` plus flags.  Two data paths exist
-on the real chip and both are modeled:
-
-* ``via="mpb"`` — the RCCE default: the payload is pumped through the
-  receiver's 8 KiB message-passing-buffer window in chunks, with
-  back-pressure when the window fills.  Sender and receiver proceed
-  chunk-by-chunk in lockstep (the L2 bypass / flag-polling protocol).
-* ``via="dram"`` — bulk transfers of frame strips, as the paper
-  describes: "the message actually has to travel first to the receiver
-  processor's memory partition.  The data must then be retrieved from
-  memory by the receiver."  The sender deposits the payload into the
-  receiver's private partition (occupying the receiver's memory
-  controller); the receiver then reads it back through the same
-  controller before working on it.
+MPI-like ``send``/``recv``.  Every message takes the path the paper
+describes for its frame strips: "the message actually has to travel
+first to the receiver processor's memory partition.  The data must then
+be retrieved from memory by the receiver."  The sender deposits the
+payload into the receiver's private partition (occupying the receiver's
+memory controller); the receiver then reads it back through the same
+controller before working on it.  The tiles' message-passing buffers
+are not modelled, because no message uses them.
 
 Both calls are *blocking* with rendezvous semantics: ``send`` completes
 only when the matching ``recv`` has been posted and the payload handed
@@ -28,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Tuple
 
 from ..scc.chip import SCCChip
-from ..scc.mpb import MPB_BYTES_PER_CORE
 from ..sim import Store
 
 __all__ = ["Message", "RCCEComm"]
@@ -61,21 +54,12 @@ class RCCEComm:
     Parameters
     ----------
     chip:
-        The simulated SCC whose mesh/memory/MPB carry the traffic.
-    mpb_chunk_bytes:
-        Chunk size for the MPB path (defaults to the full per-core
-        window, as RCCE's ``RCCE_send`` does).
+        The simulated SCC whose mesh and memory carry the traffic.
     """
 
-    def __init__(self, chip: SCCChip,
-                 mpb_chunk_bytes: int = MPB_BYTES_PER_CORE) -> None:
-        if mpb_chunk_bytes <= 0 or mpb_chunk_bytes > MPB_BYTES_PER_CORE:
-            raise ValueError(
-                f"chunk must be in 1..{MPB_BYTES_PER_CORE} bytes"
-            )
+    def __init__(self, chip: SCCChip) -> None:
         self.chip = chip
         self.sim = chip.sim
-        self.mpb_chunk_bytes = mpb_chunk_bytes
         self._channels: Dict[Tuple[int, int], _Channel] = {}
         #: messages fully delivered (monitoring)
         self.messages_delivered = 0
@@ -93,8 +77,8 @@ class RCCEComm:
         return chan
 
     # -- point to point -----------------------------------------------------
-    def send(self, src: int, dst: int, nbytes: int, *, tag: int = 0,
-             via: str = "dram") -> Generator[Any, Any, None]:
+    def send(self, src: int, dst: int, nbytes: int, *,
+             tag: int = 0) -> Generator[Any, Any, None]:
         """Blocking send; use as ``yield from comm.send(...)``.
 
         Completes when the receiver has posted the matching ``recv`` and
@@ -104,8 +88,6 @@ class RCCEComm:
             raise ValueError("a core cannot send to itself")
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if via not in ("dram", "mpb"):
-            raise ValueError(f"unknown path {via!r}")
         chan = self._channel(src, dst)
         tel = self.chip.telemetry
         # Rendezvous: wait until the receiver is ready (RCCE is synchronous).
@@ -121,19 +103,16 @@ class RCCEComm:
         else:
             yield chan.recv_posted.get()
 
-        if via == "dram":
-            yield from self.chip.memory.write_to(src, dst, nbytes)
-        else:
-            yield from self._mpb_push(src, dst, nbytes)
+        yield from self.chip.memory.write_to(src, dst, nbytes)
 
         msg = Message(src, dst, nbytes, tag=tag)
-        yield chan.data_ready.put((msg, via))
+        yield chan.data_ready.put(msg)
         self.messages_delivered += 1
         self.bytes_delivered += nbytes
         if tel.enabled:
             tel.counters.inc("rcce.messages")
             tel.counters.inc("rcce.bytes", nbytes)
-            tel.counters.inc(f"rcce.via_{via}.messages")
+            tel.counters.inc("rcce.via_dram.messages")
 
     def recv(self, dst: int, src: int,
              idle_cb=None) -> Generator[Any, Any, Message]:
@@ -147,54 +126,12 @@ class RCCEComm:
         chan = self._channel(src, dst)
         yield chan.recv_posted.put(None)
         wait_start = self.sim.now
-        msg, via = yield chan.data_ready.get()
+        msg = yield chan.data_ready.get()
         if idle_cb is not None:
             idle_cb(self.sim.now - wait_start)
-        if via == "dram":
-            # Fetch the strip back out of the private partition.
-            yield from self.chip.memory.read_own(dst, msg.nbytes)
-        else:
-            # MPB path: the chunk drain already charged the copy-out time.
-            pass
+        # Fetch the strip back out of the private partition.
+        yield from self.chip.memory.read_own(dst, msg.nbytes)
         return msg
-
-    def _mpb_push(self, src: int, dst: int,
-                  nbytes: int) -> Generator[Any, Any, None]:
-        """Pump ``nbytes`` through the receiver's MPB window in chunks.
-
-        The receiver's drain is modeled inline (sender-paced lockstep):
-        per chunk, the sender writes over the mesh into the window and
-        the receiver copies it out into L2 before the window is reused —
-        the RCCE "pipelined" protocol collapses to this for synchronous
-        ranks.
-        """
-        mem_cfg = self.chip.config.memory
-        mpb = self.chip.mpb.of(dst)
-        src_coord = self.chip.topology.core(src).coord
-        dst_coord = self.chip.topology.core(dst).coord
-        tel = self.chip.telemetry
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(remaining, self.mpb_chunk_bytes)
-            if tel.enabled:
-                tr = self.sim.now
-                yield mpb.reserve(chunk)
-                now = self.sim.now
-                if now > tr:
-                    # Back-pressure: the window was full and the sender
-                    # stalled until the receiver drained a chunk.
-                    tel.span("mpb", f"win core{dst}", "wait", tr, now,
-                             src=src, dst=dst, bytes=chunk)
-            else:
-                yield mpb.reserve(chunk)
-            # Sender-side copy into the window, over the mesh.
-            yield from self.chip.mesh.transfer(src_coord, dst_coord, chunk,
-                                               core=src)
-            yield self.sim.timeout(chunk / mem_cfg.core_copy_bandwidth)
-            # Receiver-side copy out of the window.
-            yield self.sim.timeout(chunk / mem_cfg.core_copy_bandwidth)
-            yield mpb.release(chunk)
-            remaining -= chunk
 
     def __repr__(self) -> str:
         return (

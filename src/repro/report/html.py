@@ -27,7 +27,6 @@ _COLORS = {
     "blocked": "#d65f5f",
     "mc_queue": "#b47cc7",
     "mesh_queue": "#c4ad66",
-    "mpb_wait": "#77bedb",
     "starved": "#e8e8e8",
     "handoff": "#6acc65",
     "drained": "#f7f7f7",

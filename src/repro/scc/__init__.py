@@ -1,10 +1,12 @@
 """Simulated Intel Single-chip Cloud Computer (SCC).
 
 The substrate of the reproduction: a 48-core / 24-tile chip on a 6x4
-mesh with four memory controllers, per-tile message-passing buffers,
-per-tile frequency and per-island voltage control, and a calibrated
-power model.  See DESIGN.md §2 for the substitution argument (real
-silicon → discrete-event model).
+mesh with four memory controllers, per-tile frequency and per-island
+voltage control, and a calibrated power model.  The tiles'
+message-passing buffers are not modelled: every message travels
+through the receiver's DRAM partition, as the paper's pipeline sends
+them.  See DESIGN.md §2 for the substitution argument (real silicon →
+discrete-event model).
 """
 
 from .chip import SCCChip, SCCConfig
@@ -16,7 +18,6 @@ from .dvfs import (
 )
 from .memory import MemoryConfig, MemoryController, MemorySystem
 from .mesh import Link, Mesh, MeshConfig, xy_route
-from .mpb import MPB_BYTES_PER_CORE, MessagePassingBuffer, MPBSystem
 from .power import PowerConfig, PowerModel
 from .topology import (
     CACHE_LINE_BYTES,
@@ -27,7 +28,6 @@ from .topology import (
     L1_BYTES,
     L2_BYTES,
     MC_LOCATIONS,
-    MPB_BYTES_PER_TILE,
     NUM_CORES,
     NUM_MEMORY_CONTROLLERS,
     NUM_TILES,
@@ -52,9 +52,6 @@ __all__ = [
     "MemorySystem",
     "MemoryConfig",
     "MemoryController",
-    "MPBSystem",
-    "MessagePassingBuffer",
-    "MPB_BYTES_PER_CORE",
     "DVFSController",
     "required_voltage",
     "VOLTAGE_TABLE",
@@ -69,7 +66,6 @@ __all__ = [
     "NUM_MEMORY_CONTROLLERS",
     "MC_LOCATIONS",
     "SIF_LOCATION",
-    "MPB_BYTES_PER_TILE",
     "L1_BYTES",
     "L2_BYTES",
     "CACHE_WAYS",

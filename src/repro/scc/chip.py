@@ -1,7 +1,7 @@
 """Assembly of the full SCC developer-kit chip model.
 
 :class:`SCCChip` wires the static topology to the dynamic subsystems
-(mesh, memory, MPBs, DVFS, power) over one shared simulator.  Everything
+(mesh, memory, DVFS, power) over one shared simulator.  Everything
 higher up — RCCE, the pipeline runner, the benches — talks to this one
 object.
 """
@@ -16,7 +16,6 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dvfs import DVFSController
 from .memory import MemoryConfig, MemorySystem
 from .mesh import Mesh, MeshConfig
-from .mpb import MPBSystem
 from .power import PowerConfig, PowerModel
 from .topology import NUM_CORES, SCCTopology
 
@@ -48,7 +47,7 @@ class SCCChip:
 
     Attributes
     ----------
-    topology, mesh, memory, mpb, dvfs, power:
+    topology, mesh, memory, dvfs, power:
         The assembled subsystems.
     """
 
@@ -63,7 +62,6 @@ class SCCChip:
         self.mesh = Mesh(self.sim, self.config.mesh, telemetry=tel)
         self.memory = MemorySystem(self.sim, self.topology, self.mesh,
                                    self.config.memory, telemetry=tel)
-        self.mpb = MPBSystem(self.sim, self.topology, telemetry=tel)
         # the clock closes over the simulator, not the chip: a chip that
         # its own controller references lives on until a full GC pass
         sim = self.sim

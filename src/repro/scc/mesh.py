@@ -107,7 +107,7 @@ class Mesh:
     Notes
     -----
     The mesh knows nothing about cores or memory controllers — it moves
-    bytes between router coordinates.  Higher layers (memory system, MPB,
+    bytes between router coordinates.  Higher layers (memory system,
     RCCE) translate core ids into coordinates.
     """
 

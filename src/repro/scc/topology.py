@@ -27,7 +27,6 @@ __all__ = [
     "NUM_MEMORY_CONTROLLERS",
     "MC_LOCATIONS",
     "SIF_LOCATION",
-    "MPB_BYTES_PER_TILE",
     "L1_BYTES",
     "L2_BYTES",
     "CACHE_WAYS",
@@ -53,8 +52,6 @@ MC_LOCATIONS: Tuple[Tuple[int, int], ...] = ((0, 0), (5, 0), (0, 2), (5, 2))
 #: router coordinate of the system interface to the MCPC (PCIe)
 SIF_LOCATION: Tuple[int, int] = (3, 0)
 
-#: message-passing buffer per tile ("the routers provide 16 KiB memory")
-MPB_BYTES_PER_TILE = 16 * 1024
 #: per-core caches: 16 KiB L1, 256 KiB L2, both 4-way set associative
 L1_BYTES = 16 * 1024
 L2_BYTES = 256 * 1024

@@ -24,7 +24,7 @@ from .errors import DeadlockError, SimulationError, StopSimulation
 from .events import AllOf, Event, Timeout
 from .monitor import StatAccumulator, TimeSeries, quantile
 from .process import Process
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource, Store
 
 __all__ = [
     "Simulator",
@@ -36,7 +36,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Container",
     "SimulationError",
     "StopSimulation",
     "DeadlockError",

@@ -180,10 +180,6 @@ class TimeSeries:
         idx = bisect_right(self.times, t) - 1
         return self.values[idx]
 
-    @property
-    def last_value(self) -> float:
-        return self.values[-1]
-
     def integrate(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
         """Exact integral of the step signal over ``[t0, t1]``."""
         if t1 is None:

@@ -1,12 +1,11 @@
 """Shared resources for the discrete-event kernel.
 
-Three primitives cover everything the SCC model needs:
+Two primitives cover everything the SCC model needs:
 
 * :class:`Resource` — ``capacity`` interchangeable servers with a FIFO wait
   queue.  Used for memory-controller ports, mesh links and router buffers.
 * :class:`Store` — a FIFO buffer of Python objects with optional capacity.
   Used for stage input queues and UDP sockets.
-* :class:`Container` — a continuous quantity (e.g. bytes of MPB space).
 
 All waiting is fair (strict FIFO) and deterministic; combined with the
 kernel's deterministic tie-breaking this makes every simulation replayable
@@ -24,7 +23,7 @@ from .events import PENDING, Event
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
 
-__all__ = ["Request", "Release", "Resource", "Store", "Container"]
+__all__ = ["Request", "Release", "Resource", "Store"]
 
 
 class Request(Event):
@@ -128,13 +127,6 @@ class Resource:
         # the process immediately instead of burning a calendar hop on an
         # event nobody else can observe.
         return self._released
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            raise RuntimeError("request is not waiting (already granted?)")
 
     def _grant(self, req: Request) -> None:
         sim = self.sim
@@ -257,76 +249,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"<Store {self.name!r} len={len(self.items)}/{self.capacity}>"
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, sim: "Simulator", amount: float) -> None:
-        super().__init__(sim)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, sim: "Simulator", amount: float) -> None:
-        super().__init__(sim)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity bounded by ``capacity``.
-
-    Models the free space of a message-passing buffer: producers ``get``
-    space before writing, consumers ``put`` it back after reading.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float,
-                 init: float = 0.0, name: Optional[str] = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = init
-        self.name = name or "container"
-        self._putters: Deque[_ContainerPut] = deque()
-        self._getters: Deque[_ContainerGet] = deque()
-
-    def put(self, amount: float) -> _ContainerPut:
-        """Add ``amount``; blocks while it would overflow ``capacity``."""
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        event = _ContainerPut(self.sim, amount)
-        self._putters.append(event)
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> _ContainerGet:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        event = _ContainerGet(self.sim, amount)
-        self._getters.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self.level + self._putters[0].amount <= self.capacity:
-                put = self._putters.popleft()
-                self.level += put.amount
-                put.succeed()
-                progressed = True
-            if self._getters and self.level >= self._getters[0].amount:
-                get = self._getters.popleft()
-                self.level -= get.amount
-                get.succeed(get.amount)
-                progressed = True
-
-    def __repr__(self) -> str:
-        return f"<Container {self.name!r} {self.level}/{self.capacity}>"

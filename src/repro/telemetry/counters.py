@@ -6,7 +6,6 @@ under dotted hierarchical names following the convention documented in
 
 * ``mesh.link.{sx},{sy}->{dx},{dy}.bytes`` — per directed mesh link;
 * ``dram.mc{i}.bytes`` / ``dram.mc{i}.requests`` — per memory controller;
-* ``mpb.tile{t}.core{c}.occupancy`` — message-passing-buffer windows;
 * ``stage.{key}.frames`` / ``stage.{key}.busy_s`` — pipeline stages;
 * ``dvfs.*``, ``power.*``, ``rcce.*`` — the rest.
 
@@ -34,7 +33,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "CounterRegistry",
 #: whose static name root is not listed here — add the root *and* its
 #: convention to ``docs/observability.md`` when opening a new subsystem.
 KNOWN_COUNTER_ROOTS = frozenset({
-    "mesh", "dram", "mpb", "stage", "dvfs", "power", "rcce",
+    "mesh", "dram", "stage", "dvfs", "power", "rcce",
 })
 
 #: The registered first segments of the *derived-metric* namespace: the

@@ -1,8 +1,8 @@
 """The telemetry hub: structured events, counters, pluggable sinks.
 
 One :class:`Telemetry` instance accompanies a simulation; every
-instrumented subsystem (mesh, memory controllers, MPBs, DVFS, power,
-pipeline stages) reports into it and every consumer (run metrics, Gantt
+instrumented subsystem (mesh, memory controllers, DVFS, power, pipeline
+stages) reports into it and every consumer (run metrics, Gantt
 charts, Chrome-trace export, top reports) reads out of it.
 
 Design rules
@@ -57,7 +57,7 @@ class TelemetryEvent:
 
     #: "span" | "instant" | "sample"
     kind: str
-    #: subsystem ("stage", "mesh", "dram", "mpb", "dvfs", "power", ...)
+    #: subsystem ("stage", "mesh", "dram", "dvfs", "power", ...)
     category: str
     #: event name within the category ("busy", "xfer", "set_frequency", ...)
     name: str

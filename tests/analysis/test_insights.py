@@ -125,7 +125,7 @@ def test_verdict_well_formed(run):
         assert 0.0 <= verdict.confidence <= 1.0
         assert 0.0 < verdict.utilization <= 1.0 + 1e-9
         assert verdict.resource in ("core", "memory-controller", "mesh",
-                                    "mpb", "downstream")
+                                    "downstream")
 
 
 def test_config_specific_verdicts(run):

@@ -1,10 +1,10 @@
 """Static deadlock proofs for the paper's pipeline arrangements.
 
-The CON004/CON005 prong: extract the send/recv channel protocol of
-every configuration x arrangement without executing the simulator,
-run it abstractly under RCCE rendezvous semantics, and prove it
-deadlock-free.  Injected miswirings (a reversed channel, a skipped
-flag handshake) must each surface as exactly one diagnostic.
+The CON004 prong: extract the send/recv channel protocol of every
+configuration x arrangement without executing the simulator, run it
+abstractly under RCCE rendezvous semantics, and prove it deadlock-free.
+An injected miswiring (a reversed channel) must surface as exactly one
+diagnostic.
 """
 
 import ast
@@ -154,24 +154,6 @@ def _flip_one_send(model: ProtocolModel) -> ProtocolModel:
     return dataclasses.replace(model, processes=tuple(processes))
 
 
-def _skip_one_handshake(model: ProtocolModel) -> ProtocolModel:
-    """Route the first filter-stage send via MPB with no flag exchange."""
-    processes = []
-    injected = False
-    for proc in model.processes:
-        ops = list(proc.ops)
-        if not injected and proc.name.startswith("filter["):
-            for i, op in enumerate(ops):
-                if op.kind == "send":
-                    ops[i] = dataclasses.replace(op, via="mpb",
-                                                 handshake=False)
-                    injected = True
-                    break
-        processes.append(dataclasses.replace(proc, ops=tuple(ops)))
-    assert injected, "no filter send found to reroute"
-    return dataclasses.replace(model, processes=tuple(processes))
-
-
 def test_reversed_channel_yields_exactly_one_con004():
     model = _flip_one_send(extract_protocol("one_renderer", 2, "ordered"))
     issues = check_protocol(model)
@@ -196,25 +178,6 @@ def test_reversed_channel_deadlocks_the_run_and_the_proof(monkeypatch):
     assert [i.rule for i in issues] == ["CON004"]
 
 
-def test_skipped_handshake_yields_exactly_one_con005():
-    model = _skip_one_handshake(
-        extract_protocol("one_renderer", 2, "ordered"))
-    issues = check_protocol(model)
-    assert [i.rule for i in issues] == ["CON005"]
-    assert "flag handshake" in issues[0].message
-    # a handshake-less send still rendezvouses abstractly: no CON004
-    assert not simulate(model).deadlocked
-
-
-def test_handshaken_mpb_send_is_clean():
-    model = ProtocolModel(name="mpb-ok", processes=(
-        Process(name="tx", ops=(Op("send", src=0, dst=1, via="mpb"),),
-                iterations=2),
-        Process(name="rx", ops=(Op("recv", src=0, dst=1),),
-                iterations=2)))
-    assert check_protocol(model) == []
-
-
 # -- lint anchoring ---------------------------------------------------------
 
 def _ctx(module: str) -> LintContext:
@@ -235,8 +198,7 @@ def test_protocol_findings_anchor_only_at_the_runner():
 
 
 def test_protocol_findings_filter_by_rule():
-    # with a clean sweep both rules yield nothing; the filter itself is
+    # with a clean sweep the rule yields nothing; the filter itself is
     # exercised through the miswiring tests above via check_protocol
-    for rule in ("CON004", "CON005"):
-        assert list(protocol_findings(_ctx("repro.pipeline.runner"),
-                                      rule)) == []
+    assert list(protocol_findings(_ctx("repro.pipeline.runner"),
+                                  "CON004")) == []

@@ -74,10 +74,6 @@ def test_proved_channels_are_the_opened_channels(
         engine="batched"))._chans)
     assert proved == set(comm._channels) == batched
     assert bool(proved) == (config != "single_core")
-    # Every message goes through a memory controller, none through an
-    # MPB window.  Should a stage program ever take the MPB path, it
-    # would need a run-time MPB race check, and the project has none.
-    assert comm.chip.mpb.total_bytes_through() == 0
 
 
 @pytest.mark.parametrize("config, arrangement, pipelines, placement", CASES)

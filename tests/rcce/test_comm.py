@@ -73,31 +73,6 @@ def test_unmatched_send_deadlocks():
         chip.sim.run(until=p)
 
 
-def test_mpb_path_roundtrip_and_chunking():
-    chip = make_chip()
-    comm = RCCEComm(chip, mpb_chunk_bytes=8192)
-    done = {}
-    nbytes = 100_000  # 13 chunks
-
-    def sender():
-        yield from comm.send(0, 1, nbytes, via="mpb")
-
-    def receiver():
-        msg = yield from comm.recv(1, 0)
-        done["t"] = chip.sim.now
-        done["n"] = msg.nbytes
-
-    chip.sim.process(sender())
-    chip.sim.process(receiver())
-    chip.sim.run()
-    assert done["n"] == nbytes
-    # Each byte is copied in and out of the window at 1e7 B/s.
-    assert done["t"] == pytest.approx(2 * nbytes / 1e7, rel=1e-3)
-    # MPB path leaves the memory controllers untouched.
-    assert all(mc.bytes_served == 0 for mc in chip.memory.controllers)
-    assert chip.mpb.of(1).bytes_through == nbytes
-
-
 def test_dram_path_charges_receivers_controller():
     chip = make_chip()
     comm = RCCEComm(chip)
@@ -123,12 +98,6 @@ def test_send_validation():
         list(comm.send(0, 0, 10))
     with pytest.raises(ValueError):
         list(comm.send(0, 1, -1))
-    with pytest.raises(ValueError):
-        list(comm.send(0, 1, 10, via="carrier-pigeon"))
-    with pytest.raises(ValueError):
-        RCCEComm(chip, mpb_chunk_bytes=0)
-    with pytest.raises(ValueError):
-        RCCEComm(chip, mpb_chunk_bytes=10**9)
 
 
 def test_messages_between_same_pair_stay_ordered():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Event,
-    Resource,
     Simulator,
     Store,
     Timeout,
@@ -59,17 +58,6 @@ def test_store_put_while_getter_and_putter_queued():
     sim.run()
     gots = [item for kind, item, _ in order if kind == "got"]
     assert gots == ["a", "b", "c"]
-
-
-def test_resource_cancel_then_grant_order_preserved():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    holder = res.request()
-    second = res.request()
-    third = res.request()
-    res.cancel(second)
-    res.release(holder)
-    assert third.triggered  # second was cancelled, third got the grant
 
 
 def test_run_until_event_that_fails():

@@ -1,8 +1,8 @@
-"""Tests for Resource / Store / Container."""
+"""Tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +62,6 @@ def test_resource_release_wrong_resource_rejected():
     req = res1.request()
     with pytest.raises(ValueError):
         res2.release(req)
-
-
-def test_resource_cancel_waiting_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    waiting = res.request()
-    res.cancel(waiting)
-    assert res.queue_length == 0
-    with pytest.raises(RuntimeError):
-        res.cancel(waiting)
 
 
 def test_resource_acquire_helper():
@@ -224,74 +213,3 @@ def test_store_handoff_bypasses_buffer():
     sim.run()
     assert got == ["x"]
     assert len(store) == 0
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-def test_container_put_get_levels():
-    sim = Simulator()
-    c = Container(sim, capacity=100.0, init=50.0)
-
-    def proc():
-        yield c.get(30.0)
-        assert c.level == pytest.approx(20.0)
-        yield c.put(70.0)
-        assert c.level == pytest.approx(90.0)
-
-    sim.process(proc())
-    sim.run()
-
-
-def test_container_get_blocks_until_enough():
-    sim = Simulator()
-    c = Container(sim, capacity=100.0, init=0.0)
-    got = []
-
-    def consumer():
-        yield c.get(10.0)
-        got.append(sim.now)
-
-    def producer():
-        yield sim.timeout(1.0)
-        yield c.put(4.0)
-        yield sim.timeout(1.0)
-        yield c.put(6.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [2.0]
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    c = Container(sim, capacity=10.0, init=8.0)
-    done = []
-
-    def producer():
-        yield c.put(5.0)
-        done.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(2.0)
-        yield c.get(4.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert done == [2.0]
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0.0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10.0, init=11.0)
-    c = Container(sim, capacity=10.0)
-    with pytest.raises(ValueError):
-        c.put(0.0)
-    with pytest.raises(ValueError):
-        c.get(-1.0)

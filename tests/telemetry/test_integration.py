@@ -3,9 +3,6 @@
 import pytest
 
 from repro.pipeline import PipelineRunner
-from repro.rcce import RCCEComm
-from repro.scc import SCCChip
-from repro.sim import Simulator
 from repro.telemetry import Telemetry, chrome_trace, validate_chrome_trace
 
 
@@ -107,26 +104,3 @@ def test_dvfs_changes_emit_events():
     assert "set_frequency" in names
     gauges = tel.counters.match("dvfs.tile*.mhz")
     assert any(g.value == 800.0 for g in gauges.values())
-
-
-def test_mpb_path_updates_occupancy_counters():
-    tel = Telemetry()
-    sim = Simulator()
-    chip = SCCChip(sim, telemetry=tel)
-    comm = RCCEComm(chip)
-
-    def sender():
-        yield from comm.send(0, 1, 16384, via="mpb")
-
-    def receiver():
-        yield from comm.recv(1, 0)
-
-    sim.process(sender())
-    sim.process(receiver())
-    sim.run()
-    assert tel.counters.value("rcce.via_mpb.messages") == 1
-    mpb_bytes = tel.counters.match("mpb.tile*.core*.bytes")
-    assert sum(m.value for m in mpb_bytes.values()) == 16384
-    occupancy = tel.counters.match("mpb.tile*.core*.occupancy")
-    assert occupancy  # gauge exists; drained back to zero at the end
-    assert all(g.value == 0.0 for g in occupancy.values())

@@ -193,6 +193,16 @@ def test_run_command_uses_cache(tmp_path, capsys):
     assert "result cache  : hit" in capsys.readouterr().out
 
 
+def test_run_json_names_the_engine_once(capsys):
+    import json
+
+    assert main(["run", "--config", "one_renderer", "--pipelines", "1",
+                 "--frames", "5", "--no-cache", "--engine", "batched",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["engine"] == "batched"
+
+
 def test_run_no_cache_stays_live(capsys):
     assert main(["run", "--config", "one_renderer", "--pipelines", "1",
                  "--frames", "5", "--no-cache"]) == 0
