@@ -32,8 +32,8 @@ _PIPELINE_COUNTS = (1, 2)
 
 
 @lru_cache(maxsize=1)
-def paper_protocol_issues() -> Tuple[Tuple[str, str], ...]:
-    """``(rule, message)`` for every paper configuration x arrangement.
+def paper_protocol_issues() -> Tuple[str, ...]:
+    """CON004 messages for every paper configuration x arrangement.
 
     Cached: repeated lint runs in one process (tests) pay the
     extraction once.  An empty result *is*
@@ -43,25 +43,23 @@ def paper_protocol_issues() -> Tuple[Tuple[str, str], ...]:
     from ...pipeline.protocol import extract_protocol
     from .protocol import check_protocol
 
-    issues: List[Tuple[str, str]] = []
+    issues: List[str] = []
     for config in ("one_renderer", "n_renderers", "mcpc_renderer"):
         for arrangement in ARRANGEMENTS:
             for pipelines in _PIPELINE_COUNTS:
                 model = extract_protocol(config, pipelines, arrangement)
-                for issue in check_protocol(model):
-                    issues.append((issue.rule, issue.message))
+                issues.extend(issue.message
+                              for issue in check_protocol(model))
     return tuple(issues)
 
 
-def protocol_findings(ctx: "LintContext", rule_id: str
-                      ) -> Iterator[Tuple[ast.AST, str]]:
-    """Findings of one protocol rule, anchored at the runner module.
+def protocol_findings(ctx: "LintContext") -> Iterator[Tuple[ast.AST, str]]:
+    """CON004 findings, anchored at the runner module.
 
     Used by the CON004 :class:`~repro.analysis.lints.engine.Rule`
     wrapper in :mod:`repro.analysis.lints.rules`.
     """
     if ctx.module != _ANCHOR_MODULE:
         return
-    for rule, message in paper_protocol_issues():
-        if rule == rule_id:
-            yield ctx.tree, message
+    for message in paper_protocol_issues():
+        yield ctx.tree, message

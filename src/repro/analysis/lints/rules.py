@@ -640,7 +640,7 @@ class PipelineDeadlockRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Tuple[ast.AST, str]]:
         from ..concurrency.pipelines import protocol_findings
-        yield from protocol_findings(ctx, self.rule_id)
+        yield from protocol_findings(ctx)
 
 
 def default_rules() -> Sequence[Rule]:

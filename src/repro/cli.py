@@ -22,8 +22,7 @@ Subcommands
     Simulate with full telemetry: Chrome-trace JSON for Perfetto,
     counter dumps and a text "top" report of the hottest mesh links,
     memory controllers and stages (see docs/observability.md).
-    ``--jobs`` executes in worker processes; counters merge back
-    losslessly, so totals match the serial run.
+    It runs in this process, where the spans and counters are read.
 ``table1``
     Regenerate the paper's Table I next to the published numbers
     (``--jobs``/``--cache-dir`` shard and cache the 84 runs).
@@ -245,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=5, metavar="N",
                          help="rows per section of the top report "
                               "(default 5)")
-    profile.add_argument("--jobs", type=resolve_jobs, default=1,
-                         metavar="N",
-                         help="run in N worker processes ('auto' = the "
-                              "schedulable-CPU count) and merge the "
-                              "telemetry back (totals match serial)")
 
     table1 = sub.add_parser("table1", help="regenerate Table I")
     table1.add_argument("--frames", type=int, default=400)
@@ -691,13 +685,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     runner = PipelineRunner(config=args.config, pipelines=args.pipelines,
                             arrangement=args.arrangement, frames=args.frames,
                             telemetry=telemetry)
-    if args.jobs > 1:
-        # Execute in workers; events and counter snapshots merge back in
-        # submission order, so the report equals the serial one.
-        result = SweepExecutor(jobs=args.jobs,
-                               telemetry=telemetry).run_one(runner.spec())
-    else:
-        result = runner.run()
+    result = runner.run()
     print(f"config      : {result.config} / {result.arrangement}, "
           f"{result.pipelines} pipelines, {result.frames} frames")
     print(f"walkthrough : {result.walkthrough_seconds:.2f} s, "

@@ -1233,7 +1233,6 @@ class BatchedEngine:
 
         runner.last_metrics = metrics
         runner.last_chip = None
-        runner.last_viewer = None
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
         # the engine is single-use: dropping the spent actors (each holds

@@ -16,10 +16,6 @@ result's identity: :meth:`RunSpec.digest` gives the content address the
   and reuses it for every run it executes — the per-worker warm start);
 * results aggregate in **submission order**, so the output is
   bit-identical for any ``jobs`` value, including 1;
-* when a parent :class:`~repro.telemetry.Telemetry` hub is supplied,
-  each run executes under a private hub whose events and counter
-  snapshot are merged back in submission order — ``repro profile``
-  totals match the serial run exactly;
 * when a ``progress`` callback is supplied, workers stream live
   :class:`~repro.obsv.progress.ProgressEvent` records (state changes,
   frame heartbeats) back over a multiprocessing queue that a parent
@@ -232,24 +228,19 @@ def _pool_init(queue: Any) -> None:
     _PROGRESS_QUEUE = queue
 
 
-def _run_payload(spec: RunSpec, want_telemetry: bool, index: int,
-                 digest: str,
-                 emit: Optional[ProgressCallback]
-                 ) -> Tuple[RunResult, Optional[Dict[str, Any]]]:
+def _run_payload(spec: RunSpec, index: int, digest: str,
+                 emit: Optional[ProgressCallback]) -> RunResult:
     """Execute one spec, optionally narrating progress through ``emit``."""
     if emit is None:
-        # The pre-streaming path, untouched: no hub unless telemetry is
-        # wanted, no sinks, no clock reads.
-        hub = Telemetry(enabled=True) if want_telemetry else None
-        result = execute_spec(spec, telemetry=hub)
-        return result, (hub.snapshot() if hub is not None else None)
+        # Nothing to narrate: no hub, no sinks, no clock reads.
+        return execute_spec(spec)
 
     worker = multiprocessing.current_process().name
-    hub = Telemetry(enabled=want_telemetry)
+    # A disabled hub records nothing; it only carries frame completions
+    # to the progress sink.
+    hub = Telemetry(enabled=False)
     sink = FrameProgressSink(emit, index, digest, spec.frames,
-                             worker=worker,
-                             counters=hub.counters if want_telemetry
-                             else None)
+                             worker=worker)
     hub.add_sink(sink)
     emit(state_event("running", index, digest, worker=worker,
                      frames_total=spec.frames))
@@ -268,17 +259,16 @@ def _run_payload(spec: RunSpec, want_telemetry: bool, index: int,
                      frames_done=sink.frames_done,
                      frames_total=spec.frames,
                      verdict=_short_verdict(result)))
-    return result, (hub.snapshot() if want_telemetry else None)
+    return result
 
 
-def _pool_worker(payload: Tuple[RunSpec, bool, int, str, bool]
-                 ) -> Tuple[RunResult, Optional[Dict[str, Any]]]:
+def _pool_worker(payload: Tuple[RunSpec, int, str, bool]) -> RunResult:
     """Top-level worker entry point (must be picklable for ``spawn``)."""
-    spec, want_telemetry, index, digest, stream = payload
+    spec, index, digest, stream = payload
     emit: Optional[ProgressCallback] = None
     if stream and _PROGRESS_QUEUE is not None:
         emit = _PROGRESS_QUEUE.put
-    return _run_payload(spec, want_telemetry, index, digest, emit)
+    return _run_payload(spec, index, digest, emit)
 
 
 def _drain_progress(queue: Any, callback: Optional[ProgressCallback]
@@ -325,12 +315,9 @@ class SweepExecutor:
     jobs:
         Worker process count.  ``1`` executes in-process (no pool, no
         pickling) but follows the identical aggregation path, so results
-        and merged telemetry are bit-identical for any value.
+        are bit-identical for any value.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely.
-    telemetry:
-        Optional parent hub.  Each executed run gets a private enabled
-        hub; its events and counters merge back in submission order.
     progress:
         Optional :class:`~repro.obsv.progress.ProgressCallback`.  When
         set, every point's lifecycle (``queued``/``running``/``cached``/
@@ -342,12 +329,10 @@ class SweepExecutor:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 telemetry: Optional[Telemetry] = None,
                  progress: Optional[ProgressCallback] = None,
                  async_workers: Optional[int] = None) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.telemetry = telemetry
         self.progress = progress
         #: thread count for :meth:`submit` (defaults to ``jobs``)
         self.async_workers = max(1, int(async_workers if async_workers
@@ -409,12 +394,9 @@ class SweepExecutor:
                 pending.append(i)
                 stats.misses += 1
 
-        want_telemetry = (self.telemetry is not None
-                          and self.telemetry.enabled)
         try:
             outputs = self._execute(
-                [(i, specs[i], digests[i]) for i in pending],
-                want_telemetry, progress)
+                [(i, specs[i], digests[i]) for i in pending], progress)
         except BaseException:
             if progress is not None:
                 progress(sweep_event("finish", len(specs)))
@@ -423,13 +405,11 @@ class SweepExecutor:
                           pending=len(pending))
             raise
 
-        for i, (result, snapshot) in zip(pending, outputs):
+        for i, result in zip(pending, outputs):
             results[i] = result
             stats.executed += 1
             if self.cache is not None:
                 self.cache.put(digests[i], specs[i].as_dict(), result)
-            if snapshot is not None and self.telemetry is not None:
-                self.telemetry.ingest(snapshot)
             if log.enabled:
                 log.info("run.executed", digest=digests[i], index=i,
                          walkthrough_s=result.walkthrough_seconds)
@@ -489,15 +469,12 @@ class SweepExecutor:
             pool.shutdown(wait=True, cancel_futures=cancel_pending)
 
     def _execute(self, work: List[Tuple[int, RunSpec, str]],
-                 want_telemetry: bool,
-                 progress: Optional[ProgressCallback]
-                 ) -> List[Tuple[RunResult, Optional[Dict[str, Any]]]]:
+                 progress: Optional[ProgressCallback]) -> List[RunResult]:
         stream = progress is not None
         if self.jobs == 1 or len(work) <= 1:
-            return [_run_payload(spec, want_telemetry, i, digest,
-                                 progress)
+            return [_run_payload(spec, i, digest, progress)
                     for i, spec, digest in work]
-        payloads = [(spec, want_telemetry, i, digest, stream)
+        payloads = [(spec, i, digest, stream)
                     for i, spec, digest in work]
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(

@@ -1,8 +1,6 @@
-"""Host-side models: the MCPC, UDP links, and the visualization client."""
+"""Host-side models: the MCPC and UDP links."""
 
 from .mcpc import MCPC, MCPCConfig
 from .udp import UDPChannel, UDPConfig
-from .viewer import VisualizationClient
 
-__all__ = ["MCPC", "MCPCConfig", "UDPChannel", "UDPConfig",
-           "VisualizationClient"]
+__all__ = ["MCPC", "MCPCConfig", "UDPChannel", "UDPConfig"]

@@ -83,10 +83,6 @@ class MCPC:
         self.power_trace.record(self.sim.now, power)
 
     # -- power reporting -----------------------------------------------------
-    @property
-    def is_rendering(self) -> bool:
-        return self._rendering
-
     def energy(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
         """Joules over ``[t0, t1]`` (defaults to the whole run)."""
         end = t1 if t1 is not None else self.sim.now

@@ -75,9 +75,6 @@ class ProgressEvent:
     #: batched engine's detected frame-wave period Δ in virtual seconds
     #: (heartbeats only; 0.0 until a steady state is found)
     period_s: float = 0.0
-    #: telemetry-counter deltas since the previous heartbeat, as sorted
-    #: ``(name, delta)`` pairs (empty when no counter source is wired)
-    counters: Tuple[Tuple[str, float], ...] = ()
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -138,14 +135,11 @@ class FrameProgressSink:
     instant instead of per-frame spans; the sink folds its skipped-wave
     count straight into ``frames_done`` and forwards the detected
     period Δ, so a jumped run heartbeats just like a replayed one.
-    When a ``counters`` registry is attached, each heartbeat carries
-    the telemetry-counter deltas accumulated since the previous one.
     """
 
     def __init__(self, emit: ProgressCallback, index: int, digest: str,
                  frames_total: int, worker: str = "main",
-                 min_interval_s: float = 0.05,
-                 counters: Optional[Any] = None) -> None:
+                 min_interval_s: float = 0.05) -> None:
         self.emit = emit
         self.index = index
         self.digest = digest
@@ -158,8 +152,6 @@ class FrameProgressSink:
         self._next_at = self._step
         self._min_interval = min_interval_s
         self._last_emit = 0.0
-        self._counters = counters
-        self._last_counters: Dict[str, float] = {}
 
     def __call__(self, event: Any) -> None:
         if (event.kind == "instant" and event.category == "engine"
@@ -191,21 +183,7 @@ class FrameProgressSink:
         self.emit(_event("heartbeat", self.index, self.digest, self.worker,
                          frames_done=self.frames_done,
                          frames_total=self.frames_total,
-                         period_s=self.period_s,
-                         counters=self._counter_deltas()))
-
-    def _counter_deltas(self) -> Tuple[Tuple[str, float], ...]:
-        """Sorted ``(name, delta)`` pairs since the last heartbeat."""
-        if self._counters is None:
-            return ()
-        current: Dict[str, float] = dict(
-            self._counters.snapshot()["counters"])
-        deltas = tuple(sorted(
-            (name, value - self._last_counters.get(name, 0.0))
-            for name, value in current.items()
-            if value != self._last_counters.get(name, 0.0)))
-        self._last_counters = current
-        return deltas
+                         period_s=self.period_s))
 
 
 # -- aggregation -----------------------------------------------------------

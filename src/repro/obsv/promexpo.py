@@ -1,18 +1,11 @@
 """Prometheus text-exposition rendering (and a strict parser).
 
-Renders a :class:`~repro.obsv.progress.FleetSnapshot` — plus, when
-given, a run's :class:`~repro.telemetry.counters.CounterRegistry` and
-the registered counter/metric namespaces — in the Prometheus text
+Renders a :class:`~repro.obsv.progress.FleetSnapshot` — plus the
+registered counter/metric namespaces — in the Prometheus text
 exposition format (version 0.0.4): ``# HELP``/``# TYPE`` headers, one
 ``name{labels} value`` sample per line.  This is what the
 ``/metrics`` endpoint (:mod:`repro.obsv.server`) serves and what any
 Prometheus-compatible scraper ingests.
-
-Simulation counters keep their dotted hierarchical names
-(``mesh.link.4,0->5,0.bytes``) as a ``name`` label on a single metric
-family rather than being mangled into metric names — the dotted
-namespace is a documented contract (docs/observability.md) and label
-values are free-form where metric names are not.
 
 :func:`parse_prometheus_text` is the matching strict parser; the CI
 smoke step and the unit tests run every rendered page through it, so
@@ -23,10 +16,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..telemetry.counters import (CounterRegistry, KNOWN_COUNTER_ROOTS,
-                                  KNOWN_METRIC_ROOTS)
+from ..telemetry.counters import KNOWN_COUNTER_ROOTS, KNOWN_METRIC_ROOTS
 from .progress import RUN_STATES, FleetSnapshot
 
 __all__ = ["render_exposition", "parse_prometheus_text", "CONTENT_TYPE",
@@ -90,9 +82,7 @@ class ExpositionPage:
         return "\n".join(self.lines) + "\n"
 
 
-def render_exposition(snapshot: FleetSnapshot,
-                      counters: Optional[CounterRegistry] = None,
-                      extra_info: Optional[Dict[str, str]] = None) -> str:
+def render_exposition(snapshot: FleetSnapshot) -> str:
     """The full ``/metrics`` page for one fleet snapshot."""
     page = ExpositionPage()
     page.family("repro_sweep_runs", "gauge",
@@ -157,22 +147,6 @@ def render_exposition(snapshot: FleetSnapshot,
                 [({"root": root}, 1.0)
                  for root in sorted(KNOWN_METRIC_ROOTS)])
 
-    if counters is not None and len(counters):
-        dump = counters.as_dict()
-        page.family("repro_counter", "counter",
-                    "Simulation counters, dotted name as a label.",
-                    [({"name": name}, float(value))  # type: ignore[arg-type]
-                     for name, value in dump["counters"].items()])
-        if dump["gauges"]:
-            page.family("repro_gauge", "gauge",
-                        "Simulation gauges, dotted name as a label.",
-                        [({"name": name}, float(value))  # type: ignore[arg-type]
-                         for name, value in dump["gauges"].items()])
-
-    if extra_info:
-        page.family("repro_build_info", "gauge",
-                    "Static build/sweep identification labels.",
-                    [(dict(extra_info), 1.0)])
     return page.text()
 
 

@@ -4,8 +4,8 @@ A stdlib-only HTTP server on a daemon thread, opt-in via ``repro sweep
 --serve-metrics PORT``.  It serves:
 
 * ``GET /metrics`` — the fleet metrics of the attached
-  :class:`~repro.obsv.progress.FleetAggregator` (plus the run's counter
-  registry, when one is attached) in Prometheus text exposition format;
+  :class:`~repro.obsv.progress.FleetAggregator` in Prometheus text
+  exposition format;
 * ``GET /healthz`` — a small JSON liveness document (status, uptime,
   sweep progress), always ``200`` while the thread is alive.
 
@@ -27,7 +27,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from ..telemetry.counters import CounterRegistry
 from .progress import FleetAggregator
 from .promexpo import CONTENT_TYPE, render_exposition
 
@@ -84,20 +83,11 @@ class MetricsServer:
     host:
         Bind address (default loopback: the endpoint is operational
         telemetry, not a public API).
-    counters:
-        Optional live :class:`CounterRegistry` to expose alongside the
-        fleet metrics (e.g. the sweep's merged parent hub).
-    extra_info:
-        Static labels for the ``repro_build_info`` family.
     """
 
     def __init__(self, aggregator: FleetAggregator, port: int = 0,
-                 host: str = "127.0.0.1",
-                 counters: Optional[CounterRegistry] = None,
-                 extra_info: Optional[Dict[str, str]] = None) -> None:
+                 host: str = "127.0.0.1") -> None:
         self.aggregator = aggregator
-        self.counters = counters
-        self.extra_info = dict(extra_info or {})
         self._requested = (host, port)
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -146,9 +136,7 @@ class MetricsServer:
 
     # -- pages -------------------------------------------------------------
     def render_metrics(self) -> str:
-        return render_exposition(self.aggregator.snapshot(),
-                                 counters=self.counters,
-                                 extra_info=self.extra_info or None)
+        return render_exposition(self.aggregator.snapshot())
 
     def health(self) -> Dict[str, Any]:
         snapshot = self.aggregator.snapshot()

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from ..host import VisualizationClient
 from ..rcce import RCCEComm
 from ..scc import SCCChip
 from .costmodel import CostModel
@@ -203,8 +202,7 @@ class MacroPipeline:
         run_stages(StageContext(
             chip=self.chip, comm=RCCEComm(self.chip), cost=CostModel(),
             workload=_ItemTables([item.nbytes for item in work], seconds),
-            metrics=metrics, frames=len(work), num_pipelines=1,
-            viewer=VisualizationClient(sim)), graph)
+            metrics=metrics, frames=len(work), num_pipelines=1), graph)
         end = sim.now
         done, makespan = len(metrics.frame_completions), end - t0
         return MacroRunResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
+from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig
 from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
 from ..scc import DVFSController, PowerModel, SCCChip, SCCConfig
@@ -241,7 +241,6 @@ class PipelineRunner:
             chip=chip, comm=RCCEComm(chip), cost=self.cost,
             workload=self.workload, metrics=RunMetrics(), frames=self.frames,
             num_pipelines=max(graph.pipelines, 1),
-            viewer=VisualizationClient(sim),
             downlink=UDPChannel(sim, DOWNLINK_CONFIG, name="scc-viewer"),
             uplink=mcpc.link, mcpc=mcpc, telemetry=telemetry)
 
@@ -257,7 +256,6 @@ class PipelineRunner:
         #: exposed for post-run inspection (tests, notebooks)
         self.last_metrics = ctx.metrics
         self.last_chip = chip
-        self.last_viewer = ctx.viewer
         self.last_telemetry = telemetry
         assert ctx.mcpc is not None
         result = self._result(graph, end, ctx.metrics, chip.power,

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
-from ..host import MCPC, UDPChannel, UDPConfig, VisualizationClient
+from ..host import MCPC, UDPChannel, UDPConfig
 from ..rcce import RCCEComm
 from ..render import RenderProfile
 from ..scc import SCCChip
@@ -65,7 +65,6 @@ class StageContext:
     metrics: RunMetrics
     frames: int
     num_pipelines: int
-    viewer: Optional[VisualizationClient] = None
     #: SCC → MCPC link (transfer stage → visualization client)
     downlink: Optional[UDPChannel] = None
     #: MCPC → SCC link (host renderer → connect stage)
@@ -302,8 +301,6 @@ class Stage:
                 elif kind == "put":
                     yield arg.put(tag)
                 else:  # done
-                    assert ctx.viewer is not None
-                    ctx.viewer.display(tag)
                     metrics.record_frame_done(tag, sim.now)
             if core is not None:
                 self.record_busy(start, tag)

@@ -39,13 +39,6 @@ class TraversalStats:
     nodes_culled: int = 0
     triangles_collected: int = 0
 
-    def merged_with(self, other: "TraversalStats") -> "TraversalStats":
-        return TraversalStats(
-            self.nodes_visited + other.nodes_visited,
-            self.nodes_culled + other.nodes_culled,
-            self.triangles_collected + other.triangles_collected,
-        )
-
 
 class OctreeNode:
     """One octree cell: either a leaf holding triangle indices, or eight
@@ -57,10 +50,6 @@ class OctreeNode:
         self.bounds = bounds
         self.triangle_indices: Optional[np.ndarray] = None
         self.children: Optional[List[Optional["OctreeNode"]]] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 class Octree:

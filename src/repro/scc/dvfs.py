@@ -135,21 +135,6 @@ class DVFSController:
         tile_id = self.topology.core(core_id).tile.tile_id
         return self.set_tile_frequency(tile_id, freq_mhz)
 
-    def set_all(self, freq_mhz: float) -> None:
-        """Set every tile to ``freq_mhz``."""
-        required_voltage(freq_mhz)
-        for tile_id in self._tile_freq:
-            self._tile_freq[tile_id] = float(freq_mhz)
-        for listener in self._listeners:
-            listener()
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counters.inc("dvfs.changes")
-            for tile_id in self._tile_freq:
-                tel.counters.set_gauge(f"dvfs.tile{tile_id}.mhz", freq_mhz)
-            tel.emit("dvfs", "set_all_frequencies", self._clock(),
-                     track="frequency", mhz=freq_mhz)
-
     def subscribe(self, listener: Callable[[], None]) -> None:
         """Register a callback fired after every frequency change."""
         self._listeners.append(listener)

@@ -114,11 +114,6 @@ class Job:
             except ValueError:
                 pass
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
     # -- publishing --------------------------------------------------------
     @property
     def terminal(self) -> bool:
@@ -280,10 +275,6 @@ class DigestCoalescer:
     def active(self) -> int:
         with self._lock:
             return len(self._inflight)
-
-    def inflight_jobs(self) -> List[Job]:
-        with self._lock:
-            return list(self._inflight.values())
 
     def snapshot(self) -> Dict[str, float]:
         """Counter view for /metrics."""

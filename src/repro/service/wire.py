@@ -8,9 +8,8 @@ here, so the byte-level contract lives in exactly one place:
   stream schema version, bumped only on breaking changes
   (docs/service.md documents the frame kinds).  v2 is additive over
   v1: heartbeat frames may now carry ``period_s`` (the batched
-  engine's detected frame-wave period) and ``counters`` (telemetry
-  counter deltas since the previous heartbeat); both are elided when
-  absent, so a v1 client that ignores unknown keys keeps working;
+  engine's detected frame-wave period), elided when absent, so a v1
+  client that ignores unknown keys keeps working;
 * the result document is serialised with :func:`canonical_json` — the
   same sorted-keys/compact serialisation the cache digest uses — so a
   cold run, a warm cache hit and a coalesced subscriber all receive
@@ -61,8 +60,6 @@ def event_to_wire(event: ProgressEvent) -> Dict[str, Any]:
         doc["verdict"] = event.verdict
     if event.period_s:
         doc["period_s"] = event.period_s
-    if event.counters:
-        doc["counters"] = {name: delta for name, delta in event.counters}
     return doc
 
 

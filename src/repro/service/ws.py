@@ -262,9 +262,6 @@ class WSClient:
     def send_frame(self, opcode: int, payload: bytes = b"") -> None:
         self.sock.sendall(encode_frame(opcode, payload, mask=True))
 
-    def send_json(self, doc: Dict[str, Any]) -> None:
-        self.send_frame(OP_TEXT, json.dumps(doc).encode("utf-8"))
-
     def close(self, code: int = 1000, reason: str = "") -> None:
         """Polite close: send the close frame, then drop the socket."""
         try:

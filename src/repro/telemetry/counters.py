@@ -182,12 +182,11 @@ class CounterRegistry:
         return {n: m for n, m in sorted(self._metrics.items())
                 if fnmatchcase(n, pattern)}
 
-    # -- cross-process merge ------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Lossless picklable/JSON-able state for cross-process merging.
+        """Lossless JSON-able state, the form run digests hash.
 
         Unlike :meth:`as_dict` (a human-oriented dump), histograms carry
-        their raw samples so a merge preserves exact quartiles/means.
+        their raw samples.
         """
         out: Dict[str, Dict[str, object]] = {
             "counters": {}, "gauges": {}, "histograms": {},
@@ -201,21 +200,6 @@ class CounterRegistry:
             else:
                 out["histograms"][name] = list(metric.stats._samples)
         return out
-
-    def merge_snapshot(self, snapshot: Dict[str, Dict[str, object]]) -> None:
-        """Fold a worker registry's :meth:`snapshot` into this one.
-
-        Counters add (totals across workers equal the serial totals),
-        gauges take the snapshot's value (merge in submission order so
-        "last wins" matches a serial run), histograms extend with the
-        raw samples.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, samples in snapshot.get("histograms", {}).items():
-            self.histogram(name).stats.extend(samples)
 
     # -- serialization -----------------------------------------------------
     def as_dict(self) -> Dict[str, Dict[str, object]]:

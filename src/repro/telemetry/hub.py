@@ -25,7 +25,7 @@ Design rules
   engine's frame-wave jump) registers it via :meth:`add_periodic_block`
   instead of appending ``repeats × window`` copies.  Readers see the
   fully expanded, chronologically ordered stream through ``events`` /
-  ``events_in`` / ``snapshot``; the expansion is materialized lazily and
+  ``events_in``; the expansion is materialized lazily and
   cached, so registering a block is O(1) no matter how many waves it
   covers.
 
@@ -235,28 +235,6 @@ class Telemetry:
         """Number of retained events before periodic-block expansion
         (the index space :meth:`add_periodic_block` addresses)."""
         return len(self._events)
-
-    # -- cross-process merge ------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable state of the hub: retained events plus a lossless
-        counter-registry snapshot (for worker → parent merging)."""
-        return {
-            "events": list(self._materialize()),
-            "counters": self.counters.snapshot(),
-        }
-
-    def ingest(self, snapshot: Dict[str, Any]) -> None:
-        """Merge a worker hub's :meth:`snapshot` into this hub.
-
-        Events append to the retained buffer (only while ``enabled``,
-        matching live emission) and counters fold via
-        :meth:`~repro.telemetry.counters.CounterRegistry.merge_snapshot`.
-        Sinks do **not** re-observe ingested events: per-run sinks
-        (RunMetrics, traces) already consumed them in the worker.
-        """
-        if self.enabled:
-            self._events.extend(snapshot.get("events", ()))
-        self.counters.merge_snapshot(snapshot.get("counters", {}))
 
     # -- queries ------------------------------------------------------------
     @property

@@ -191,14 +191,5 @@ def _ctx(module: str) -> LintContext:
 
 
 def test_protocol_findings_anchor_only_at_the_runner():
-    assert list(protocol_findings(_ctx("repro.pipeline.runner"),
-                                  "CON004")) == []
-    assert list(protocol_findings(_ctx("repro.service.app"),
-                                  "CON004")) == []
-
-
-def test_protocol_findings_filter_by_rule():
-    # with a clean sweep the rule yields nothing; the filter itself is
-    # exercised through the miswiring tests above via check_protocol
-    assert list(protocol_findings(_ctx("repro.pipeline.runner"),
-                                  "CON004")) == []
+    assert list(protocol_findings(_ctx("repro.pipeline.runner"))) == []
+    assert list(protocol_findings(_ctx("repro.service.app"))) == []

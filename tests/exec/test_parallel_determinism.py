@@ -1,17 +1,15 @@
 """Parallel execution must be invisible in the results.
 
 The acceptance bar for the sweep executor: the same sweep run with
-``jobs=1`` and ``jobs=2`` produces byte-identical aggregated results,
-identical cache keys, and — when a telemetry hub is attached —
-identical merged counters.  These tests spawn real worker processes,
-so the sweeps are kept tiny.
+``jobs=1`` and ``jobs=2`` produces byte-identical aggregated results
+and identical cache keys.  These tests spawn real worker processes, so
+the sweeps are kept tiny.
 """
 
 import json
 
 from repro.exec import ResultCache, RunSpec, SweepExecutor
 from repro.exec.cache import result_to_cache_dict
-from repro.telemetry import Telemetry
 
 FRAMES = 5
 
@@ -56,25 +54,3 @@ def test_parallel_cache_serves_serial_rerun(tmp_path):
     assert rerun_exec.last_stats.hits == len(SWEEP)
     assert result_bytes(rerun) == result_bytes(first)
 
-
-def test_merged_telemetry_matches_serial():
-    scc_only = [s for s in SWEEP if s.platform == "scc"]
-
-    serial_hub = Telemetry(enabled=True)
-    SweepExecutor(jobs=1, telemetry=serial_hub).run(scc_only)
-
-    parallel_hub = Telemetry(enabled=True)
-    SweepExecutor(jobs=2, telemetry=parallel_hub).run(scc_only)
-
-    assert (parallel_hub.counters.as_dict()
-            == serial_hub.counters.as_dict())
-    assert len(parallel_hub.events) == len(serial_hub.events)
-
-
-def test_disabled_parent_hub_skips_worker_telemetry():
-    hub = Telemetry(enabled=False)
-    executor = SweepExecutor(jobs=2, telemetry=hub)
-    executor.run([s for s in SWEEP if s.platform == "scc"][:2])
-    assert hub.events == []
-    assert hub.counters.as_dict() == {"counters": {}, "gauges": {},
-                                      "histograms": {}}

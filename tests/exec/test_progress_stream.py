@@ -8,6 +8,7 @@ import repro.exec.executor as executor_mod
 from repro.exec import ResultCache, RunSpec, SweepExecutor, execute_spec
 from repro.exec.cache import result_to_cache_dict
 from repro.obsv import RUN_STATES
+from repro.service.wire import event_to_wire
 
 SWEEP = [
     RunSpec(config="single_core", frames=4),
@@ -76,3 +77,20 @@ def test_worker_failure_surfaces_failed_event_without_hanging(
     # The stream still closes cleanly: the sweep-finish marker arrives
     # and the drain thread exits (a hang here would time the suite out).
     assert (events[-1].kind, events[-1].state) == ("sweep", "finish")
+
+
+def test_batched_heartbeats_carry_the_period_and_nothing_else():
+    # The heartbeat frame a service client receives: frame counts plus,
+    # once the batched engine jumps, the detected frame-wave period.
+    spec = RunSpec(config="mcpc_renderer", pipelines=5, frames=400,
+                   engine="batched")
+    events = []
+    SweepExecutor(jobs=1, progress=events.append).run([spec])
+    heartbeats = [ev for ev in events if ev.kind == "heartbeat"]
+    assert any(ev.period_s > 0 for ev in heartbeats)
+    (done,) = [ev for ev in events if ev.state == "done"]
+    assert done.frames_done == 400
+    wire_keys = {"v", "kind", "worker", "index", "digest", "frames_done",
+                 "frames_total", "period_s"}
+    for ev in heartbeats:
+        assert set(event_to_wire(ev)) <= wire_keys

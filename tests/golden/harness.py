@@ -137,7 +137,7 @@ def capture(scenario: str, frames: int = FRAMES,
         "image_side": image_side,
         "pipelines": pipelines,
         "seed": seed,
-        "frames_displayed": runner.last_viewer.frames_displayed,
+        "frames_displayed": len(runner.last_metrics.frame_completions),
         "frame_checksums": [_checksum(f) for f in film],
         "mesh_messages": mesh.messages,
         "mesh_bytes": mesh.bytes_moved,

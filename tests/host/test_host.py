@@ -1,14 +1,8 @@
-"""Tests for the MCPC, UDP channel and visualization client."""
+"""Tests for the MCPC and the UDP channel."""
 
 import pytest
 
-from repro.host import (
-    MCPC,
-    MCPCConfig,
-    UDPChannel,
-    UDPConfig,
-    VisualizationClient,
-)
+from repro.host import MCPC, MCPCConfig, UDPChannel, UDPConfig
 from repro.sim import Simulator
 
 
@@ -116,7 +110,6 @@ def test_mcpc_compute_advances_clock_and_tracks_power():
     sim.run()
     assert sim.now == pytest.approx(5.0)
     assert mcpc.busy_seconds == pytest.approx(5.0)
-    assert not mcpc.is_rendering
     # Energy: 5 s at 80 W.
     assert mcpc.energy(0.0, 5.0) == pytest.approx(400.0)
     assert mcpc.energy_above_idle(0.0, 5.0) == pytest.approx(5.0 * 28.0)
@@ -152,41 +145,3 @@ def test_paper_hybrid_energy_arithmetic():
     sim.run()
     assert mcpc.energy_above_idle() == pytest.approx(3.3 * 28.0, rel=0.02)
 
-
-# ---------------------------------------------------------------------------
-# visualization client
-# ---------------------------------------------------------------------------
-
-def test_viewer_records_arrivals_and_fps():
-    sim = Simulator()
-    viewer = VisualizationClient(sim)
-
-    def feeder():
-        for i in range(5):
-            yield sim.timeout(0.5)
-            viewer.display(i)
-
-    sim.process(feeder())
-    sim.run()
-    assert viewer.frames_displayed == 5
-    assert viewer.first_frame_time == pytest.approx(0.5)
-    assert viewer.last_frame_time == pytest.approx(2.5)
-    assert viewer.average_fps() == pytest.approx(2.0)
-    assert viewer.inter_arrival.mean == pytest.approx(0.5)
-    assert viewer.out_of_order_count == 0
-
-
-def test_viewer_detects_out_of_order():
-    sim = Simulator()
-    viewer = VisualizationClient(sim)
-    viewer.display(3)
-    viewer.display(1)
-    assert viewer.out_of_order_count == 1
-
-
-def test_viewer_statistics_require_frames():
-    viewer = VisualizationClient(Simulator())
-    with pytest.raises(ValueError):
-        _ = viewer.first_frame_time
-    with pytest.raises(ValueError):
-        viewer.average_fps()

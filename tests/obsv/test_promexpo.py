@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.obsv import parse_prometheus_text, render_exposition
+from repro.obsv import (ExpositionPage, parse_prometheus_text,
+                        render_exposition)
 from repro.obsv.progress import FleetAggregator, state_event, sweep_event
-from repro.telemetry.counters import CounterRegistry
 
 
 def snapshot_with_activity():
@@ -35,33 +35,20 @@ def test_render_parses_round_trip():
     assert sample == ({"worker": "w1"}, 1.5)
 
 
-def test_render_includes_counters_and_build_info():
-    reg = CounterRegistry()
-    reg.inc("mesh.link.0,0->1,0.bytes", 4096)
-    reg.set_gauge("dram.mc0.occupancy", 0.5)
-    text = render_exposition(snapshot_with_activity(), counters=reg,
-                             extra_info={"config": "n_renderers"})
-    families = parse_prometheus_text(text)
-    assert ({"name": "mesh.link.0,0->1,0.bytes"}, 4096.0) \
-        in families["repro_counter"]
-    assert ({"name": "dram.mc0.occupancy"}, 0.5) in families["repro_gauge"]
-    assert families["repro_build_info"] == [({"config": "n_renderers"}, 1.0)]
-
-
 def test_label_values_are_escaped_and_unescaped():
-    text = render_exposition(
-        snapshot_with_activity(),
-        extra_info={"note": 'quo"te\\slash\nline'})
-    families = parse_prometheus_text(text)
-    (labels, _) = families["repro_build_info"][0]
+    page = ExpositionPage()
+    page.family("repro_note", "gauge", "A label with every escape.",
+                [({"note": 'quo"te\\slash\nline'}, 1.0)])
+    families = parse_prometheus_text(page.text())
+    (labels, _) = families["repro_note"][0]
     assert labels["note"] == 'quo"te\\slash\nline'
 
 
 def test_nan_sample_refused():
-    reg = CounterRegistry()
-    reg.set_gauge("stage.bad", math.nan)
+    page = ExpositionPage()
     with pytest.raises(ValueError, match="NaN"):
-        render_exposition(snapshot_with_activity(), counters=reg)
+        page.family("repro_bad", "gauge", "Not a number.",
+                    [({}, math.nan)])
 
 
 def test_parser_rejects_sample_without_type_header():

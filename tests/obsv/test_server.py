@@ -16,7 +16,7 @@ def live_server():
     agg.consume(sweep_event("start", 2))
     agg.consume(state_event("queued", 0, "d0"))
     agg.consume(state_event("cached", 1, "d1"))
-    server = MetricsServer(agg, port=0, extra_info={"config": "sweep"})
+    server = MetricsServer(agg, port=0)
     with server:
         yield server
 
@@ -33,7 +33,6 @@ def test_metrics_page_parses_as_exposition(live_server):
     families = parse_prometheus_text(body)
     assert families["repro_sweep_runs_total"] == [({}, 2.0)]
     assert families["repro_sweep_cache_hits_total"] == [({}, 1.0)]
-    assert families["repro_build_info"] == [({"config": "sweep"}, 1.0)]
 
 
 def test_healthz_reports_sweep_progress(live_server):

@@ -153,12 +153,9 @@ def test_batched_run_builds_no_chip():
     assert runner.last_chip.memory.controllers[1].requests > 0
 
 
-def test_viewer_gets_every_frame_in_order():
+def test_every_frame_completes_in_order():
     runner = PipelineRunner(config="one_renderer", pipelines=3, frames=FRAMES)
     runner.run()
-    viewer = runner.last_viewer
-    assert viewer.frames_displayed == FRAMES
-    assert viewer.out_of_order_count == 0
     completions = [f for f, _ in runner.last_metrics.frame_completions]
     assert completions == list(range(FRAMES))
 

@@ -8,7 +8,7 @@ hand-fed producers, pinning down the per-stage protocol (recv → compute
 
 import pytest
 
-from repro.host import MCPC, UDPChannel, VisualizationClient
+from repro.host import MCPC, UDPChannel
 from repro.pipeline import CostModel, RunMetrics, WalkthroughWorkload
 from repro.pipeline.describe import SIF_SOCKET, StageNode, StageOp
 from repro.pipeline.runner import DOWNLINK_CONFIG
@@ -33,7 +33,6 @@ def ctx():
         metrics=RunMetrics(),
         frames=FRAMES,
         num_pipelines=1,
-        viewer=VisualizationClient(sim),
         downlink=UDPChannel(sim, DOWNLINK_CONFIG),
         uplink=mcpc.link,
         mcpc=mcpc,
@@ -121,7 +120,6 @@ def test_transfer_stage_assembles_and_displays(ctx):
         ctx.sim.process(feed(ctx, src, 10)())
     stage.start()
     ctx.sim.run()
-    assert ctx.viewer.frames_displayed == FRAMES
     assert [f for f, _ in ctx.metrics.frame_completions] == [0, 1, 2]
     assert ctx.metrics.busy["transfer"].count == FRAMES
 

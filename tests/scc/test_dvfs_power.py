@@ -93,11 +93,6 @@ def test_scaling_factor(dvfs):
     assert dvfs.scaling_factor(47) == pytest.approx(1.0)
 
 
-def test_set_all(dvfs):
-    dvfs.set_all(400.0)
-    assert all(dvfs.core_frequency(c) == 400.0 for c in range(48))
-
-
 # ---------------------------------------------------------------------------
 # power model — calibration anchors from the paper
 # ---------------------------------------------------------------------------

@@ -209,20 +209,6 @@ def test_run_no_cache_stays_live(capsys):
     assert "result cache" not in capsys.readouterr().out
 
 
-def test_profile_jobs_matches_serial(tmp_path):
-    import json
-
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    base = ["profile", "--config", "one_renderer", "--pipelines", "2",
-            "--frames", "10"]
-    assert main(base + ["--counters-out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--counters-out",
-                        str(parallel)]) == 0
-    assert (json.loads(serial.read_text())
-            == json.loads(parallel.read_text()))
-
-
 # -- analyze / diff -----------------------------------------------------------
 
 def test_analyze_deep_with_html_and_snapshot(tmp_path, capsys):
