@@ -40,12 +40,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..pipeline.describe import FILTER_KEYS
 from ..pipeline.metrics import RunResult
 from ..sim import StatAccumulator
 from ..telemetry import Telemetry, TelemetryEvent
+from ..telemetry.hub import stretches
 
 __all__ = [
     "ATTRIBUTION_CATEGORIES",
@@ -351,9 +352,15 @@ def _parse_track(track: str) -> Tuple[str, Optional[int]]:
 
 
 class _Collected:
-    """The event stream, sorted into what the analyses need."""
+    """The event stream, sorted into what the analyses need.
 
-    def __init__(self, events: Iterable[TelemetryEvent]) -> None:
+    Each raw event of a hub's stretch is classified once; only the
+    records kept here are replicated across the stretch's repeats (the
+    mesh xfer and DRAM access spans never are).
+    """
+
+    def __init__(self, source: Union[Telemetry, Iterable[TelemetryEvent]],
+                 ) -> None:
         #: track -> base spans (busy/idle/wait), emission order
         self.spans: Dict[str, List[_Span]] = {}
         #: core -> contention sub-intervals (rendezvous/queues)
@@ -362,47 +369,60 @@ class _Collected:
         self.core_track: Dict[int, str] = {}
         #: per-kind idle samples, global emission order (= RunMetrics)
         self.idle_samples: Dict[str, List[float]] = {}
-        for ev in events:
-            if ev.kind == "instant":
-                if (ev.category == "stage" and ev.name == "bind"
-                        and ev.track is not None):
-                    core = ev.fields.get("core")
-                    if core is not None:
-                        self.core_track[int(core)] = ev.track
-                continue
-            if ev.kind != "span":
-                continue
-            t0, t1 = ev.t, ev.end
-            if ev.category in ("stage", "host"):
-                if ev.track is None or ev.name not in ("busy", "idle",
-                                                       "wait"):
-                    continue
-                if ev.name == "idle":
-                    base, _ = _parse_track(ev.track)
-                    self.idle_samples.setdefault(base, []).append(ev.dur)
-                if t1 <= t0:
-                    continue  # zero-width spans carry no wall time
-                self.spans.setdefault(ev.track, []).append(
-                    (t0, t1, ev.name, ev.fields))
-            elif ev.category == "rcce" and ev.name == "rendezvous":
-                src = ev.fields.get("src")
-                if src is not None and t1 > t0:
-                    self.subs.setdefault(int(src), []).append(
-                        (t0, t1, "rendezvous"))
-            elif ev.category == "dram" and ev.name == "queue":
-                core = ev.fields.get("core")
-                if core is not None and t1 > t0:
-                    self.subs.setdefault(int(core), []).append(
-                        (t0, t1, "dram_queue"))
-            elif ev.category == "mesh" and ev.name == "queue":
-                core = ev.fields.get("core")
-                if core is not None and t1 > t0:
-                    self.subs.setdefault(int(core), []).append(
-                        (t0, t1, "mesh_queue"))
+        for stretch in stretches(source):
+            kept: List[Tuple[TelemetryEvent, Tuple[str, Any, str]]] = []
+            for ev in stretch.events:
+                rec = self._classify(ev)
+                if rec is not None:
+                    kept.append((ev, rec))
+            for k in range(stretch.repeats + 1):
+                for ev, (what, key, label) in kept:
+                    t0, fields = stretch.shift(ev, k)
+                    t1 = t0 + ev.dur
+                    if what == "bind":
+                        self.core_track[key] = label
+                    elif what == "span":
+                        if label == "idle":
+                            base, _ = _parse_track(key)
+                            self.idle_samples.setdefault(base, []).append(
+                                ev.dur)
+                        if t1 > t0:  # zero-width spans carry no wall time
+                            self.spans.setdefault(key, []).append(
+                                (t0, t1, label, fields))
+                    elif t1 > t0:
+                        self.subs.setdefault(key, []).append(
+                            (t0, t1, label))
         for spans in self.spans.values():
             spans.sort(key=lambda s: (s[0], s[1]))
         for subs in self.subs.values():
             subs.sort(key=lambda s: (s[0], s[1]))
+
+    @staticmethod
+    def _classify(ev: TelemetryEvent) -> Optional[Tuple[str, Any, str]]:
+        """``(what, key, label)`` for an event the analyses read, where
+        ``what`` is ``"bind"`` (core -> track), ``"span"`` (track ->
+        busy/idle/wait) or ``"sub"`` (core -> contention label)."""
+        if ev.kind == "instant":
+            if (ev.category == "stage" and ev.name == "bind"
+                    and ev.track is not None):
+                core = ev.fields.get("core")
+                if core is not None:
+                    return "bind", int(core), ev.track
+            return None
+        if ev.kind != "span":
+            return None
+        if ev.category in ("stage", "host"):
+            if ev.track is None or ev.name not in ("busy", "idle", "wait"):
+                return None
+            return "span", ev.track, ev.name
+        if ev.category == "rcce" and ev.name == "rendezvous":
+            src = ev.fields.get("src")
+            return None if src is None else ("sub", int(src), "rendezvous")
+        if ev.name == "queue" and ev.category in ("dram", "mesh"):
+            core = ev.fields.get("core")
+            return (None if core is None
+                    else ("sub", int(core), f"{ev.category}_queue"))
+        return None
 
 
 def _upstream_map(tracks: Iterable[str]) -> Dict[str, Optional[str]]:
@@ -711,7 +731,10 @@ def analyze_events(events: Iterable[TelemetryEvent],
     same simulated clock, so any mismatch means the events belong to a
     different run.
     """
-    col = _Collected(events)
+    return _analyze(_Collected(events), makespan)
+
+
+def _analyze(col: _Collected, makespan: Optional[float]) -> RunInsight:
     if not col.spans:
         raise ValueError("no stage activity spans in the event stream "
                          "(was the run executed with telemetry enabled?)")
@@ -774,6 +797,7 @@ def analyze_events(events: Iterable[TelemetryEvent],
 
 def analyze_telemetry(telemetry: Telemetry,
                       result: Optional[RunResult] = None) -> RunInsight:
-    """Analyze a hub's retained events (see :func:`analyze_events`)."""
+    """Analyze a hub's retained events (see :func:`analyze_events`),
+    reading its periodic blocks in place."""
     makespan = result.walkthrough_seconds if result is not None else None
-    return analyze_events(telemetry.events, makespan=makespan)
+    return _analyze(_Collected(telemetry), makespan)

@@ -517,7 +517,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out is not None and telemetry is not None:
         path = write_chrome_trace(args.trace_out, telemetry)
         print(f"Chrome trace  : {path} "
-              f"({len(telemetry.events)} events)")
+              f"({telemetry.event_count} events)")
     if cache_note:
         print(f"result cache  : {cache_note}")
     return 0
@@ -689,7 +689,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"config      : {result.config} / {result.arrangement}, "
           f"{result.pipelines} pipelines, {result.frames} frames")
     print(f"walkthrough : {result.walkthrough_seconds:.2f} s, "
-          f"{len(telemetry.events)} events, "
+          f"{telemetry.event_count} events, "
           f"{len(telemetry.counters)} metrics")
     if args.trace_out is not None:
         path = write_chrome_trace(args.trace_out, telemetry)

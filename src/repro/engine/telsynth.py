@@ -13,10 +13,15 @@ from the scheduler's own grant/hold arithmetic:
   times are bit-identical to the event kernel's by construction);
 * the frame-wave jump never replays the skipped waves: one captured
   period of events is registered as a periodic block on the hub
-  (:meth:`~repro.telemetry.Telemetry.add_periodic_block`, expanded
-  lazily for Chrome-trace export) and counters advance in closed form
+  (:meth:`~repro.telemetry.Telemetry.add_periodic_block`; the
+  exporters and the insight engine read it in place, and only
+  ``Telemetry.events`` expands it) and counters advance in closed form
   (``delta x waves`` per counter), so a jump stays O(1) no matter how
   many frames it covers.
+
+Per-step counters are resolved to :class:`~repro.telemetry.Counter`
+handles on their first increment, so a step formats no counter name and
+a counter exists in a snapshot exactly when its first step has run.
 
 TEL003: this is the **only** module in :mod:`repro.engine` that may
 touch the hub emission surface (``span``/``emit``/``sample``/counter
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
-from ..telemetry import Telemetry
+from ..telemetry import Counter, Telemetry
 
 __all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta"]
 
@@ -62,7 +67,8 @@ _ATOL = 1e-12
 class TelemetrySynth:
     """Hub-gated emission helper owned by one :class:`BatchedEngine`."""
 
-    __slots__ = ("hub", "detail", "counters")
+    __slots__ = ("hub", "detail", "counters", "_busy", "_idle", "_links",
+                 "_mcs", "_mesh", "_rcce")
 
     def __init__(self, hub: Telemetry, detail: bool) -> None:
         self.hub = hub
@@ -71,6 +77,13 @@ class TelemetrySynth:
         #: (stage busy/idle spans and wave markers, nothing else).
         self.detail = detail
         self.counters = hub.counters
+        # counter handles, resolved on first increment
+        self._busy: Dict[str, Tuple[Counter, Counter]] = {}
+        self._idle: Dict[str, Counter] = {}
+        self._links: Dict[str, Tuple[Counter, Counter]] = {}
+        self._mcs: Dict[int, Tuple[Counter, Counter]] = {}
+        self._mesh: Optional[Tuple[Counter, Counter]] = None
+        self._rcce: Optional[Tuple[Counter, Counter, Counter]] = None
 
     # -- stage-level emission ---------------------------------------------
     def bind(self, track: str, core: int, t: float) -> None:
@@ -81,14 +94,23 @@ class TelemetrySynth:
                    frame: int) -> None:
         self.hub.span("stage", track, "busy", t0, t1, frame=frame)
         if self.detail:
-            self.counters.inc(f"stage.{track}.frames")
-            self.counters.inc(f"stage.{track}.busy_s", t1 - t0)
+            pair = self._busy.get(track)
+            if pair is None:
+                pair = self._busy[track] = (
+                    self.counters.counter(f"stage.{track}.frames"),
+                    self.counters.counter(f"stage.{track}.busy_s"))
+            pair[0].inc()
+            pair[1].inc(t1 - t0)
 
     def stage_idle(self, track: str, t: float, wait_start: float) -> None:
         seconds = t - wait_start
         self.hub.span("stage", track, "idle", t - seconds, t)
         if self.detail:
-            self.counters.inc(f"stage.{track}.idle_s", seconds)
+            idle = self._idle.get(track)
+            if idle is None:
+                idle = self._idle[track] = self.counters.counter(
+                    f"stage.{track}.idle_s")
+            idle.inc(seconds)
 
     def input_wait(self, track: str, t: float, wait_start: float,
                    src_core: int) -> None:
@@ -113,11 +135,25 @@ class TelemetrySynth:
 
     def delivered(self, nbytes: int) -> None:
         if self.detail:
-            self.counters.inc("rcce.messages")
-            self.counters.inc("rcce.bytes", nbytes)
-            self.counters.inc("rcce.via_dram.messages")
+            rcce = self._rcce
+            if rcce is None:
+                rcce = self._rcce = (
+                    self.counters.counter("rcce.messages"),
+                    self.counters.counter("rcce.bytes"),
+                    self.counters.counter("rcce.via_dram.messages"))
+            rcce[0].inc()
+            rcce[1].inc(nbytes)
+            rcce[2].inc()
 
     # -- resource-step emission -------------------------------------------
+    def _mesh_total(self, nbytes: int) -> None:
+        mesh = self._mesh
+        if mesh is None:
+            mesh = self._mesh = (self.counters.counter("mesh.messages"),
+                                 self.counters.counter("mesh.bytes"))
+        mesh[0].inc()
+        mesh[1].inc(nbytes)
+
     def step(self, meta: StepMeta, arrival: float, grant: float,
              done: float) -> None:
         """Emit for one executed program step.
@@ -133,22 +169,30 @@ class TelemetrySynth:
         if kind == "link":
             _, tag, nbytes, core, head = meta
             if head:
-                self.counters.inc("mesh.messages")
-                self.counters.inc("mesh.bytes", nbytes)
-            self.counters.inc(f"mesh.link.{tag}.bytes", nbytes)
-            self.counters.inc(f"mesh.link.{tag}.messages")
+                self._mesh_total(nbytes)
+            link = self._links.get(tag)
+            if link is None:
+                link = self._links[tag] = (
+                    self.counters.counter(f"mesh.link.{tag}.bytes"),
+                    self.counters.counter(f"mesh.link.{tag}.messages"))
+            link[0].inc(nbytes)
+            link[1].inc()
             if grant > arrival:
                 self.hub.span("mesh", f"link {tag}", "queue",
                               arrival, grant, bytes=nbytes, core=core)
             self.hub.span("mesh", f"link {tag}", "xfer", grant, done,
                           bytes=nbytes)
         elif kind == "mesh":
-            self.counters.inc("mesh.messages")
-            self.counters.inc("mesh.bytes", meta[1])
+            self._mesh_total(meta[1])
         else:  # "mc"
             _, index, core, nbytes, inbound = meta
-            self.counters.inc(f"dram.mc{index}.bytes", nbytes)
-            self.counters.inc(f"dram.mc{index}.requests")
+            mc = self._mcs.get(index)
+            if mc is None:
+                mc = self._mcs[index] = (
+                    self.counters.counter(f"dram.mc{index}.bytes"),
+                    self.counters.counter(f"dram.mc{index}.requests"))
+            mc[0].inc(nbytes)
+            mc[1].inc()
             if grant > arrival:
                 self.hub.span("dram", f"mc{index}", "queue",
                               arrival, grant, core=core, bytes=nbytes)

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..cluster import CLUSTER_CONFIGURATIONS, ClusterRunner
 from ..obsv.eventlog import EVENT_LOG
 from ..obsv.progress import (FrameProgressSink, ProgressCallback,
-                             ProgressEvent, state_event, sweep_event)
+                             state_event, sweep_event)
 from ..pipeline.arrangements import ARRANGEMENTS, Placement
 from ..pipeline.metrics import RunResult
 from ..pipeline.runner import CONFIGURATIONS, ENGINES, PipelineRunner, whole

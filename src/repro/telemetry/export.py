@@ -20,11 +20,12 @@ import csv
 import io
 import json
 from bisect import bisect_right
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .counters import CounterRegistry
-from .hub import Telemetry, TelemetryEvent
+from .hub import Telemetry, TelemetryEvent, stretches
 
 __all__ = [
     "chrome_trace",
@@ -46,48 +47,37 @@ class _IdAllocator:
     """Stable pid/tid assignment plus the matching metadata events."""
 
     def __init__(self) -> None:
-        self._pids: Dict[str, int] = {}
-        self._tids: Dict[Tuple[int, str], int] = {}
+        #: (category, track) -> (pid, tid); (category, None) is the
+        #: process itself
+        self._ids: Dict[Tuple[str, Optional[str]], Tuple[int, int]] = {}
+        #: pid -> tracks named so far
+        self._tracks: Dict[int, int] = {}
         self.metadata: List[Dict[str, Any]] = []
 
-    def pid(self, category: str) -> int:
-        pid = self._pids.get(category)
-        if pid is None:
-            pid = self._pids[category] = len(self._pids) + 1
+    def resolve(self, category: str,
+                track: Optional[str]) -> Tuple[int, int]:
+        found = self._ids.get((category, track))
+        if found is not None:
+            return found
+        process = self._ids.get((category, None))
+        if process is None:
+            pid = len(self._tracks) + 1
+            self._tracks[pid] = 0
+            process = self._ids[(category, None)] = (pid, 0)
             self.metadata.append({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
                 "ts": 0, "args": {"name": category},
             })
-        return pid
-
-    def tid(self, pid: int, track: str) -> int:
-        key = (pid, track)
-        tid = self._tids.get(key)
-        if tid is None:
-            tid = self._tids[key] = \
-                sum(1 for p, _ in self._tids if p == pid) + 1
-            self.metadata.append({
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "ts": 0, "args": {"name": track},
-            })
-        return tid
-
-
-def _event_to_chrome(event: TelemetryEvent,
-                     ids: _IdAllocator) -> Dict[str, Any]:
-    pid = ids.pid(event.category)
-    tid = ids.tid(pid, event.track) if event.track is not None else 0
-    if event.kind == "span":
-        return {"ph": "X", "name": event.name, "cat": event.category,
-                "ts": event.t * _US, "dur": event.dur * _US,
-                "pid": pid, "tid": tid, "args": dict(event.fields)}
-    if event.kind == "sample":
-        return {"ph": "C", "name": event.name, "cat": event.category,
-                "ts": event.t * _US, "pid": pid, "tid": tid,
-                "args": {event.name: event.value}}
-    return {"ph": "i", "name": event.name, "cat": event.category,
-            "ts": event.t * _US, "pid": pid, "tid": tid, "s": "t",
-            "args": dict(event.fields)}
+        if track is None:
+            return process
+        pid = process[0]
+        tid = self._tracks[pid] = self._tracks[pid] + 1
+        self.metadata.append({
+            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+            "ts": 0, "args": {"name": track},
+        })
+        found = self._ids[(category, track)] = (pid, tid)
+        return found
 
 
 def chrome_trace(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
@@ -96,12 +86,33 @@ def chrome_trace(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
 
     Events are sorted by timestamp (metadata first), so ``ts`` is
     monotone within every ``(pid, tid)`` track of sequential spans.
+    A hub's periodic blocks are read in place: each replica becomes a
+    trace event without becoming a :class:`TelemetryEvent` first.
     """
-    events = (telemetry.events if isinstance(telemetry, Telemetry)
-              else list(telemetry))
     ids = _IdAllocator()
-    converted = [_event_to_chrome(e, ids) for e in events]
-    converted.sort(key=lambda e: e["ts"])
+    converted: List[Dict[str, Any]] = []
+    add = converted.append
+    for stretch in stretches(telemetry):
+        heads = [ids.resolve(e.category, e.track) for e in stretch.events]
+        for k in range(stretch.repeats + 1):
+            for event, (pid, tid) in zip(stretch.events, heads):
+                t, fields = stretch.shift(event, k)
+                if event.kind == "span":
+                    add({"ph": "X", "name": event.name,
+                         "cat": event.category, "ts": t * _US,
+                         "dur": event.dur * _US, "pid": pid, "tid": tid,
+                         "args": dict(fields)})
+                elif event.kind == "sample":
+                    add({"ph": "C", "name": event.name,
+                         "cat": event.category, "ts": t * _US,
+                         "pid": pid, "tid": tid,
+                         "args": {event.name: event.value}})
+                else:
+                    add({"ph": "i", "name": event.name,
+                         "cat": event.category, "ts": t * _US,
+                         "pid": pid, "tid": tid, "s": "t",
+                         "args": dict(fields)})
+    converted.sort(key=itemgetter("ts"))
     return {
         "traceEvents": ids.metadata + converted,
         "displayTimeUnit": "ms",
@@ -112,10 +123,12 @@ def stage_busy_spans(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
                      ) -> List[TelemetryEvent]:
     """The ``stage``/``busy`` spans of a hub or an event list: one per
     frame a stage served (what the Gantt chart draws)."""
-    events = (telemetry.events if isinstance(telemetry, Telemetry)
-              else telemetry)
-    return [e for e in events if e.kind == "span"
-            and e.category == "stage" and e.name == "busy"]
+    spans: List[TelemetryEvent] = []
+    for stretch in stretches(telemetry):
+        spans.extend(stretch.expand(
+            e for e in stretch.events if e.kind == "span"
+            and e.category == "stage" and e.name == "busy"))
+    return spans
 
 
 def render_gantt(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],

@@ -23,11 +23,13 @@ Design rules
 * **Periodic regions stay symbolic.**  A producer that knows a window of
   retained events repeats verbatim at a fixed period (the batched
   engine's frame-wave jump) registers it via :meth:`add_periodic_block`
-  instead of appending ``repeats × window`` copies.  Readers see the
-  fully expanded, chronologically ordered stream through ``events`` /
-  ``events_in``; the expansion is materialized lazily and
-  cached, so registering a block is O(1) no matter how many waves it
-  covers.
+  instead of appending ``repeats × window`` copies, so registering a
+  block is O(1) no matter how many waves it covers.  The exporters and
+  the insight engine read the stream in that block form
+  (:func:`stretches`) and build only the replicas they keep; every
+  other reader sees the fully expanded, chronologically ordered stream
+  through ``events`` / ``events_in``, materialized on first read and
+  cached.
 
 Event kinds
 -----------
@@ -44,11 +46,13 @@ Event kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .counters import CounterRegistry
 
-__all__ = ["TelemetryEvent", "Telemetry", "MetricsSink", "NULL_TELEMETRY"]
+__all__ = ["TelemetryEvent", "Telemetry", "Stretch", "stretches",
+           "MetricsSink", "NULL_TELEMETRY"]
 
 
 @dataclass
@@ -80,23 +84,51 @@ class TelemetryEvent:
 Sink = Callable[[TelemetryEvent], None]
 
 
-def _shifted_copy(event: TelemetryEvent, offset: float,
-                  frame_delta: int) -> TelemetryEvent:
-    """Replica of ``event`` moved ``offset`` seconds and ``frame_delta``
-    frames into the future (periodic-block expansion)."""
-    fields = event.fields
-    if fields and ("frame" in fields or "tag" in fields):
-        fields = dict(fields)
-        frame = fields.get("frame")
-        if isinstance(frame, int):
-            fields["frame"] = frame + frame_delta
-        tag = fields.get("tag")
-        if isinstance(tag, int):
-            fields["tag"] = tag + frame_delta
-    return TelemetryEvent(event.kind, event.category, event.name,
-                          event.t + offset, dur=event.dur,
-                          track=event.track, value=event.value,
-                          fields=fields)
+class Stretch(NamedTuple):
+    """A run of retained events that repeats ``repeats`` more times.
+
+    Replica ``k`` (``k = 1..repeats``) of every event starts ``k * dt``
+    later and has its integer ``frame``/``tag`` fields advanced by
+    ``k * stride``; a plain stretch repeats 0 times.  In stream order
+    the raw events come first, then replica 1 of each, then replica 2.
+    """
+
+    events: Sequence[TelemetryEvent]
+    repeats: int = 0
+    dt: float = 0.0
+    stride: int = 0
+
+    def shift(self, event: TelemetryEvent,
+              k: int) -> Tuple[float, Dict[str, Any]]:
+        """Start time and fields of ``event``'s replica ``k`` (replica 0
+        is the event itself; a shifted replica gets its own fields)."""
+        if not k:
+            return event.t, event.fields
+        fields = event.fields
+        if fields and ("frame" in fields or "tag" in fields):
+            fields = dict(fields)
+            delta = k * self.stride
+            frame = fields.get("frame")
+            if isinstance(frame, int):
+                fields["frame"] = frame + delta
+            tag = fields.get("tag")
+            if isinstance(tag, int):
+                fields["tag"] = tag + delta
+        return event.t + k * self.dt, fields
+
+    def expand(self, events: Optional[Iterable[TelemetryEvent]] = None,
+               ) -> Iterator[TelemetryEvent]:
+        """``events`` (default: all of the stretch's) and their
+        replicas, in stream order."""
+        window = self.events if events is None else list(events)
+        yield from window
+        for k in range(1, self.repeats + 1):
+            for event in window:
+                t, fields = self.shift(event, k)
+                yield TelemetryEvent(event.kind, event.category,
+                                     event.name, t, dur=event.dur,
+                                     track=event.track, value=event.value,
+                                     fields=fields)
 
 
 class Telemetry:
@@ -116,8 +148,8 @@ class Telemetry:
         self._sinks: List[Sink] = []
         # Periodic blocks: (start, end, repeats, dt, stride) index windows
         # into ``_events`` whose replicas at offsets k*dt (k = 1..repeats),
-        # frames advanced by k*stride, are expanded lazily by
-        # ``_materialize``.
+        # frames advanced by k*stride, are read in place through
+        # ``stretches``.
         self._blocks: List[Tuple[int, int, int, float, int]] = []
         self._materialized: Optional[
             Tuple[Tuple[int, int], List[TelemetryEvent]]] = None
@@ -200,6 +232,18 @@ class Telemetry:
             raise ValueError("dt must be positive")
         self._blocks.append((start, end, repeats, dt, stride))
 
+    def stretches(self) -> Iterator[Stretch]:
+        """The retained stream in block form: plain stretches between
+        the periodic blocks, each block with its repeats."""
+        cursor = 0
+        for start, end, repeats, dt, stride in self._blocks:
+            if start > cursor:
+                yield Stretch(self._events[cursor:start])
+            yield Stretch(self._events[start:end], repeats, dt, stride)
+            cursor = end
+        if cursor < len(self._events):
+            yield Stretch(self._events[cursor:])
+
     def _materialize(self) -> List[TelemetryEvent]:
         """Retained events with every periodic block expanded in place."""
         if not self._blocks:
@@ -209,17 +253,8 @@ class Telemetry:
             out: List[TelemetryEvent] = self._materialized[1]
             return out
         expanded: List[TelemetryEvent] = []
-        cursor = 0
-        for start, end, repeats, dt, stride in self._blocks:
-            expanded.extend(self._events[cursor:end])
-            window = self._events[start:end]
-            for k in range(1, repeats + 1):
-                offset = k * dt
-                for event in window:
-                    expanded.append(_shifted_copy(event, offset,
-                                                  k * stride))
-            cursor = end
-        expanded.extend(self._events[cursor:])
+        for stretch in self.stretches():
+            expanded.extend(stretch.expand())
         self._materialized = (key, expanded)
         return expanded
 
@@ -277,6 +312,15 @@ class Telemetry:
         state = "on" if self.enabled else "off"
         return (f"<Telemetry {state} events={self.event_count} "
                 f"metrics={len(self.counters)} sinks={len(self._sinks)}>")
+
+
+def stretches(source: Union[Telemetry, Iterable[TelemetryEvent]],
+              ) -> Iterator[Stretch]:
+    """A hub's stream in block form, or an event list as one plain
+    stretch."""
+    if isinstance(source, Telemetry):
+        return source.stretches()
+    return iter([Stretch(list(source))])
 
 
 def _base_key(track: str) -> str:

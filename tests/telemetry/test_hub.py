@@ -7,6 +7,7 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     MetricsSink,
     Telemetry,
+    TelemetryEvent,
 )
 
 
@@ -94,6 +95,54 @@ def test_periodic_block_replicas_advance_frames_by_stride(stride):
                       4 + 2 * stride, 4 + 2 * stride]
     assert tel.events[3].fields["bytes"] == 64
     assert tel.horizon == pytest.approx(2.5)
+    (stretch,) = tel.stretches()
+    expected = _expand_by_hand(list(stretch.events), [(0, 2, 2, 1.0, stride)])
+    assert list(stretch.expand()) == tel.events == expected
+
+
+def _expand_by_hand(raw, blocks):
+    """The replica rule spelled out: replica ``k`` of a block starts
+    ``k * dt`` later, integer frame/tag fields ``k * stride`` higher."""
+    out, cursor = [], 0
+    for start, end, repeats, dt, stride in blocks:
+        out.extend(raw[cursor:end])
+        for k in range(1, repeats + 1):
+            for e in raw[start:end]:
+                fields = dict(e.fields)
+                for key in ("frame", "tag"):
+                    if isinstance(fields.get(key), int):
+                        fields[key] += k * stride
+                out.append(TelemetryEvent(e.kind, e.category, e.name,
+                                          e.t + k * dt, dur=e.dur,
+                                          track=e.track, value=e.value,
+                                          fields=fields))
+        cursor = end
+    return out + raw[cursor:]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_stretch_walk_expands_like_the_replica_rule(stride):
+    """Plain stretches around two blocks: the walk yields each stretch
+    once, and expanding it gives the stream the replica rule defines."""
+    tel = Telemetry()
+    tel.emit("stage", "bind", 0.0, track="blur[0]", core=3)
+    tel.span("stage", "blur[0]", "busy", 0.1, 0.5, frame=4)
+    tel.emit("rcce", "send", 0.25, tag=4, bytes=64)
+    tel.sample("power", "scc_watts", 0.3, 48.0)
+    tel.span("mesh", "link 0,0->1,0", "xfer", 2.1, 2.2, bytes=8)
+    tel.add_periodic_block(1, 4, 2, 0.7, stride=stride)
+    tel.span("stage", "blur[0]", "busy", 2.3, 2.4, frame=9)
+    tel.add_periodic_block(4, 6, 3, 0.3, stride=stride)
+    tel.span("stage", "blur[0]", "idle", 3.5, 3.6)
+    blocks = [(1, 4, 2, 0.7, stride), (4, 6, 3, 0.3, stride)]
+    stretches = list(tel.stretches())
+    assert [(len(s.events), s.repeats) for s in stretches] == \
+        [(1, 0), (3, 2), (2, 3), (1, 0)]
+    raw = [e for s in stretches for e in s.events]
+    expected = _expand_by_hand(raw, blocks)
+    assert [e for s in stretches for e in s.expand()] == expected
+    assert tel.events == expected
+    assert tel.event_count == len(expected) == 7 + 3 * 2 + 2 * 3
 
 
 def test_metrics_sink_translates_stage_spans():
