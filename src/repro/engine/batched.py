@@ -90,7 +90,7 @@ from ..pipeline.stage import compute_cost, cost_table
 from ..scc import DVFSController, PowerModel, SCCConfig, SCCTopology
 from ..scc.mesh import link_tag, xy_route
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION, Coord
-from ..sim import TimeSeries
+from ..sim import TimeSeries, running_sum
 from ..telemetry import Telemetry
 from .telsynth import StepMeta, TelemetrySynth, make_synth
 
@@ -214,12 +214,14 @@ _delta_of = attrgetter("delta")
 _free_at_of = attrgetter("free_at")
 
 
-def _replica(i: int, k: int) -> Tuple[int, int]:
-    """Skipped item ``i`` (1-based) of a ``k``-frame locked period is
-    item ``offset`` (``-k < offset <= 0``, relative to the last observed
-    one) repeated ``m`` periods later."""
-    m = -(-i // k)
-    return i - m * k, m
+def _replicate(last: List[float], n: int, period: float) -> np.ndarray:
+    """Items ``1 … n`` past a locked period of ``k = len(last)`` frames
+    whose items were ``last`` (oldest first): item ``i`` repeats item
+    ``(i - 1) mod k`` of the period, ``ceil(i / k)`` periods later."""
+    waves = np.arange(1, -(-n // len(last)) + 1) * period
+    with np.errstate(all="ignore"):
+        items: np.ndarray = (np.array(last) + waves[:, None]).ravel()[:n]
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +375,9 @@ class _Actor:
             segs.append((self.seg_start, self.cur_dur))
             last = j - 1
         # segs[-1] is frame a0's segment, segs[-1-r] frame a0-r's
-        n = len(segs)
-        for i in range(1, last + 1):
-            offset, m = _replica(i, k)
-            segs.append((segs[n - 1 + offset][0] + m * period,
-                         self.cost_arr.item(a0 + i)))
+        starts = _replicate([start for start, _ in segs[-k:]], last, period)
+        costs = self.cost_arr[a0 + 1:a0 + last + 1]
+        segs.extend(zip(starts.tolist(), costs.tolist()))
 
     def __repr__(self) -> str:
         return (f"<_Actor {self.span_key!r} core={self.core_id} "
@@ -1141,35 +1141,18 @@ class BatchedEngine:
         for a in self.actors:
             a.synthesize(j, k, period)
 
-        # 3. births: frames up to the head frame keep the times they
-        # were really born at; every frame past it — skipped, or renamed
-        # in flight — continues the locked pattern of the newest births
-        births = self.births
-        head = max(a.frame for a in self.actors)
-        for f in range(head + 1, head + j + 1):
-            offset, m = _replica(f - head, k)
-            births[f] = births[head + offset] + m * period
+        # 3. births, completions and latencies of the skipped frames
+        self._skip_frames(j, k, period)
 
-        # 4. completions + latencies of the skipped frames
-        done = self.completions
-        last_f = done[-1][0]
-        n = len(done)
-        for i in range(1, j + 1):
-            offset, m = _replica(i, k)
-            f = last_f + i
-            t = done[n - 1 + offset][1] + m * period
-            done.append((f, t))
-            birth = births.get(f)
-            if birth is not None:
-                self.latency_samples.append(t - birth)
-
-        # 5. resources: accrue the skipped busy time, shift the clocks
-        for r, now, then in zip(self._mc_res, snap.mc_busy, prev.mc_busy):
-            accrued = now - then
-            for _ in range(waves):
-                # one add per skipped period, mirroring the event
-                # kernel's per-period interval closes bit-for-bit:
-                r.busy_time += accrued  # lint: disable=DET007
+        # 4. resources: accrue the skipped busy time, shift the clocks:
+        # one add per skipped period, in order, mirroring the event
+        # kernel's per-period interval closes bit-for-bit
+        mcs = self._mc_res
+        accrued = np.subtract(snap.mc_busy, prev.mc_busy)[:, None]
+        busy = running_sum([r.busy_time for r in mcs],
+                           np.broadcast_to(accrued, (len(mcs), waves)))
+        for r, total in zip(mcs, busy.tolist()):
+            r.busy_time = total
         for r in self._all_res:
             r.free_at += s
             if r.busy_since is not None:
@@ -1177,7 +1160,7 @@ class BatchedEngine:
                 # running sum — one add per jump, same as free_at:
                 r.busy_since += s  # lint: disable=DET007
 
-        # 6. shift every clock: actors, heap entries, queued store items
+        # 5. shift every clock: actors, heap entries, queued store items
         for a in self.actors:
             a.shift(s, j)
         # In place: the scheduler loop holds this very list.
@@ -1194,7 +1177,7 @@ class BatchedEngine:
                 a, item = putters.popleft()
                 putters.append((a, item + j))
 
-        # 7. telemetry: register the captured period as a periodic block,
+        # 6. telemetry: register the captured period as a periodic block,
         # advance counters in closed form, mark the wave for live sinks
         if self.synth is not None:
             assert prev.tel is not None and snap.tel is not None
@@ -1203,6 +1186,30 @@ class BatchedEngine:
 
         # re-lock from scratch: the jump stopped short of a cost change
         self._hist.clear()
+
+    def _skip_frames(self, j: int, k: int, period: float) -> None:
+        """The frame records of a ``j``-frame jump locked on a ``k``-frame
+        period: births, completions and latencies."""
+        # births: frames up to the head frame keep the times they were
+        # really born at; every frame past it — skipped, or renamed in
+        # flight — continues the locked pattern of the newest births
+        births = self.births
+        head = max(a.frame for a in self.actors)
+        births.update(zip(range(head + 1, head + j + 1), _replicate(
+            [births[f] for f in range(head - k + 1, head + 1)], j,
+            period).tolist()))
+        # the skipped frames complete in the locked pattern of the newest
+        # completions (a birth is a clock reading, never NaN: NaN marks a
+        # frame without one)
+        done = self.completions
+        last_f = done[-1][0]
+        frames = range(last_f + 1, last_f + j + 1)
+        times = _replicate([t for _, t in done[-k:]], j, period)
+        done.extend(zip(frames, times.tolist()))
+        born = np.fromiter(map(births.get, frames, repeat(math.nan)),
+                           float, j)
+        latency = times - born
+        self.latency_samples.extend(latency[~np.isnan(born)].tolist())
 
     # -- result assembly ---------------------------------------------------
     def run(self) -> RunResult:
@@ -1222,9 +1229,13 @@ class BatchedEngine:
 
         mcfg = self.mcpc_config
         mcpc_trace = TimeSeries("mcpc_power", initial=mcfg.power_idle_w)
-        for start, dur in self.mcpc_segments:
-            mcpc_trace.record(start, mcfg.power_render_w)
-            mcpc_trace.record(start + dur, mcfg.power_idle_w)
+        # each segment switches the host to rendering power at its start
+        # and back to idle at its end
+        times = np.array(self.mcpc_segments).reshape(-1, 2)
+        times[:, 1] += times[:, 0]
+        watts = np.empty_like(times)
+        watts[:] = (mcfg.power_render_w, mcfg.power_idle_w)
+        mcpc_trace.extend(times.ravel(), watts.ravel())
         mcpc_energy = (mcpc_trace.integrate(0.0, end)
                        - mcfg.power_idle_w * (end - 0.0))
 

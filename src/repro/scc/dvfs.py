@@ -73,6 +73,8 @@ class DVFSController:
         self._tile_freq: Dict[int, float] = {
             t: DEFAULT_FREQUENCY_MHZ for t in range(NUM_TILES)
         }
+        #: each voltage island's tile ids, resolved on first use
+        self._island_tiles: Dict[int, List[int]] = {}
         self._listeners: List[Callable[[], None]] = []
         self.telemetry = telemetry or NULL_TELEMETRY
         #: time source for telemetry events (the chip wires ``sim.now``)
@@ -92,8 +94,11 @@ class DVFSController:
 
     def island_voltage(self, domain: int) -> float:
         """Current supply voltage of voltage island ``domain``."""
-        tiles = self.topology.voltage_domain_tiles(domain)
-        return max(required_voltage(self._tile_freq[t.tile_id]) for t in tiles)
+        tiles = self._island_tiles.get(domain)
+        if tiles is None:
+            tiles = self._island_tiles[domain] = [
+                t.tile_id for t in self.topology.voltage_domain_tiles(domain)]
+        return max(required_voltage(self._tile_freq[t]) for t in tiles)
 
     def core_voltage(self, core_id: int) -> float:
         """Supply voltage seen by ``core_id`` (its island's voltage)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..sim import TimeSeries
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -80,6 +80,10 @@ class PowerModel:
         #: time source of the trace points (the chip wires ``sim.now``)
         self._clock = clock or (lambda: 0.0)
         self._active: Set[int] = set()
+        #: each core's voltage island, and the islands in first-core order
+        self._islands = [topology.core(c).tile.voltage_domain
+                         for c in range(NUM_CORES)]
+        self._domains = list(dict.fromkeys(self._islands))
         self.trace = TimeSeries("scc_power", initial=self.config.p_idle)
         # subscribed weakly, so the controller and its power model do not
         # keep each other (and the chip) alive in a reference cycle
@@ -132,19 +136,20 @@ class PowerModel:
         """Instantaneous SCC power in watts."""
         cfg = self.config
         power = cfg.p_idle
-        if self._active:
+        active = self._active
+        if active:
             power += cfg.p_uncore
-        # Per-island voltages are shared by all cores of the island.
-        island_v: Dict[int, float] = {}
-        for core_id in range(NUM_CORES):
-            domain = self.topology.core(core_id).tile.voltage_domain
-            v = island_v.get(domain)
-            if v is None:
-                v = self.dvfs.island_voltage(domain)
-                island_v[domain] = v
-            # Leakage deviation applies to every core, active or not.
-            power += cfg.lam * (v * v - V_NOMINAL * V_NOMINAL)
-            if core_id in self._active:
+        # Per-island voltages, and so leakage, are shared by all cores of
+        # the island.
+        volts = {d: self.dvfs.island_voltage(d) for d in self._domains}
+        leak = {d: cfg.lam * (v * v - V_NOMINAL * V_NOMINAL)
+                for d, v in volts.items()}
+        for core_id, domain in enumerate(self._islands):
+            # Leakage deviation applies to every core, active or not;
+            # the terms add in core order, as the model defines them.
+            power += leak[domain]  # lint: disable=DET007
+            if core_id in active:
+                v = volts[domain]
                 f = self.dvfs.core_frequency(core_id)
                 power += cfg.kappa * f * v * v
         return power

@@ -22,7 +22,7 @@ Quick example
 from .core import Infinity, Simulator
 from .errors import DeadlockError, SimulationError, StopSimulation
 from .events import AllOf, Event, Timeout
-from .monitor import StatAccumulator, TimeSeries, quantile
+from .monitor import StatAccumulator, TimeSeries, quantile, running_sum
 from .process import Process
 from .resources import Request, Resource, Store
 
@@ -42,4 +42,5 @@ __all__ = [
     "StatAccumulator",
     "TimeSeries",
     "quantile",
+    "running_sum",
 ]

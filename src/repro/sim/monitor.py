@@ -10,16 +10,37 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-__all__ = ["StatAccumulator", "TimeSeries", "quantile"]
+import numpy as np
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+__all__ = ["StatAccumulator", "TimeSeries", "quantile", "running_sum"]
+
+
+def running_sum(start: ArrayLike, values: ArrayLike) -> np.ndarray:
+    """``start + values[..., 0] + values[..., 1] + ...``: each row of
+    ``values`` added to its start left to right, as a loop of ``+=`` adds
+    them, bit for bit (``np.add.accumulate`` is sequential, where
+    ``np.sum`` sums pairwise).  Like Python floats, it warns on nothing
+    (overflow gives inf, ``inf - inf`` NaN)."""
+    values = np.asarray(values, dtype=float)
+    acc = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    acc[..., 0] = start
+    acc[..., 1:] = values
+    with np.errstate(all="ignore"):
+        np.add.accumulate(acc, axis=-1, out=acc)
+    return acc[..., -1]
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile of an already *sorted* sequence.
 
     Matches ``numpy.quantile(..., method="linear")`` so tests can
-    cross-check, but avoids pulling numpy into the hot path.
+    cross-check, in plain Python: it reads two samples.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -38,36 +59,51 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
 class StatAccumulator:
     """Streaming collection of scalar samples with summary statistics.
 
-    Stores samples (needed for quartiles) and keeps running sums so that
-    ``mean``/``std`` are O(1).
+    Stores samples (needed for quartiles).  The running sums behind
+    ``total``/``mean`` are brought up to date on first read, adding the
+    new samples in order, so recording a sample costs one append and a
+    sum nobody reads is never taken.
     """
 
     def __init__(self, name: str = "stat") -> None:
         self.name = name
         self._samples: List[float] = []
-        self._sum = 0.0
-        self._sum_sq = 0.0
+        #: running sums of samples and of their squares, and how many
+        #: samples each covers
+        self._total = self._total_sq = 0.0
+        self._total_n = self._total_sq_n = 0
         self._sorted: Optional[List[float]] = None
 
     def add(self, value: float) -> None:
         """Record one sample."""
-        v = float(value)
-        self._samples.append(v)
-        self._sum += v
-        self._sum_sq += v * v
+        self._samples.append(float(value))
         self._sorted = None
 
     def extend(self, values: Iterable[float]) -> None:
-        """Record many samples: bit-identical to ``add`` on each in turn
-        (same coercion, same running-sum order), in one local loop."""
-        samples = [float(v) for v in values]
-        total, total_sq = self._sum, self._sum_sq
-        for v in samples:
-            total += v  # lint: disable=DET007 -- must equal add(), in order
-            total_sq += v * v  # lint: disable=DET007 -- must equal add()
-        self._sum, self._sum_sq = total, total_sq
-        self._samples.extend(samples)
+        """Record many samples: the same as ``add`` on each in turn."""
+        self._samples.extend(map(float, values))
         self._sorted = None
+
+    @property
+    def _sum(self) -> float:
+        """Sum of the samples, taken on first read: bit for bit a ``+=``
+        of each sample in arrival order."""
+        if self._total_n < len(self._samples):
+            tail = np.fromiter(self._samples[self._total_n:], float)
+            self._total = float(running_sum(self._total, tail))
+            self._total_n = len(self._samples)
+        return self._total
+
+    @property
+    def _sum_sq(self) -> float:
+        """Sum of the samples' squares, taken like :attr:`_sum`."""
+        if self._total_sq_n < len(self._samples):
+            tail = np.fromiter(self._samples[self._total_sq_n:], float)
+            with np.errstate(all="ignore"):
+                tail *= tail
+            self._total_sq = float(running_sum(self._total_sq, tail))
+            self._total_sq_n = len(self._samples)
+        return self._total_sq
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -173,6 +209,32 @@ class TimeSeries:
         self.times.append(float(t))
         self.values.append(float(value))
 
+    def extend(self, times: Sequence[float], values: Sequence[float]) -> None:
+        """:meth:`record` of each ``(times[i], values[i])`` in turn, in
+        array operations: a run of equal times keeps its last value, and
+        a time before the previous one raises once the pairs before it
+        are recorded."""
+        ts = np.asarray(times, dtype=float)
+        vs = np.asarray(values, dtype=float)
+        # each record is compared with the one before it
+        prev = np.concatenate(([self.times[-1]], ts[:-1]))
+        bad = np.flatnonzero(ts < prev)
+        stop = int(bad[0]) if bad.size else ts.size
+        t, v = ts[:stop], vs[:stop]
+        # a point takes its time from the first record at that time and
+        # its value from the last
+        first = np.append(True, t[1:] != t[:-1])[:stop]
+        last = np.append(first[1:], True)[:stop]
+        t, v = t[first], v[last]
+        if t.size and t[0] == self.times[-1]:
+            self.values[-1] = float(v[0])
+            t, v = t[1:], v[1:]
+        self.times.extend(t.tolist())
+        self.values.extend(v.tolist())
+        if stop < ts.size:
+            raise ValueError(f"{self.name}: non-monotone record at "
+                             f"t={float(ts[stop])} < {self.times[-1]}")
+
     def value_at(self, t: float) -> float:
         """Signal value at time ``t`` (left-continuous step lookup)."""
         if t < self.times[0]:
@@ -188,18 +250,17 @@ class TimeSeries:
             raise ValueError("t1 < t0")
         if t0 == t1:
             return 0.0
-        total = 0.0
-        # Walk segments overlapping [t0, t1]; the last segment extends to
-        # t1 because the signal persists at its final value.
-        for i, start in enumerate(self.times):
-            end = self.times[i + 1] if i + 1 < len(self.times) else max(t1, start)
-            seg_start = max(start, t0)
-            seg_end = min(end, t1)
-            if seg_end > seg_start:
-                total += self.values[i] * (seg_end - seg_start)
-            if start >= t1:
-                break
-        return total
+        # segment i runs from times[i] to times[i + 1], the last one to
+        # t1 because the signal persists at its final value; clipped to
+        # [t0, t1], a segment that overlaps it keeps its exact bounds
+        bounds = np.array(self.times + [max(t1, self.times[-1])])
+        np.maximum(bounds, t0, out=bounds)
+        np.minimum(bounds, t1, out=bounds)
+        widths = bounds[1:] - bounds[:-1]
+        live = widths > 0.0
+        with np.errstate(all="ignore"):
+            parts = np.array(self.values)[live] * widths[live]
+        return float(running_sum(0.0, parts))
 
     def sample(self, t0: float, t1: float, dt: float) -> List[Tuple[float, float]]:
         """Resample onto a regular grid ``t0, t0+dt, ... <= t1``."""
