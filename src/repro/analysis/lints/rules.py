@@ -515,11 +515,11 @@ class EngineEmissionRule(Rule):
     rationale = (
         "The batched engine's telemetry is *synthesized*: every span, "
         "instant, counter increment and periodic block must go through "
-        "the hub-gated helpers in repro.engine.telsynth, which own the "
-        "detail/sink-only fidelity split and the jump arithmetic.  A "
+        "the hub-gated helpers in repro.engine.telsynth, which resolve "
+        "what the hub's readers read and own the jump arithmetic.  A "
         "direct hub or counter call elsewhere in repro.engine bypasses "
-        "that gate — it emits even when the run asked for spans only, "
-        "and the frame-wave jump cannot renumber or replicate it.")
+        "that gate — it emits even when no reader reads it, and the "
+        "frame-wave jump cannot renumber or replicate it.")
 
     #: the telemetry emission surface (Telemetry + MetricRegistry)
     _EMITTERS = {"span", "emit", "sample", "inc", "set_gauge", "observe",

@@ -451,7 +451,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if problem:
         print(problem, file=sys.stderr)
         return 2
-    telemetry = Telemetry() if (args.trace_out or args.gantt) else None
+    # A Chrome trace keeps every category; the Gantt chart draws the
+    # stage spans alone.
+    telemetry = (Telemetry() if args.trace_out
+                 else Telemetry(categories={"stage", "host"}) if args.gantt
+                 else None)
     if args.strict_differential:
         return _cmd_strict_differential(args)
     runner = PipelineRunner(config=args.config, pipelines=args.pipelines,

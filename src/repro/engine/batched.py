@@ -58,7 +58,8 @@ jump advances the stream analytically — the captured period becomes a
 periodic block on the hub and counters move in closed form, so the jump
 stays O(1) regardless of how many frames it skips.  The same scheduler
 loop serves plain and telemetry runs: a program step emits only when it
-carries metadata, which only detail synthesis builds.  Telemetry never
+carries metadata and a stage only through its telemetry ops, and both
+are compiled only where a reader of the hub reads them.  Telemetry never
 changes a scheduling decision.
 
 Why frames were not jumped is counted in :attr:`BatchedEngine.lock_misses`.
@@ -92,7 +93,7 @@ from ..scc.mesh import link_tag, xy_route
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION, Coord
 from ..sim import TimeSeries, running_sum
 from ..telemetry import Telemetry
-from .telsynth import StepMeta, TelemetrySynth, make_synth
+from .telsynth import Emit, StepMeta, TelemetrySynth, make_synth
 
 __all__ = ["BatchedEngine"]
 
@@ -169,13 +170,11 @@ class _Chan:
     """Rendezvous state of one ordered (src, dst) core pair — mirrors
     ``repro.rcce.comm._Channel`` (a token store plus a message store)."""
 
-    __slots__ = ("recv_posted", "data_ready", "src", "dst")
+    __slots__ = ("recv_posted", "data_ready")
 
-    def __init__(self, src: int, dst: int) -> None:
+    def __init__(self) -> None:
         self.recv_posted = _Store()
         self.data_ready = _Store(tagged=True)
-        self.src = src
-        self.dst = dst
 
 
 def _idle_value(t: float, wait_start: float) -> float:
@@ -241,12 +240,13 @@ class _Actor:
     a store get ``("g", store)`` or put ``("p", store)``.  An RCCE send is
     three of them: the rendezvous token's get, the write program and the
     data-ready put.  *Bookkeeping ops* run in place at the actor's clock:
-    the loop ``top`` and ``end``, an input's idle sample (``in``, and
-    ``wait`` for a later input's span), the busy span's start (``span``),
-    the token grant (``tok``), a delivery (``dlv``), the blocking window's
-    start and end (``arr``, ``win``), the host compute's power segment
-    (``hc``), the completion stage's snapshot (``trig``) and its
-    completion record (``done``).  The bookkeeping follows the program's
+    the loop ``top`` and ``end``, an input's idle sample (``in``), the
+    busy span's start (``span``),
+    the token grant (``tok``), the blocking window's start and end
+    (``arr``, ``win``), the host compute's power segment (``hc``), the
+    completion stage's snapshot (``trig``), its completion record
+    (``done``) and the telemetry ops (``tel``, an emitter called with the
+    actor and its clock).  The bookkeeping follows the program's
     shape, as in the event interpreter
     (:class:`repro.pipeline.stage.Stage`): the first input's wait is idle,
     busy runs from the last input to the frame's end, inputs set the tag.
@@ -322,12 +322,21 @@ class _Actor:
     def shift(self, s: float, j: int) -> None:
         """Advance every absolute time by ``s`` and renumber frames."""
         self.t += s
-        for attr in ("wait_start", "span_start", "anchor_t",
-                     "prev_anchor_t", "token_t", "arr_t", "seg_start"):
-            v = getattr(self, attr)
-            if v is not None:
-                setattr(self, attr, v + s)
+        if self.wait_start is not None:
+            self.wait_start += s
+        if self.span_start is not None:
+            self.span_start += s
+        if self.token_t is not None:
+            self.token_t += s
+        if self.arr_t is not None:
+            self.arr_t += s
+        if self.seg_start is not None:
+            self.seg_start += s
         top, prev = self.anchor_t, self.prev_anchor_t
+        if top is not None:
+            top = self.anchor_t = top + s
+        if prev is not None:
+            prev = self.prev_anchor_t = prev + s
         if top is not None and prev is not None:
             # recomputed from the shifted clocks, as a snapshot reads it
             self.delta = top - prev
@@ -454,14 +463,12 @@ class BatchedEngine:
         self.mcpc_config: MCPCConfig = runner.mcpc_config or MCPCConfig()
         self.chip_config = chip_config = runner.chip_config or SCCConfig()
         self.topology = SCCTopology()
-        #: telemetry synthesis (None on the plain fast path); full-detail
-        #: synthesis also hands the hub to DVFS and power so they emit
-        #: their usual events from the real frequency-plan/power calls
+        #: telemetry synthesis (None on the plain fast path); the hub
+        #: also goes to DVFS and power, which emit their usual events
+        #: from the real frequency-plan/power calls where a reader reads
+        #: them
         self.synth: Optional[TelemetrySynth] = make_synth(runner)
-        self._step_synth: Optional[TelemetrySynth] = (
-            self.synth if self.synth is not None and self.synth.detail
-            else None)
-        hub = self.synth.hub if self._step_synth is not None else None
+        hub = self.synth.hub if self.synth is not None else None
         #: the clock DVFS and power read: 0 while the run is built and
         #: its end at teardown (a list cell: the clocks hold no engine)
         now = self._now = [0.0]
@@ -519,21 +526,18 @@ class BatchedEngine:
         cfg = self.chip_config.mesh
         route = xy_route(src, dst)
         hold = nbytes / cfg.link_bandwidth + cfg.hop_latency_s
-        # Step metadata is only consumed by detail synthesis; skip the
-        # per-step tuple allocations on the plain fast path.
-        detail = self._step_synth is not None
-        if not route:
-            return [(None, cfg.hop_latency_s,
-                     ("mesh", nbytes) if detail else None)]
-        if not cfg.model_contention:
-            return [(None, len(route) * hold,
-                     ("mesh", nbytes) if detail else None)]
-        if not detail:
+        synth = self.synth
+        if not route or not cfg.model_contention:
+            # one step: the local crossing, or the whole route
+            meta = synth.mesh_step(nbytes) if synth is not None else None
+            return [(None, len(route) * hold if route
+                     else cfg.hop_latency_s, meta)]
+        if synth is None:
             return [(self._link(hop), hold, None) for hop in route]
         # The head step carries the transfer-entry counters; every link
         # step emits its own per-link counters and queue/xfer spans.
         return [(self._link(hop), hold,
-                 ("link", link_tag(*hop), nbytes, core, i == 0))
+                 synth.link_step(link_tag(*hop), nbytes, core, i == 0))
                 for i, hop in enumerate(route)]
 
     def _coord(self, core_id: int) -> Coord:
@@ -550,8 +554,8 @@ class BatchedEngine:
         prog = self._mesh_prog(cc, mc_coord, cfg.command_bytes, core=acting)
         service = cfg.mc_latency_s + nbytes / cfg.mc_bandwidth
         prog.append((self._mc_res[mc], service,
-                     ("mc", mc, acting, nbytes, inbound)
-                     if self._step_synth is not None else None))
+                     None if self.synth is None
+                     else self.synth.mc_step(mc, acting, nbytes, inbound)))
         src, dst = (mc_coord, cc) if inbound else (cc, mc_coord)
         prog.extend(self._mesh_prog(src, dst, nbytes, core=acting))
         prog.append((None, nbytes / cfg.core_copy_bandwidth, None))
@@ -584,7 +588,7 @@ class BatchedEngine:
     def _chan(self, src: int, dst: int) -> _Chan:
         chan = self._chans.get((src, dst))
         if chan is None:
-            chan = self._chans[(src, dst)] = _Chan(src, dst)
+            chan = self._chans[(src, dst)] = _Chan()
             self.stores.append(chan.recv_posted)
             self.stores.append(chan.data_ready)
         return chan
@@ -653,16 +657,22 @@ class BatchedEngine:
         wait; a per-frame ``compute`` gets a cost table and a blocking
         window, closed by the first hand-off after it (``arr`` ...
         ``win``), with ``slack`` the fixed program time in between.
-        Ops only telemetry reads are left out of a plain run.
+        A telemetry op is compiled only where a reader of the hub reads
+        what it emits.
         """
         core = -1 if node.core is None else node.core
         wl = self.workload
         n = self.num_pipelines
-        telemetry = self.synth is not None
+        synth = self.synth
         frame_bytes = wl.frame_bytes()
         program = node.program
         inputs = node.input_steps
         code: List[Op] = [("top",)]
+
+        def tel(emit: Optional[Emit]) -> None:
+            if emit is not None:
+                code.append(("tel", emit))
+
         costs = np.empty(0)
         slack = 0.0
         # program positions of the trigger and of the blocking window
@@ -686,10 +696,12 @@ class BatchedEngine:
                     code.append(("g", self._queues[op.arg]))
                 if pc == inputs[0]:
                     code.append(("in",))
-                elif telemetry:
+                    if synth is not None:
+                        tel(synth.idle(node.key))
+                elif synth is not None:
                     # later inputs' waits are span-only (Fig. 15 idle
                     # counts only the first)
-                    code.append(("wait", op.arg))
+                    tel(synth.wait(node.key, op.arg))
                 if kind == "recv":
                     code.append(("s", self._own_prog(
                         core, self._strip_bytes[op.strip], True)))
@@ -724,12 +736,14 @@ class BatchedEngine:
                 if pc == hand:
                     code.append(("arr",))
                 code.append(("g", chan.recv_posted))
-                if pc == hand or telemetry:
-                    code.append(("tok", chan, nbytes))
+                if pc == hand:
+                    code.append(("tok",))
+                if synth is not None:
+                    tel(synth.rendezvous(core, op.arg, nbytes))
                 code.append(("s", self._write_to_prog(core, op.arg, nbytes)))
                 code.append(("p", chan.data_ready))
-                if telemetry:
-                    code.append(("dlv", nbytes))
+                if synth is not None:
+                    tel(synth.delivered(nbytes))
                 if pc == hand:
                     code.append(("win", True))
             elif kind == "udp":
@@ -748,6 +762,8 @@ class BatchedEngine:
                     code.append(("win", False))
             else:  # done
                 code.append(("done",))
+        if synth is not None:
+            tel(synth.busy(node.key, node.core is None))
         code.append(("end",))
         return _Actor(self, node, code, costs, slack)
 
@@ -775,8 +791,6 @@ class BatchedEngine:
             seq += 1
         frames = self.frames
         births = self.births
-        synth = self.synth
-        step_synth = self._step_synth
         inf = math.inf
         t, _, actor = pop(heap)
         while True:
@@ -808,8 +822,8 @@ class BatchedEngine:
                         res, hold, meta = prog[i]
                         if res is None:
                             nt = t + hold
-                            if meta is not None and step_synth is not None:
-                                step_synth.step(meta, t, t, nt)
+                            if meta is not None:
+                                meta(t, t, nt)
                         else:
                             if t > nxt:
                                 break
@@ -830,8 +844,8 @@ class BatchedEngine:
                                 grant = t
                             nt = grant + hold
                             res.free_at = nt
-                            if meta is not None and step_synth is not None:
-                                step_synth.step(meta, t, grant, nt)
+                            if meta is not None:
+                                meta(t, grant, nt)
                         t = nt
                         i += 1
                     else:
@@ -911,16 +925,10 @@ class BatchedEngine:
                     continue
                 # bookkeeping, in place
                 if kind == "end":
-                    span_start = actor.span_start
-                    assert span_start is not None
-                    if actor.host:
-                        if synth is not None:
-                            synth.host_busy(span_start, t, actor.tag)
-                    else:
+                    if not actor.host:
+                        span_start = actor.span_start
+                        assert span_start is not None
                         actor.busy.append(t - span_start)
-                        if synth is not None:
-                            synth.stage_busy(actor.span_key, span_start, t,
-                                             actor.tag)
                     actor.frame += 1
                     # straight on to the next loop top
                     pc = 1
@@ -949,8 +957,6 @@ class BatchedEngine:
                     wait_start = actor.wait_start
                     assert wait_start is not None
                     actor.idle.append(_idle_value(t, wait_start))
-                    if synth is not None:
-                        synth.stage_idle(actor.span_key, t, wait_start)
                 elif kind == "trig":
                     actor.t = t
                     self.on_trigger_anchor(actor)
@@ -962,12 +968,6 @@ class BatchedEngine:
                 elif kind == "tok":
                     # token granted: the payload goes next
                     actor.token_t = t
-                    if synth is not None:
-                        chan = op[1]
-                        assert actor.wait_start is not None
-                        synth.rendezvous(chan.src, chan.dst,
-                                         actor.wait_start, t, op[2],
-                                         actor.tag)
                 elif kind == "arr":
                     actor.arr_t = t
                 elif kind == "win":
@@ -980,13 +980,8 @@ class BatchedEngine:
                     # compute (its timing absorbed by the blocking window)
                     self.mcpc_segments.append((seg_start,
                                                actor.costs[actor.frame]))
-                elif kind == "dlv":
-                    assert synth is not None
-                    synth.delivered(op[1])
-                elif kind == "wait":
-                    assert synth is not None and actor.wait_start is not None
-                    synth.input_wait(actor.span_key, t, actor.wait_start,
-                                     op[1])
+                elif kind == "tel":
+                    op[1](actor, t)
                 else:  # pragma: no cover - closed vocabulary
                     raise AssertionError(f"unknown op {op!r}")
                 op = None

@@ -28,31 +28,34 @@ touch the hub emission surface (``span``/``emit``/``sample``/counter
 updates/periodic blocks).  The engine proper calls the typed helpers
 below; the lint gate enforces the boundary.
 
-``detail`` mirrors the event engine's ``telemetry.enabled`` split:
-
-========================  ======================  =====================
-run request               hub                     detail
-========================  ======================  =====================
-telemetry enabled         the runner's hub        True (full fidelity)
-sinks only (streaming)    the runner's hub        False (stage spans)
-neither                   no synth at all         (plain fast path)
-========================  ======================  =====================
+Nothing is emitted, compiled or counted that no reader wants.  The
+helpers resolve what the hub's readers read (:meth:`Telemetry.wants`,
+:meth:`Telemetry.keeps`) when the run is built, once per stage track,
+link and controller, and hand the engine an emitter only where
+something reads it: a telemetry op for a stage's program, step
+metadata for a resource step.  A run whose only reader is the
+progress sink compiles one busy-span op, on the completion stage; a
+full hub compiles everything the event engine emits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import Counter, Telemetry
 
-__all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta"]
+__all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta", "Emit"]
 
-#: Opaque per-step emission recipe built once at program-build time:
-#: ``("link", tag, nbytes, core, head)`` for a contended mesh link hold,
-#: ``("mesh", nbytes)`` for an uncontended/empty-route mesh transfer and
-#: ``("mc", index, core, nbytes, inbound)`` for a DRAM controller hold.
-StepMeta = Tuple[Any, ...]
+#: A telemetry op's emitter, called with the actor and its clock; it
+#: reads the actor's ``span_start``, ``wait_start`` and ``tag``.
+Emit = Callable[[Any, float], None]
+
+#: A resource step's emitter, built once at program-build time and
+#: called with the instants the event kernel's request/timeout pairs
+#: observe: when the actor reached the step, when the resource was
+#: granted (== arrival when it was free) and when the hold completed.
+StepMeta = Callable[[float, float, float], None]
 
 #: Counter/gauge/event-length signature of one steady-state snapshot.
 PhaseSig = Tuple[int, Dict[str, float],
@@ -67,138 +70,206 @@ _ATOL = 1e-12
 class TelemetrySynth:
     """Hub-gated emission helper owned by one :class:`BatchedEngine`."""
 
-    __slots__ = ("hub", "detail", "counters", "_busy", "_idle", "_links",
-                 "_mcs", "_mesh", "_rcce")
+    __slots__ = ("hub", "counters", "_stage", "_rcce", "_mesh", "_dram",
+                 "_wave", "_wanted", "_links", "_mcs", "_mesh_totals",
+                 "_rcce_totals")
 
-    def __init__(self, hub: Telemetry, detail: bool) -> None:
+    def __init__(self, hub: Telemetry) -> None:
         self.hub = hub
-        #: True reproduces everything the event engine emits under
-        #: ``telemetry.enabled``; False reproduces the sink-only stream
-        #: (stage busy/idle spans and wave markers, nothing else).
-        self.detail = detail
         self.counters = hub.counters
+        # the categories the hub counts, and whether anyone reads waves
+        self._stage = hub.keeps("stage")
+        self._rcce = hub.keeps("rcce")
+        self._mesh = hub.keeps("mesh")
+        self._dram = hub.keeps("dram")
+        self._wave = hub.wants("engine", "wave")
+        #: the hub's answers so far: a route asks once per link it
+        #: crosses, many routes cross one link
+        self._wanted: Dict[Tuple[str, str, str], bool] = {}
         # counter handles, resolved on first increment
-        self._busy: Dict[str, Tuple[Counter, Counter]] = {}
-        self._idle: Dict[str, Counter] = {}
         self._links: Dict[str, Tuple[Counter, Counter]] = {}
         self._mcs: Dict[int, Tuple[Counter, Counter]] = {}
-        self._mesh: Optional[Tuple[Counter, Counter]] = None
-        self._rcce: Optional[Tuple[Counter, Counter, Counter]] = None
+        self._mesh_totals: List[Counter] = []
+        self._rcce_totals: List[Counter] = []
 
-    # -- stage-level emission ---------------------------------------------
+    def _wants(self, category: str, name: str, track: str) -> bool:
+        key = (category, name, track)
+        wanted = self._wanted.get(key)
+        if wanted is None:
+            wanted = self._wanted[key] = self.hub.wants(category, name, track)
+        return wanted
+
+    # -- stage-level emitters ---------------------------------------------
     def bind(self, track: str, core: int, t: float) -> None:
-        if self.detail:
+        if self.hub.wants("stage", "bind", track):
             self.hub.emit("stage", "bind", t, track=track, core=core)
 
-    def stage_busy(self, track: str, t0: float, t1: float,
-                   frame: int) -> None:
-        self.hub.span("stage", track, "busy", t0, t1, frame=frame)
-        if self.detail:
-            pair = self._busy.get(track)
-            if pair is None:
-                pair = self._busy[track] = (
-                    self.counters.counter(f"stage.{track}.frames"),
-                    self.counters.counter(f"stage.{track}.busy_s"))
-            pair[0].inc()
-            pair[1].inc(t1 - t0)
+    def busy(self, track: str, host: bool) -> Optional[Emit]:
+        """The frame's busy span, from the actor's span start to now.
 
-    def stage_idle(self, track: str, t: float, wait_start: float) -> None:
-        seconds = t - wait_start
-        self.hub.span("stage", track, "idle", t - seconds, t)
-        if self.detail:
-            idle = self._idle.get(track)
-            if idle is None:
-                idle = self._idle[track] = self.counters.counter(
-                    f"stage.{track}.idle_s")
-            idle.inc(seconds)
+        The MCPC's is a ``host`` span, which no stage counter counts."""
+        hub, counters = self.hub, self.counters
+        category = "host" if host else "stage"
+        span = hub.wants(category, "busy", track)
+        count = self._stage and not host
+        if not (span or count):
+            return None
+        handles: List[Counter] = []
 
-    def input_wait(self, track: str, t: float, wait_start: float,
-                   src_core: int) -> None:
+        def emit(actor: Any, t: float) -> None:
+            t0 = actor.span_start
+            if span:
+                hub.span(category, track, "busy", t0, t, frame=actor.tag)
+            if count:
+                if not handles:
+                    handles.append(counters.counter(f"stage.{track}.frames"))
+                    handles.append(counters.counter(f"stage.{track}.busy_s"))
+                handles[0].inc()
+                handles[1].inc(t - t0)
+
+        return emit
+
+    def idle(self, track: str) -> Optional[Emit]:
+        """The first input's wait, from the actor's wait start to now."""
+        hub, counters = self.hub, self.counters
+        span = hub.wants("stage", "idle", track)
+        count = self._stage
+        if not (span or count):
+            return None
+        handles: List[Counter] = []
+
+        def emit(actor: Any, t: float) -> None:
+            seconds = t - actor.wait_start
+            if span:
+                hub.span("stage", track, "idle", t - seconds, t)
+            if count:
+                if not handles:
+                    handles.append(counters.counter(f"stage.{track}.idle_s"))
+                handles[0].inc(seconds)
+
+        return emit
+
+    def wait(self, track: str, src: Any) -> Optional[Emit]:
         """A later input's wait: a span only (not Fig. 15 idle)."""
-        if self.detail:
-            seconds = t - wait_start
+        hub = self.hub
+        if not hub.wants("stage", "wait", track):
+            return None
+
+        def emit(actor: Any, t: float) -> None:
+            seconds = t - actor.wait_start
             if seconds > 0:
-                self.hub.span("stage", track, "wait", t - seconds, t,
-                              src_core=src_core)
+                hub.span("stage", track, "wait", t - seconds, t,
+                         src_core=src)
 
-    def host_busy(self, t0: float, t1: float, frame: int) -> None:
-        if self.detail:
-            self.hub.span("host", "mcpc-render", "busy", t0, t1,
-                          frame=frame)
+        return emit
 
-    # -- RCCE-level emission ----------------------------------------------
-    def rendezvous(self, src: int, dst: int, t0: float, t1: float,
-                   nbytes: int, tag: int) -> None:
-        if self.detail and t1 > t0:
-            self.hub.span("rcce", f"core{src}", "rendezvous", t0, t1,
-                          src=src, dst=dst, tag=tag, bytes=nbytes)
+    # -- RCCE-level emitters ----------------------------------------------
+    def rendezvous(self, src: int, dst: int, nbytes: int) -> Optional[Emit]:
+        """The sender's wait for the receiver's token, when it waited."""
+        hub = self.hub
+        track = f"core{src}"
+        if not self._wants("rcce", "rendezvous", track):
+            return None
 
-    def delivered(self, nbytes: int) -> None:
-        if self.detail:
-            rcce = self._rcce
-            if rcce is None:
-                rcce = self._rcce = (
-                    self.counters.counter("rcce.messages"),
-                    self.counters.counter("rcce.bytes"),
-                    self.counters.counter("rcce.via_dram.messages"))
+        def emit(actor: Any, t: float) -> None:
+            t0 = actor.wait_start
+            if t > t0:
+                hub.span("rcce", track, "rendezvous", t0, t, src=src,
+                         dst=dst, tag=actor.tag, bytes=nbytes)
+
+        return emit
+
+    def delivered(self, nbytes: int) -> Optional[Emit]:
+        """A delivered message's counters."""
+        if not self._rcce:
+            return None
+        counters, rcce = self.counters, self._rcce_totals
+
+        def emit(actor: Any, t: float) -> None:
+            if not rcce:
+                rcce.extend(counters.counter(name) for name in (
+                    "rcce.messages", "rcce.bytes", "rcce.via_dram.messages"))
             rcce[0].inc()
             rcce[1].inc(nbytes)
             rcce[2].inc()
 
-    # -- resource-step emission -------------------------------------------
+        return emit
+
+    # -- resource-step emitters -------------------------------------------
     def _mesh_total(self, nbytes: int) -> None:
-        mesh = self._mesh
-        if mesh is None:
-            mesh = self._mesh = (self.counters.counter("mesh.messages"),
-                                 self.counters.counter("mesh.bytes"))
+        mesh = self._mesh_totals
+        if not mesh:
+            mesh.append(self.counters.counter("mesh.messages"))
+            mesh.append(self.counters.counter("mesh.bytes"))
         mesh[0].inc()
         mesh[1].inc(nbytes)
 
-    def step(self, meta: StepMeta, arrival: float, grant: float,
-             done: float) -> None:
-        """Emit for one executed program step.
+    def link_step(self, tag: str, nbytes: int, core: Optional[int],
+                  head: bool) -> Optional[StepMeta]:
+        """A contended mesh link hold; the ``head`` step of a transfer
+        also counts the transfer."""
+        hub, counters, links = self.hub, self.counters, self._links
+        track = f"link {tag}"
+        queue = self._wants("mesh", "queue", track)
+        xfer = self._wants("mesh", "xfer", track)
+        count = self._mesh
+        if not (queue or xfer or count):
+            return None
 
-        ``arrival`` is when the actor reached the step, ``grant`` when
-        the resource was granted (== ``arrival`` when it was free) and
-        ``done`` when the hold completed — the same instants the event
-        kernel's request/timeout pairs observe.
-        """
-        if not self.detail:
-            return
-        kind = meta[0]
-        if kind == "link":
-            _, tag, nbytes, core, head = meta
-            if head:
-                self._mesh_total(nbytes)
-            link = self._links.get(tag)
-            if link is None:
-                link = self._links[tag] = (
-                    self.counters.counter(f"mesh.link.{tag}.bytes"),
-                    self.counters.counter(f"mesh.link.{tag}.messages"))
-            link[0].inc(nbytes)
-            link[1].inc()
-            if grant > arrival:
-                self.hub.span("mesh", f"link {tag}", "queue",
-                              arrival, grant, bytes=nbytes, core=core)
-            self.hub.span("mesh", f"link {tag}", "xfer", grant, done,
-                          bytes=nbytes)
-        elif kind == "mesh":
-            self._mesh_total(meta[1])
-        else:  # "mc"
-            _, index, core, nbytes, inbound = meta
-            mc = self._mcs.get(index)
-            if mc is None:
-                mc = self._mcs[index] = (
-                    self.counters.counter(f"dram.mc{index}.bytes"),
-                    self.counters.counter(f"dram.mc{index}.requests"))
-            mc[0].inc(nbytes)
-            mc[1].inc()
-            if grant > arrival:
-                self.hub.span("dram", f"mc{index}", "queue",
-                              arrival, grant, core=core, bytes=nbytes)
-            self.hub.span("dram", f"mc{index}", "access", grant, done,
-                          core=core, bytes=nbytes,
-                          direction="read" if inbound else "write")
+        def emit(arrival: float, grant: float, done: float) -> None:
+            if count:
+                if head:
+                    self._mesh_total(nbytes)
+                link = links.get(tag)
+                if link is None:
+                    link = links[tag] = (
+                        counters.counter(f"mesh.link.{tag}.bytes"),
+                        counters.counter(f"mesh.link.{tag}.messages"))
+                link[0].inc(nbytes)
+                link[1].inc()
+            if queue and grant > arrival:
+                hub.span("mesh", track, "queue", arrival, grant,
+                         bytes=nbytes, core=core)
+            if xfer:
+                hub.span("mesh", track, "xfer", grant, done, bytes=nbytes)
+
+        return emit
+
+    def mesh_step(self, nbytes: int) -> Optional[StepMeta]:
+        """An uncontended or empty-route mesh transfer: counters only."""
+        if not self._mesh:
+            return None
+        return lambda arrival, grant, done: self._mesh_total(nbytes)
+
+    def mc_step(self, index: int, core: int, nbytes: int,
+                inbound: bool) -> Optional[StepMeta]:
+        """A DRAM controller hold."""
+        hub, counters, mcs = self.hub, self.counters, self._mcs
+        track = f"mc{index}"
+        queue = self._wants("dram", "queue", track)
+        access = self._wants("dram", "access", track)
+        count = self._dram
+        if not (queue or access or count):
+            return None
+        direction = "read" if inbound else "write"
+
+        def emit(arrival: float, grant: float, done: float) -> None:
+            if count:
+                mc = mcs.get(index)
+                if mc is None:
+                    mc = mcs[index] = (
+                        counters.counter(f"dram.mc{index}.bytes"),
+                        counters.counter(f"dram.mc{index}.requests"))
+                mc[0].inc(nbytes)
+                mc[1].inc()
+            if queue and grant > arrival:
+                hub.span("dram", track, "queue", arrival, grant, core=core,
+                         bytes=nbytes)
+            if access:
+                hub.span("dram", track, "access", grant, done, core=core,
+                         bytes=nbytes, direction=direction)
+
+        return emit
 
     # -- steady-state detection and the wave jump -------------------------
     def phase_sig(self) -> PhaseSig:
@@ -206,7 +277,7 @@ class TelemetrySynth:
         counters: Dict[str, float] = {}
         gauges: Tuple[Tuple[str, float], ...] = ()
         hists: Tuple[Tuple[str, int], ...] = ()
-        if self.detail:
+        if self.hub.enabled:
             snap = self.counters.snapshot()
             counters = dict(snap["counters"])
             gauges = tuple(sorted(snap["gauges"].items()))
@@ -249,28 +320,20 @@ class TelemetrySynth:
         if self.hub.enabled:
             self.hub.add_periodic_block(prev[0], snap[0], waves, delta,
                                         stride=stride)
-        if self.detail:
             for name, value in snap[1].items():
                 d = value - prev[1].get(name, 0.0)
                 if d:
                     self.counters.inc(name, d * waves)
-        self.hub.emit("engine", "wave", t_wave, frames=waves * stride,
-                      dt=delta / stride)
+        if self._wave:
+            self.hub.emit("engine", "wave", t_wave, frames=waves * stride,
+                          dt=delta / stride)
 
 
 def make_synth(runner: Any) -> Optional[TelemetrySynth]:
-    """Pick the hub (and fidelity) a batched run should synthesize into.
-
-    Mirrors the event path's wiring: an enabled runner hub gets full
-    detail; a disabled-but-sinked hub gets the sink-only span stream;
-    otherwise telemetry synthesis is skipped entirely and the engine
-    runs its plain fast path.
-    """
+    """The synthesis helper of a batched run, or None for the plain fast
+    path: a run without a hub, or whose hub neither keeps anything nor
+    has a sink."""
     ext: Optional[Telemetry] = runner.telemetry
-    if ext is None:
+    if ext is None or not (ext.enabled or ext.has_sinks):
         return None
-    if ext.enabled:
-        return TelemetrySynth(ext, detail=True)
-    if ext.has_sinks:
-        return TelemetrySynth(ext, detail=False)
-    return None
+    return TelemetrySynth(ext)

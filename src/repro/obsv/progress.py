@@ -43,6 +43,9 @@ RUN_STATES = ("queued", "running", "cached", "done", "failed")
 #: terminal states (the run will not change again)
 _FINAL_STATES = frozenset({"cached", "done", "failed"})
 
+#: the stages every frame crosses exactly once, as the last one
+_COMPLETION_TRACKS = ("transfer", "single-core")
+
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -135,6 +138,9 @@ class FrameProgressSink:
     instant instead of per-frame spans; the sink folds its skipped-wave
     count straight into ``frames_done`` and forwards the detected
     period Δ, so a jumped run heartbeats just like a replayed one.
+
+    It declares just that (:meth:`reads`), so a run whose only reader
+    is this sink emits one span per frame and one instant per wave.
     """
 
     def __init__(self, emit: ProgressCallback, index: int, digest: str,
@@ -153,6 +159,14 @@ class FrameProgressSink:
         self._min_interval = min_interval_s
         self._last_emit = 0.0
 
+    @staticmethod
+    def reads(category: str, name: str, track: Optional[str]) -> bool:
+        """The engine's instants and the completion stage's busy spans."""
+        if category == "engine":
+            return True
+        return (category == "stage" and name == "busy" and track is not None
+                and track.split("[")[0] in _COMPLETION_TRACKS)
+
     def __call__(self, event: Any) -> None:
         if (event.kind == "instant" and event.category == "engine"
                 and event.name == "wave"):
@@ -165,8 +179,7 @@ class FrameProgressSink:
         if (event.kind != "span" or event.category != "stage"
                 or event.name != "busy" or event.track is None):
             return
-        base = event.track.split("[")[0]
-        if base != "transfer" and base != "single-core":
+        if event.track.split("[")[0] not in _COMPLETION_TRACKS:
             return
         self.frames_done += 1
         if self.frames_done < self._next_at:

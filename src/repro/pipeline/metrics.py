@@ -51,7 +51,10 @@ class RunMetrics:
             for key, vals in samples.items():
                 if not vals:
                     continue
-                if min(vals) < 0:
+                # min() steps over a NaN unless the list starts with one,
+                # and then returns it: only then is a second scan needed
+                low = min(vals)
+                if low < 0 or (low != low and any(v < 0 for v in vals)):
                     raise ValueError(f"{key}: negative stage time")
                 acc = accs[key] = StatAccumulator(key)
                 acc.extend(vals)

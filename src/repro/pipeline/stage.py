@@ -169,37 +169,64 @@ class Stage:
             raise ValueError("MCPC rendering needs ctx.mcpc and ctx.uplink")
 
     # -- telemetry --------------------------------------------------------
-    def record_busy(self, start: float, frame: int) -> None:
-        """Log a service interval via the telemetry hub.
+    # Each recorder is resolved once per run and is None when no reader
+    # of the hub reads what it would log.
+
+    def _busy_recorder(self) -> Optional[Callable[[float, int], None]]:
+        """Callback logging a service interval ending now.
 
         The attached :class:`~repro.telemetry.MetricsSink` turns the span
         into the historical ``metrics.record_busy`` call; an enabled hub
         retains it for the Chrome trace and the Gantt chart.  ``frame``
         tags the span with the frame being served so the insight engine
-        can label critical-path segments.
+        can label critical-path segments.  The MCPC's span is a ``host``
+        span: the MCPC is no SCC core and stays invisible to the stage
+        metrics.
         """
-        ctx = self.ctx
-        now = ctx.sim.now
+        ctx, key = self.ctx, self.key
         tel = ctx.telemetry
         assert tel is not None
-        tel.span("stage", self.key, "busy", start, now, frame=frame)
-        if tel.enabled:
-            # Per-instance keys (blur[2], not blur): RunMetrics already
-            # aggregates per kind; the registry keeps the resolution.
-            tel.counters.inc(f"stage.{self.key}.frames")
-            tel.counters.inc(f"stage.{self.key}.busy_s", now - start)
+        category = "stage" if self.core_id is not None else "host"
+        span = tel.wants(category, "busy", key)
+        # Per-instance keys (blur[2], not blur): RunMetrics already
+        # aggregates per kind; the registry keeps the resolution.
+        count = self.core_id is not None and tel.keeps("stage")
+        if not (span or count):
+            return None
+        frames_name = f"stage.{key}.frames"
+        busy_name = f"stage.{key}.busy_s"
 
-    def record_idle(self, seconds: float) -> None:
-        """Log a wait interval ending now via the telemetry hub."""
-        ctx = self.ctx
-        now = ctx.sim.now
+        def record(start: float, frame: int) -> None:
+            now = ctx.sim.now
+            if span:
+                tel.span(category, key, "busy", start, now, frame=frame)
+            if count:
+                tel.counters.inc(frames_name)
+                tel.counters.inc(busy_name, now - start)
+
+        return record
+
+    def _idle_recorder(self) -> Optional[Callable[[float], None]]:
+        """Callback logging the first input's wait, ending now."""
+        ctx, key = self.ctx, self.key
         tel = ctx.telemetry
         assert tel is not None
-        tel.span("stage", self.key, "idle", now - seconds, now)
-        if tel.enabled:
-            tel.counters.inc(f"stage.{self.key}.idle_s", seconds)
+        span = tel.wants("stage", "idle", key)
+        count = tel.keeps("stage")
+        if not (span or count):
+            return None
+        idle_name = f"stage.{key}.idle_s"
 
-    def _wait_recorder(self, src: Any) -> Callable[[float], None]:
+        def record(seconds: float) -> None:
+            now = ctx.sim.now
+            if span:
+                tel.span("stage", key, "idle", now - seconds, now)
+            if count:
+                tel.counters.inc(idle_name, seconds)
+
+        return record
+
+    def _wait_recorder(self, src: Any) -> Optional[Callable[[float], None]]:
         """Callback recording a later input's wait as a ``wait`` span.
 
         RunMetrics' Fig. 15 idle definition only counts the first
@@ -207,14 +234,16 @@ class Stage:
         distinct span name so the metrics sink ignores them while the
         insight engine still sees the full starvation window.
         """
-        ctx = self.ctx
+        ctx, key = self.ctx, self.key
         tel = ctx.telemetry
         assert tel is not None
+        if not tel.wants("stage", "wait", key):
+            return None
 
         def record(seconds: float) -> None:
             if seconds > 0.0:
                 now = ctx.sim.now
-                tel.span("stage", self.key, "wait", now - seconds, now,
+                tel.span("stage", key, "wait", now - seconds, now,
                          src_core=src)
 
         return record
@@ -227,8 +256,6 @@ class Stage:
         chip = ctx.chip
         comm = ctx.comm
         metrics = ctx.metrics
-        tel = ctx.telemetry
-        assert tel is not None
         core = self.core_id
         n = ctx.num_pipelines
         wl = ctx.workload
@@ -241,10 +268,8 @@ class Stage:
             kind, arg = op.kind, op.arg
             extra: Any = None
             if kind in ("recv", "get"):
-                if i == inputs[0]:
-                    extra = self.record_idle
-                elif tel.enabled:
-                    extra = self._wait_recorder(arg)
+                extra = (self._idle_recorder() if i == inputs[0]
+                         else self._wait_recorder(arg))
                 if kind == "get":
                     arg = self.queues[arg]
             elif kind == "compute":
@@ -264,6 +289,7 @@ class Stage:
                     arg = chip.topology.core(core).coord
             steps.append((kind, arg, extra))
         compute_time = chip.compute_time
+        record_busy = self._busy_recorder()
         for frame in range(ctx.frames):
             tag = frame
             start = sim.now
@@ -302,19 +328,15 @@ class Stage:
                     yield arg.put(tag)
                 else:  # done
                     metrics.record_frame_done(tag, sim.now)
-            if core is not None:
-                self.record_busy(start, tag)
-            elif tel.enabled:
-                # Category "host", not "stage": the MCPC is no SCC core
-                # and must stay invisible to RunMetrics' stage sink.
-                tel.span("host", self.key, "busy", start, sim.now,
-                         frame=tag)
+            if record_busy is not None:
+                record_busy(start, tag)
 
     def start(self):
         """Spawn the stage on the context's simulator."""
         tel = self.ctx.telemetry
         assert tel is not None
-        if tel.enabled and self.core_id is not None:
+        if (self.core_id is not None
+                and tel.wants("stage", "bind", self.key)):
             # Track -> core binding: lets trace consumers group stage
             # slices by the core they actually ran on.
             tel.emit("stage", "bind", self.ctx.sim.now, track=self.key,

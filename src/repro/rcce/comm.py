@@ -40,12 +40,14 @@ class Message:
 class _Channel:
     """Rendezvous state for one ordered (src, dst) pair."""
 
-    __slots__ = ("recv_posted", "data_ready")
+    __slots__ = ("recv_posted", "data_ready", "spans")
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim, spans: bool) -> None:
         # Store of posted receives (tokens) and of ready messages.
         self.recv_posted = Store(sim, name="recv_posted")
         self.data_ready = Store(sim, name="data_ready")
+        #: True when a reader reads the sender's rendezvous spans
+        self.spans = spans
 
 
 class RCCEComm:
@@ -61,6 +63,8 @@ class RCCEComm:
         self.chip = chip
         self.sim = chip.sim
         self._channels: Dict[Tuple[int, int], _Channel] = {}
+        #: True when the hub counts delivered messages
+        self._count = chip.telemetry.keeps("rcce")
         #: messages fully delivered (monitoring)
         self.messages_delivered = 0
         #: payload bytes fully delivered (monitoring)
@@ -73,7 +77,9 @@ class RCCEComm:
             # Core-id validation happens once per pair, on channel creation.
             self.chip.topology.core(src)
             self.chip.topology.core(dst)
-            chan = self._channels[key] = _Channel(self.sim)
+            chan = self._channels[key] = _Channel(
+                self.sim, self.chip.telemetry.wants("rcce", "rendezvous",
+                                                    f"core{src}"))
         return chan
 
     # -- point to point -----------------------------------------------------
@@ -91,7 +97,7 @@ class RCCEComm:
         chan = self._channel(src, dst)
         tel = self.chip.telemetry
         # Rendezvous: wait until the receiver is ready (RCCE is synchronous).
-        if tel.enabled:
+        if chan.spans:
             t0 = self.sim.now
             yield chan.recv_posted.get()
             t1 = self.sim.now
@@ -109,7 +115,7 @@ class RCCEComm:
         yield chan.data_ready.put(msg)
         self.messages_delivered += 1
         self.bytes_delivered += nbytes
-        if tel.enabled:
+        if self._count:
             tel.counters.inc("rcce.messages")
             tel.counters.inc("rcce.bytes", nbytes)
             tel.counters.inc("rcce.via_dram.messages")

@@ -79,6 +79,10 @@ class DVFSController:
         self.telemetry = telemetry or NULL_TELEMETRY
         #: time source for telemetry events (the chip wires ``sim.now``)
         self._clock = clock or (lambda: 0.0)
+        # what the hub's readers read, resolved once
+        self._count = self.telemetry.keeps("dvfs")
+        self._events = self.telemetry.wants("dvfs", "set_frequency",
+                                            "frequency")
 
     # -- queries ------------------------------------------------------------
     def tile_frequency(self, tile_id: int) -> float:
@@ -123,9 +127,10 @@ class DVFSController:
         volts = self.island_voltage(
             self.topology.tiles[tile_id].voltage_domain)
         tel = self.telemetry
-        if tel.enabled:
+        if self._count:
             tel.counters.inc("dvfs.changes")
             tel.counters.set_gauge(f"dvfs.tile{tile_id}.mhz", freq_mhz)
+        if self._events:
             tel.emit("dvfs", "set_frequency", self._clock(),
                      track="frequency", tile=tile_id, mhz=freq_mhz,
                      volts=volts)

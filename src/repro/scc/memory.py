@@ -65,14 +65,19 @@ class MemoryConfig:
 class MemoryController:
     """One DDR3 controller: a FIFO single-server with byte accounting."""
 
-    __slots__ = ("index", "coord", "resource", "bytes_served", "requests")
+    __slots__ = ("index", "coord", "resource", "bytes_served", "requests",
+                 "queue_spans", "access_spans")
 
-    def __init__(self, sim: Simulator, index: int, coord) -> None:
+    def __init__(self, sim: Simulator, index: int, coord,
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
         self.index = index
         self.coord = coord
         self.resource = Resource(sim, capacity=1, name=f"MC{index}")
         self.bytes_served = 0
         self.requests = 0
+        # what the hub's readers read of this controller, resolved once
+        self.queue_spans = telemetry.wants("dram", "queue", f"mc{index}")
+        self.access_spans = telemetry.wants("dram", "access", f"mc{index}")
 
     @property
     def utilization(self) -> float:
@@ -100,9 +105,12 @@ class MemorySystem:
         self.config = config or MemoryConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
         self.controllers: List[MemoryController] = [
-            MemoryController(sim, i, topology.mc_coord(i))
+            MemoryController(sim, i, topology.mc_coord(i),
+                             telemetry=self.telemetry)
             for i in range(NUM_MEMORY_CONTROLLERS)
         ]
+        #: True when the hub counts controller traffic
+        self._count = self.telemetry.keeps("dram")
         #: per-core bytes read+written (monitoring)
         self.core_traffic: Dict[int, int] = {}
         # The topology is immutable, so core -> (coord, controller) can be
@@ -155,7 +163,7 @@ class MemorySystem:
         mc.bytes_served += nbytes
         tel = self.telemetry
         sim = self.sim
-        if tel.enabled:
+        if self._count:
             tel.counters.inc(f"dram.mc{mc.index}.bytes", nbytes)
             tel.counters.inc(f"dram.mc{mc.index}.requests")
 
@@ -164,7 +172,7 @@ class MemorySystem:
                                       core=acting_core)
         # 2. controller occupancy (the shared, contended part)
         service = cfg.mc_latency_s + nbytes / cfg.mc_bandwidth
-        if tel.enabled:
+        if mc.queue_spans or mc.access_spans:
             # Inline the acquire so the span covers service, not queueing;
             # the grant wait gets its own "queue" span so the insight
             # engine can attribute MC queueing to the waiting core.
@@ -176,12 +184,13 @@ class MemorySystem:
                 yield sim.timeout(service)
             finally:
                 mc.resource.release(req)
-            if t0 > tq:
+            if t0 > tq and mc.queue_spans:
                 tel.span("dram", f"mc{mc.index}", "queue", tq, t0,
                          core=acting_core, bytes=nbytes)
-            tel.span("dram", f"mc{mc.index}", "access", t0, sim.now,
-                     core=acting_core, bytes=nbytes,
-                     direction="read" if data_inbound else "write")
+            if mc.access_spans:
+                tel.span("dram", f"mc{mc.index}", "access", t0, sim.now,
+                         core=acting_core, bytes=nbytes,
+                         direction="read" if data_inbound else "write")
         else:
             # mc.resource.acquire(service) unrolled — per-access generator
             # delegation costs more than the whole occupancy bookkeeping.

@@ -74,9 +74,10 @@ class Link:
     """One directed router-to-router link."""
 
     __slots__ = ("src", "dst", "resource", "bytes_carried", "messages",
-                 "tag")
+                 "tag", "traced", "queue_spans", "xfer_spans")
 
-    def __init__(self, sim: Simulator, src: Coord, dst: Coord) -> None:
+    def __init__(self, sim: Simulator, src: Coord, dst: Coord,
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
         self.src = src
         self.dst = dst
         self.resource = Resource(sim, capacity=1, name=f"link{src}->{dst}")
@@ -84,6 +85,13 @@ class Link:
         self.messages = 0
         #: stable telemetry id (:func:`link_tag`)
         self.tag = link_tag(src, dst)
+        # what the hub's readers read of this link, resolved once
+        track = f"link {self.tag}"
+        self.queue_spans = telemetry.wants("mesh", "queue", track)
+        self.xfer_spans = telemetry.wants("mesh", "xfer", track)
+        #: True when a transfer over the link counts or emits anything
+        self.traced = (self.queue_spans or self.xfer_spans
+                       or telemetry.keeps("mesh"))
 
     @property
     def utilization(self) -> float:
@@ -123,10 +131,13 @@ class Mesh:
                     nx, ny = x + dx, y + dy
                     if 0 <= nx < GRID_WIDTH and 0 <= ny < GRID_HEIGHT:
                         key = ((x, y), (nx, ny))
-                        self._links[key] = Link(sim, *key)
+                        self._links[key] = Link(sim, *key,
+                                                telemetry=self.telemetry)
         # XY routes are static, so the Link sequence per (src, dst) pair is
         # computed once and reused for every message.
         self._route_cache: Dict[Tuple[Coord, Coord], Tuple[Link, ...]] = {}
+        #: True when the hub counts mesh traffic
+        self._count = self.telemetry.keeps("mesh")
         #: total messages moved (monitoring)
         self.messages = 0
         #: total payload bytes moved (monitoring)
@@ -185,7 +196,8 @@ class Mesh:
             route = self._route(src, dst)
         hold = nbytes / config.link_bandwidth + config.hop_latency_s
         tel = self.telemetry
-        if tel.enabled:
+        count = self._count
+        if count:
             tel.counters.inc("mesh.messages")
             tel.counters.inc("mesh.bytes", nbytes)
         if not route:
@@ -200,9 +212,10 @@ class Mesh:
         for link in route:
             link.messages += 1
             link.bytes_carried += nbytes
-            if tel.enabled:
-                tel.counters.inc(f"mesh.link.{link.tag}.bytes", nbytes)
-                tel.counters.inc(f"mesh.link.{link.tag}.messages")
+            if link.traced:
+                if count:
+                    tel.counters.inc(f"mesh.link.{link.tag}.bytes", nbytes)
+                    tel.counters.inc(f"mesh.link.{link.tag}.messages")
                 # Inline the acquire so the recorded span covers only the
                 # occupancy window (grant -> release), not the queueing;
                 # the grant wait gets its own "queue" span (the mesh
@@ -215,11 +228,12 @@ class Mesh:
                     yield sim.timeout(hold)
                 finally:
                     link.resource.release(req)
-                if t0 > tq:
+                if t0 > tq and link.queue_spans:
                     tel.span("mesh", f"link {link.tag}", "queue",
                              tq, t0, bytes=nbytes, core=core)
-                tel.span("mesh", f"link {link.tag}", "xfer",
-                         t0, sim.now, bytes=nbytes)
+                if link.xfer_spans:
+                    tel.span("mesh", f"link {link.tag}", "xfer",
+                             t0, sim.now, bytes=nbytes)
             else:
                 # link.resource.acquire(hold) unrolled: this loop moves
                 # every payload byte in the simulation, and the delegated

@@ -79,6 +79,10 @@ class PowerModel:
         self.telemetry = telemetry or NULL_TELEMETRY
         #: time source of the trace points (the chip wires ``sim.now``)
         self._clock = clock or (lambda: 0.0)
+        # what the hub's readers read, resolved once
+        self._count = self.telemetry.keeps("power")
+        self._samples = self.telemetry.wants("power", "scc_watts",
+                                             "scc_watts")
         self._active: Set[int] = set()
         #: each core's voltage island, and the islands in first-core order
         self._islands = [topology.core(c).tile.voltage_domain
@@ -126,9 +130,10 @@ class PowerModel:
         now = self._clock()
         self.trace.record(now, watts)
         tel = self.telemetry
-        if tel.enabled:
+        if self._count:
             tel.counters.set_gauge("power.scc_watts", watts)
             tel.counters.inc("power.trace_points")
+        if self._samples:
             tel.sample("power", "scc_watts", now, watts)
 
     # -- the model ------------------------------------------------------------

@@ -59,8 +59,8 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
 class StatAccumulator:
     """Streaming collection of scalar samples with summary statistics.
 
-    Stores samples (needed for quartiles).  The running sums behind
-    ``total``/``mean`` are brought up to date on first read, adding the
+    Stores samples (needed for quartiles).  The running sum behind
+    ``total``/``mean`` is brought up to date on first read, adding the
     new samples in order, so recording a sample costs one append and a
     sum nobody reads is never taken.
     """
@@ -68,10 +68,9 @@ class StatAccumulator:
     def __init__(self, name: str = "stat") -> None:
         self.name = name
         self._samples: List[float] = []
-        #: running sums of samples and of their squares, and how many
-        #: samples each covers
-        self._total = self._total_sq = 0.0
-        self._total_n = self._total_sq_n = 0
+        #: running sum of the samples, and how many samples it covers
+        self._total = 0.0
+        self._total_n = 0
         self._sorted: Optional[List[float]] = None
 
     def add(self, value: float) -> None:
@@ -93,17 +92,6 @@ class StatAccumulator:
             self._total = float(running_sum(self._total, tail))
             self._total_n = len(self._samples)
         return self._total
-
-    @property
-    def _sum_sq(self) -> float:
-        """Sum of the samples' squares, taken like :attr:`_sum`."""
-        if self._total_sq_n < len(self._samples):
-            tail = np.fromiter(self._samples[self._total_sq_n:], float)
-            with np.errstate(all="ignore"):
-                tail *= tail
-            self._total_sq = float(running_sum(self._total_sq, tail))
-            self._total_sq_n = len(self._samples)
-        return self._total_sq
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -12,14 +12,22 @@ Design rules
   costs one attribute check per instrumentation site.  Low-frequency
   call sites (one event per stage per frame) may emit unconditionally —
   a disabled hub with no sinks returns immediately.
-* **Sinks observe everything.**  A sink is any callable taking a
-  :class:`TelemetryEvent`.  Sinks fire for every event *regardless of*
-  ``enabled`` — that is how :class:`~repro.pipeline.metrics.RunMetrics`
-  stays a thin consumer of the hub even in runs that collect no
-  telemetry (the Fig. 15 path).
+* **Sinks observe every emitted event.**  A sink is any callable
+  taking a :class:`TelemetryEvent`.  Sinks fire for every event
+  *regardless of* ``enabled`` — that is how
+  :class:`~repro.pipeline.metrics.RunMetrics` stays a thin consumer of
+  the hub even in runs that collect no telemetry (the Fig. 15 path).
 * **Retention only when enabled.**  The ``events`` buffer (what the
   Chrome-trace exporter and the Gantt chart read) fills only while
-  ``enabled`` is True.
+  ``enabled`` is True, and only with the hub's ``categories`` (all of
+  them by default); counters of the other categories stay untouched.
+* **Readers declare what they read.**  A sink may carry a ``reads``
+  predicate over ``(category, name, track)``; one without it reads
+  :func:`sink_only_stream`.  The emitters ask :meth:`Telemetry.wants`
+  once per run or per track, never per event, and emit nothing that
+  neither the hub keeps nor a sink reads.  A declaration is a floor,
+  not a filter: a sink still receives whatever another reader made
+  the emitters produce.
 * **Periodic regions stay symbolic.**  A producer that knows a window of
   retained events repeats verbatim at a fixed period (the batched
   engine's frame-wave jump) registers it via :meth:`add_periodic_block`
@@ -46,13 +54,13 @@ Event kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+from typing import (AbstractSet, Any, Callable, Dict, Iterable, Iterator,
+                    List, NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .counters import CounterRegistry
 
 __all__ = ["TelemetryEvent", "Telemetry", "Stretch", "stretches",
-           "MetricsSink", "NULL_TELEMETRY"]
+           "MetricsSink", "NULL_TELEMETRY", "sink_only_stream"]
 
 
 @dataclass
@@ -82,6 +90,15 @@ class TelemetryEvent:
 
 
 Sink = Callable[[TelemetryEvent], None]
+
+
+def sink_only_stream(category: str, name: str,
+                     track: Optional[str]) -> bool:
+    """What a sink reads when it declares nothing: the stage busy and
+    idle spans and the engine's instants (the stream a disabled hub
+    always carried to its sinks)."""
+    return category == "engine" or (
+        category == "stage" and (name == "busy" or name == "idle"))
 
 
 class Stretch(NamedTuple):
@@ -139,10 +156,16 @@ class Telemetry:
     enabled:
         When False the hub retains no events and updates no counters;
         only attached sinks still observe emitted events.
+    categories:
+        The categories an enabled hub retains and counts; None keeps
+        every category.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self, enabled: bool = True,
+                 categories: Optional[Iterable[str]] = None) -> None:
         self.enabled = enabled
+        self.categories: Optional[AbstractSet[str]] = (
+            None if categories is None else frozenset(categories))
         self.counters = CounterRegistry()
         self._events: List[TelemetryEvent] = []
         self._sinks: List[Sink] = []
@@ -171,10 +194,32 @@ class Telemetry:
     def has_sinks(self) -> bool:
         return bool(self._sinks)
 
+    # -- what the readers read ---------------------------------------------
+    def keeps(self, category: str) -> bool:
+        """True when the hub retains and counts ``category``."""
+        return self.enabled and (self.categories is None
+                                 or category in self.categories)
+
+    def wants(self, category: str, name: str,
+              track: Optional[str] = None) -> bool:
+        """True when some reader reads ``name`` events of ``category`` on
+        ``track``: the hub keeps the category, or an attached sink reads
+        them.  Emitters ask once per run or per track, with their sinks
+        attached."""
+        if self.keeps(category):
+            return True
+        for sink in self._sinks:
+            reads = getattr(sink, "reads", sink_only_stream)
+            if reads(category, name, track):
+                return True
+        return False
+
     # -- emission ------------------------------------------------------------
     def _dispatch(self, event: TelemetryEvent) -> None:
         if self.enabled:
-            self._events.append(event)
+            categories = self.categories
+            if categories is None or event.category in categories:
+                self._events.append(event)
         for sink in self._sinks:
             sink(event)
 
@@ -310,6 +355,8 @@ class Telemetry:
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
+        if self.enabled and self.categories is not None:
+            state += " " + ",".join(sorted(self.categories))
         return (f"<Telemetry {state} events={self.event_count} "
                 f"metrics={len(self.counters)} sinks={len(self._sinks)}>")
 
@@ -339,6 +386,11 @@ class MetricsSink:
 
     def __init__(self, metrics: Any) -> None:
         self.metrics = metrics
+
+    @staticmethod
+    def reads(category: str, name: str, track: Optional[str]) -> bool:
+        """The stage busy and idle spans it records."""
+        return category == "stage" and (name == "busy" or name == "idle")
 
     def __call__(self, event: TelemetryEvent) -> None:
         if event.kind != "span" or event.category != "stage":

@@ -4,9 +4,10 @@ With a hub on, the batched engine synthesizes the event engine's span
 and counter stream from the same scheduler loop that serves plain runs.
 Every scheduling decision must be the same either way: the result,
 every frame's birth and completion, and every jump are bit-equal with
-the hub on and with it off.  The one exception is a jump the telemetry
-stream itself refuses (``telemetry`` in ``lock_misses``); none of the
-runs below meets one.
+the hub on and with it off, and with a hub that keeps only the stage
+and host categories (what ``repro run --gantt`` builds).  The one
+exception is a jump the telemetry stream itself refuses (``telemetry``
+in ``lock_misses``); none of the runs below meets one.
 """
 
 import pytest
@@ -14,7 +15,10 @@ import pytest
 from repro.engine import BatchedEngine
 from repro.exec.cache import result_to_cache_dict
 from repro.pipeline import PipelineRunner
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, render_gantt
+
+#: the categories the Gantt chart's hub keeps
+GANTT = {"stage", "host"}
 
 from tests.golden.harness import (FRAMES, IMAGE_SIDE, PIPELINES, SCENARIOS,
                                   SEED, _workload)
@@ -44,9 +48,10 @@ def _decisions(make_runner, telemetry):
 
 def _assert_neutral(make_runner):
     plain = _decisions(make_runner, None)
-    observed = _decisions(make_runner, Telemetry(enabled=True))
-    for key in plain:
-        assert observed[key] == plain[key], key
+    for hub in (Telemetry(enabled=True), Telemetry(categories=GANTT)):
+        observed = _decisions(make_runner, hub)
+        for key in plain:
+            assert observed[key] == plain[key], (hub, key)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -72,3 +77,22 @@ def test_long_run_is_telemetry_neutral(config, arrangement, pipelines):
                               telemetry=telemetry, engine="batched")
 
     _assert_neutral(make_runner)
+
+
+@pytest.mark.parametrize("engine,frames", [("event", 40), ("batched", 400)])
+def test_stage_and_host_hub_draws_the_same_gantt(engine, frames):
+    """The Gantt hub keeps the full hub's stage and host events, in
+    order, and nothing else: no other category and no counter of one."""
+    hubs = full, gantt = Telemetry(), Telemetry(categories=GANTT)
+    for hub in hubs:
+        PipelineRunner(config="mcpc_renderer", pipelines=3, frames=frames,
+                       telemetry=hub, engine=engine).run()
+    assert render_gantt(gantt) == render_gantt(full)
+    assert gantt.events == [e for e in full.events if e.category in GANTT]
+    assert {e.category for e in gantt.events} == GANTT
+    snap = gantt.counters.snapshot()
+    assert snap["counters"] and not snap["gauges"]
+    assert {name.split(".")[0] for name in snap["counters"]} == {"stage"}
+    assert snap["counters"] == {
+        name: value for name, value in full.counters.snapshot()["counters"]
+        .items() if name.startswith("stage.")}

@@ -15,19 +15,21 @@ __all__ = ["ScalarAccumulator", "scalar_integrate"]
 
 
 class ScalarAccumulator:
-    """Samples plus a running sum and sum of squares, one ``+=`` each
-    per sample, in arrival order."""
+    """Samples plus a running sum, one ``+=`` per sample, in arrival
+    order."""
 
     def __init__(self) -> None:
         self.samples: List[float] = []
         self.sum = 0.0
-        self.sum_sq = 0.0
 
     def add(self, value: float) -> None:
         v = float(value)
         self.samples.append(v)
         self.sum += v
-        self.sum_sq += v * v
+
+    @property
+    def mean(self) -> float:
+        return self.sum / len(self.samples)
 
 
 def scalar_integrate(times: List[float], values: List[float], t0: float = 0.0,

@@ -162,3 +162,60 @@ def test_null_telemetry_is_disabled():
     assert NULL_TELEMETRY.enabled is False
     NULL_TELEMETRY.span("stage", "t", "busy", 0.0, 1.0)
     assert NULL_TELEMETRY.events == []
+
+
+def test_categories_keep_only_the_named_ones():
+    tel = Telemetry(categories={"stage", "host"})
+    tel.span("stage", "blur[0]", "busy", 0.0, 1.0)
+    tel.span("mesh", "link 0,0->1,0", "xfer", 0.0, 1.0)
+    tel.span("host", "mcpc-render", "busy", 0.0, 2.0)
+    tel.emit("engine", "wave", 1.0)
+    assert [e.category for e in tel.events] == ["stage", "host"]
+    assert tel.keeps("stage") and not tel.keeps("mesh")
+    assert not Telemetry(enabled=False, categories={"stage"}).keeps("stage")
+    assert "host,stage" in repr(tel)
+
+
+def test_wants_reads_the_hub_and_every_sink_declaration():
+    tel = Telemetry(enabled=False)
+    assert not tel.wants("stage", "busy", "blur[0]")
+    # a sink that declares nothing reads the sink-only stream
+    tel.add_sink(lambda event: None)
+    assert tel.wants("stage", "busy", "blur[0]")
+    assert tel.wants("stage", "idle", "blur[0]")
+    assert tel.wants("engine", "wave")
+    assert not tel.wants("stage", "wait", "blur[0]")
+    assert not tel.wants("mesh", "xfer", "link 0,0->1,0")
+
+    class Declared:
+        @staticmethod
+        def reads(category, name, track):
+            return category == "mesh" and track == "link 0,0->1,0"
+
+        def __call__(self, event):
+            pass
+
+    tel.add_sink(Declared())
+    assert tel.wants("mesh", "xfer", "link 0,0->1,0")
+    assert not tel.wants("mesh", "xfer", "link 1,0->2,0")
+    # an enabled hub wants what it keeps, whatever its sinks read
+    kept = Telemetry(categories={"dram"})
+    assert kept.wants("dram", "access", "mc0")
+    assert not kept.wants("mesh", "xfer", "link 0,0->1,0")
+    assert Telemetry().wants("power", "scc_watts", "scc_watts")
+
+
+def test_declared_sinks_still_see_every_dispatched_event():
+    # a declaration is a floor: the hub does not filter per sink
+    tel = Telemetry()
+    seen = []
+
+    class StageOnly:
+        reads = MetricsSink.reads
+
+        def __call__(self, event):
+            seen.append(event)
+
+    tel.add_sink(StageOnly())
+    tel.span("mesh", "link", "xfer", 0.0, 1.0)
+    assert [e.category for e in seen] == ["mesh"]
