@@ -18,13 +18,12 @@ import argparse
 from repro.pipeline import PipelineRunner
 from repro.pipeline.arrangements import dvfs_study_placement
 from repro.report import format_table
+from repro.report.paper import FREQUENCY_PLANS
 
 SETTINGS = {
-    "all @533MHz": None,
-    "blur @800MHz": {"blur": 800.0},
-    "blur @800 + tail @400MHz": {"blur": 800.0, "scratch": 400.0,
-                                 "flicker": 400.0, "swap": 400.0,
-                                 "transfer": 400.0},
+    "all @533MHz": FREQUENCY_PLANS["all_533"],
+    "blur @800MHz": FREQUENCY_PLANS["blur_800"],
+    "blur @800 + tail @400MHz": FREQUENCY_PLANS["mixed"],
 }
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Op", "Process", "ProtocolModel", "ProtocolIssue",
-           "SimOutcome", "simulate", "check_protocol"]
+           "PROTOCOL_RULE", "SimOutcome", "simulate", "check_protocol"]
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,14 @@ class ProtocolModel:
     queues: Dict[str, int] = field(default_factory=dict)
 
 
+#: the lint rule every protocol issue reports
+PROTOCOL_RULE = "CON004"
+
+
 @dataclass(frozen=True)
 class ProtocolIssue:
-    """One static diagnostic against a protocol."""
+    """One static diagnostic against a protocol (rule ``CON004``)."""
 
-    rule: str  # "CON004"
     message: str
 
 
@@ -253,7 +256,6 @@ def check_protocol(model: ProtocolModel) -> List[ProtocolIssue]:
                                 sorted(outcome.blocked.items()))
             shape = f"unmatched rendezvous ({waiting})"
         issues.append(ProtocolIssue(
-            rule="CON004",
             message=(f"{model.name}: guaranteed deadlock — {shape}; "
                      f"abstract execution stalled after "
                      f"{outcome.steps} steps with "

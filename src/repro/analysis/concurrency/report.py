@@ -84,7 +84,7 @@ def protocol_summary(config: str, pipelines: int,
                      frames: int = 2) -> Dict[str, Any]:
     """Wait-for graph and deadlock verdict for one configuration."""
     from ...pipeline.protocol import channel_edges, extract_protocol
-    from .protocol import check_protocol, simulate
+    from .protocol import PROTOCOL_RULE, check_protocol, simulate
 
     model = extract_protocol(config, pipelines, arrangement,
                              frames=frames)
@@ -96,7 +96,7 @@ def protocol_summary(config: str, pipelines: int,
         "channels": [list(edge) for edge in channel_edges(model)],
         "steps": outcome.steps,
         "deadlock_free": not outcome.deadlocked,
-        "issues": [f"{i.rule}: {i.message}" for i in issues],
+        "issues": [f"{PROTOCOL_RULE}: {i.message}" for i in issues],
     }
 
 

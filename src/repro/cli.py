@@ -23,13 +23,13 @@ Subcommands
     counter dumps and a text "top" report of the hottest mesh links,
     memory controllers and stages (see docs/observability.md).
     It runs in this process, where the spans and counters are read.
-``table1``
-    Regenerate the paper's Table I next to the published numbers
-    (``--jobs``/``--cache-dir`` shard and cache the 84 runs).
+``paper``
+    Every §VI finding of the paper (Table I, Figs 8-17, the energy
+    arithmetic, the ablations): the paper's value, the model's, the
+    reproduction band and pass/fail; exits 1 when a finding leaves its
+    band (the table is :data:`repro.report.paper.FINDINGS`).
 ``film``
     Render the pipeline's real frames and write PPM files.
-``dvfs``
-    The §VI-D frequency-tuning study (Figs 16/17).
 ``explain``
     Bottleneck verdicts and per-stage attribution of one exact
     400-frame batched walkthrough (the ``repro analyze`` report).
@@ -65,7 +65,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from .exec import ResultCache, RunSpec, SweepExecutor, default_cache_dir
 from .pipeline import (ARRANGEMENTS, CONFIGURATIONS, ENGINES, PipelineRunner,
                        render_film)
-from .pipeline.arrangements import dvfs_study_placement
 from .pipeline.describe import CLUSTER_CONFIGURATIONS, describe
 from .pipeline.workload import WalkthroughWorkload
 from .report import format_table, paper, results_to_json
@@ -99,7 +98,7 @@ def resolve_jobs(value: str) -> int:
 
 def _add_exec_args(parser: argparse.ArgumentParser,
                    jobs: bool = True) -> None:
-    """The uniform executor/cache flags (`sweep`, `run`, `table1`...)."""
+    """The uniform executor/cache flags (`sweep`, `run`, `top`...)."""
     if jobs:
         parser.add_argument("--jobs", type=resolve_jobs, default=1,
                             metavar="N",
@@ -245,12 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rows per section of the top report "
                               "(default 5)")
 
-    table1 = sub.add_parser("table1", help="regenerate Table I")
-    table1.add_argument("--frames", type=int, default=400)
-    table1.add_argument("--arrangement", choices=ARRANGEMENTS,
-                        default="ordered")
-    table1.add_argument("--max-pipelines", type=int, default=7)
-    _add_exec_args(table1)
+    sub.add_parser("paper", help="check every §VI finding against the "
+                   "model (exit 1 when one leaves its band)")
 
     film = sub.add_parser("film", help="render real frames to PPM files")
     film.add_argument("--frames", type=int, default=24)
@@ -258,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     film.add_argument("--pipelines", type=int, default=2)
     film.add_argument("--out", type=pathlib.Path,
                       default=pathlib.Path("frames"))
-
-    sub.add_parser("dvfs", help="the frequency-tuning study (Figs 16/17)")
 
     explain = sub.add_parser("explain",
                              help="bottleneck report of one batched "
@@ -707,36 +700,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    pipeline_counts = [n for n in paper.TABLE1_PIPELINES
-                       if n <= args.max_pipelines]
-    scc_configs = ("one_renderer", "n_renderers", "mcpc_renderer")
-    specs = [RunSpec(config=config, pipelines=n,
-                     arrangement=args.arrangement, frames=args.frames)
-             for config in scc_configs for n in pipeline_counts]
-    specs += [RunSpec(platform="hpc", config=config, pipelines=n,
-                      frames=args.frames)
-              for config in CLUSTER_CONFIGURATIONS for n in pipeline_counts]
-    executor = SweepExecutor(jobs=args.jobs, cache=_cache_from(args))
-    results = executor.run(specs)
-
-    scale = 400.0 / args.frames
-    rows: List[List[str]] = []
-    for i in range(0, len(results), len(pipeline_counts)):
-        row = results[i:i + len(pipeline_counts)]
-        label = row[0].config  # an hpc row's is hpc_<config>
-        ref = paper.TABLE1[(label, row[0].arrangement)]
-        rows.append([f"paper {label}",
-                     *[str(ref[n - 1]) for n in pipeline_counts]])
-        rows.append([f"sim   {label}", *[
-            f"{r.walkthrough_seconds * scale:.0f}" for r in row]])
-    print(format_table(
-        ["row", *[f"{n} pl." for n in pipeline_counts]], rows,
-        title=f"Table I ({args.arrangement}; seconds, scaled to 400 frames)"))
-    stats = executor.last_stats
-    print(f"{len(specs)} runs: {stats.hits} cached, "
-          f"{stats.executed} simulated (jobs={args.jobs})")
-    return 0
+def _cmd_paper(_args: argparse.Namespace) -> int:
+    outcomes = paper.evaluate()
+    for finding, value in outcomes:
+        mark = "ok  " if finding.band.holds(value) else "FAIL"
+        print(f"{mark} {finding.key:<62} paper "
+              f"{paper.format_value(finding, finding.paper):>10}  model "
+              f"{paper.format_value(finding, value):>10}  band {finding.band}")
+    failed = paper.failures(outcomes)
+    print(f"{len(outcomes)} findings, {len(failed)} outside their band")
+    return 1 if failed else 0
 
 
 def _cmd_film(args: argparse.Namespace) -> int:
@@ -753,29 +726,6 @@ def _cmd_film(args: argparse.Namespace) -> int:
                             workload=workload).run()
     print(f"wrote {len(film)} frames to {args.out}/ "
           f"(simulated kit time {result.walkthrough_seconds:.2f} s)")
-    return 0
-
-
-def _cmd_dvfs(_args: argparse.Namespace) -> int:
-    placement = dvfs_study_placement()
-    settings = {
-        "all 533 MHz": None,
-        "blur 800 MHz": {"blur": 800.0},
-        "blur 800 + tail 400 MHz": {"blur": 800.0, "scratch": 400.0,
-                                    "flicker": 400.0, "swap": 400.0,
-                                    "transfer": 400.0},
-    }
-    rows = []
-    for name, plan in settings.items():
-        result = PipelineRunner(config="mcpc_renderer", pipelines=1,
-                                placement=placement,
-                                frequency_plan=plan).run()
-        rows.append([name, f"{result.walkthrough_seconds:.1f}",
-                     f"{result.scc_avg_power_w:.2f}",
-                     f"{result.scc_energy_j:.0f}"])
-    print(format_table(["setting", "time s", "power W", "energy J"], rows,
-                       title="DVFS study (paper Figs 16/17: 236/174/175 s, "
-                             "~40.5/44/39 W)"))
     return 0
 
 
@@ -1113,9 +1063,8 @@ _COMMANDS = {
     "top": _cmd_top,
     "profile": _cmd_profile,
     "tune": _cmd_tune,
-    "table1": _cmd_table1,
+    "paper": _cmd_paper,
     "film": _cmd_film,
-    "dvfs": _cmd_dvfs,
     "explain": _cmd_explain,
     "describe": _cmd_describe,
     "chip": _cmd_chip,

@@ -1,32 +1,17 @@
-"""Paper reference data and ASCII reporting helpers for the benches."""
+"""Paper reference data and findings, and ASCII/HTML reporting helpers."""
 
 from . import paper
-from .export import (
-    result_to_dict,
-    results_from_json,
-    results_to_csv,
-    results_to_json,
-)
+from .export import result_to_dict, results_from_json, results_to_json
 from .html import insight_to_html
-from .plots import ascii_chart, sparkline
-from .tables import (
-    deviation_pct,
-    format_comparison,
-    format_series,
-    format_table,
-)
+from .plots import ascii_chart
+from .tables import format_table
 
 __all__ = [
     "paper",
     "format_table",
-    "format_series",
-    "format_comparison",
-    "deviation_pct",
     "ascii_chart",
-    "sparkline",
     "insight_to_html",
     "result_to_dict",
     "results_to_json",
     "results_from_json",
-    "results_to_csv",
 ]

@@ -1,31 +1,22 @@
 """Result export: serialize :class:`~repro.pipeline.RunResult` objects.
 
 A release-quality harness must leave machine-readable artifacts behind;
-these helpers turn run results into plain dicts, JSON files and CSV rows
-so downstream analysis (plotting, regression tracking) never has to
-re-run a sweep.
+these helpers turn run results into plain dicts and JSON files so
+downstream analysis (plotting, regression tracking) never has to re-run
+a sweep.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Union
 
 from ..pipeline.metrics import RunResult
 
-__all__ = ["result_to_dict", "results_to_json", "results_to_csv",
-           "results_from_json"]
+__all__ = ["result_to_dict", "results_to_json", "results_from_json"]
 
 PathLike = Union[str, pathlib.Path]
-
-#: scalar columns exported to CSV (order matters)
-CSV_FIELDS = (
-    "config", "arrangement", "pipelines", "frames", "cores_used",
-    "walkthrough_seconds", "seconds_per_frame", "scc_avg_power_w",
-    "scc_energy_j", "mcpc_energy_above_idle_j", "total_energy_j",
-)
 
 
 def result_to_dict(result: RunResult) -> Dict:
@@ -64,13 +55,3 @@ def results_from_json(path: PathLike) -> List[Dict]:
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of results")
     return data
-
-
-def results_to_csv(results: Sequence[RunResult], path: PathLike) -> None:
-    """Write the scalar columns of the results as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in results:
-            d = result_to_dict(r)
-            writer.writerow([d[f] for f in CSV_FIELDS])

@@ -1,35 +1,11 @@
-"""ASCII plotting: line charts and sparklines for the bench output.
-
-The paper's figures are line plots (time vs pipelines, power vs time).
-The benches print their data as tables; these helpers additionally draw
-terminal-friendly charts so the *shape* — saturation, knees, dips — is
-visible at a glance without leaving the test log.
-"""
+"""ASCII line charts: the *shape* of a sweep (saturation, knees, dips)
+at a glance in a terminal."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["ascii_chart", "sparkline"]
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line chart: each value maps to one of eight block heights."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("nothing to plot")
-    lo, hi = min(vals), max(vals)
-    if hi == lo:
-        return _SPARK_LEVELS[3] * len(vals)
-    span = hi - lo
-    out = []
-    for v in vals:
-        idx = int((v - lo) / span * (len(_SPARK_LEVELS) - 1) + 0.5)
-        out.append(_SPARK_LEVELS[idx])
-    return "".join(out)
-
+__all__ = ["ascii_chart"]
 
 def ascii_chart(series: Dict[str, Sequence[float]],
                 x_labels: Optional[Sequence[object]] = None,

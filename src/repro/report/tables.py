@@ -1,24 +1,10 @@
-"""ASCII table / series formatting used by the benchmark harness.
-
-The benches regenerate the paper's tables and figures as text: a table
-is rows of aligned columns; a "figure" is a series printed as aligned
-(x, paper, measured) triples.  Keeping this in the library (rather than
-in each bench) makes the output uniform and testable.
-"""
+"""ASCII table formatting for the command-line reports and examples."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "format_comparison",
-           "deviation_pct"]
-
-
-def deviation_pct(measured: float, reference: float) -> float:
-    """Signed percentage deviation of ``measured`` from ``reference``."""
-    if reference == 0:
-        raise ValueError("reference must be non-zero")
-    return 100.0 * (measured - reference) / reference
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -40,30 +26,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
         if i == 0:
             lines.append(sep)
     return "\n".join(lines)
-
-
-def format_series(x_label: str, xs: Sequence[object],
-                  series: Dict[str, Sequence[float]],
-                  title: Optional[str] = None) -> str:
-    """Render one or more y-series over a shared x axis."""
-    lengths = {len(v) for v in series.values()}
-    if lengths and lengths != {len(xs)}:
-        raise ValueError("series lengths must match the x axis")
-    headers = [x_label, *series.keys()]
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x, *(series[k][i] for k in series)])
-    return format_table(headers, rows, title=title)
-
-
-def format_comparison(x_label: str, xs: Sequence[object],
-                      paper: Sequence[float], measured: Sequence[float],
-                      title: Optional[str] = None) -> str:
-    """Paper-vs-measured with a deviation column (the bench staple)."""
-    if not (len(xs) == len(paper) == len(measured)):
-        raise ValueError("xs, paper and measured must have equal length")
-    headers = [x_label, "paper", "measured", "dev%"]
-    rows = []
-    for x, p, m in zip(xs, paper, measured):
-        rows.append([x, float(p), float(m), deviation_pct(m, p)])
-    return format_table(headers, rows, title=title)

@@ -53,7 +53,8 @@ def test_send_without_receiver_deadlocks():
     assert outcome.deadlocked
     assert "tx" in outcome.blocked
     issues = check_protocol(model)
-    assert [i.rule for i in issues] == ["CON004"]
+    assert len(issues) == 1
+    assert "guaranteed deadlock" in issues[0].message
 
 
 def test_crossed_sends_form_a_wait_cycle():
@@ -68,7 +69,8 @@ def test_crossed_sends_form_a_wait_cycle():
     assert outcome.deadlocked
     assert set(outcome.wait_cycle) == {"a", "b"}
     issues = check_protocol(model)
-    assert [i.rule for i in issues] == ["CON004"]
+    assert len(issues) == 1
+    assert "guaranteed deadlock" in issues[0].message
     assert "wait-for cycle" in issues[0].message
 
 
@@ -157,8 +159,8 @@ def _flip_one_send(model: ProtocolModel) -> ProtocolModel:
 def test_reversed_channel_yields_exactly_one_con004():
     model = _flip_one_send(extract_protocol("one_renderer", 2, "ordered"))
     issues = check_protocol(model)
-    assert [i.rule for i in issues] == ["CON004"]
-    assert "deadlock" in issues[0].message
+    assert len(issues) == 1
+    assert "guaranteed deadlock" in issues[0].message
 
 
 def test_reversed_channel_deadlocks_the_run_and_the_proof(monkeypatch):
@@ -175,7 +177,8 @@ def test_reversed_channel_deadlocks_the_run_and_the_proof(monkeypatch):
     with pytest.raises(DeadlockError):
         PipelineRunner(config="one_renderer", pipelines=2, frames=2).run()
     issues = check_protocol(extract_protocol(graph))
-    assert [i.rule for i in issues] == ["CON004"]
+    assert len(issues) == 1
+    assert "guaranteed deadlock" in issues[0].message
 
 
 # -- lint anchoring ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the generic MacroPipeline public API."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -232,7 +233,8 @@ def test_deadlock_proof_flags_a_miswired_graph():
     graph.stages[2] = dataclasses.replace(node, program=(
         StageOp("recv", graph.stages[0].core), *node.program[1:]))
     issues = check_protocol(extract_protocol(graph))
-    assert [issue.rule for issue in issues] == ["CON004"]
+    assert len(issues) == 1
+    assert "guaranteed deadlock" in issues[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ _LOG_BATCHES = [int(s) for s in np.random.default_rng(1).integers(
     256 * 512, 256 * 1536, size=200)]
 
 #: case -> (add_stage rows, items, explicit cores): the runs of this
-#: file, of benchmarks/bench_macro_scaling.py and of the example
+#: file and of the example
 CASES = {
     "two_stages": ([("a", 0.001), ("b", 0.002)], [1000] * 20, None),
     "slow_middle": ([("fast", 0.001), ("slow", 0.050), ("fast2", 0.001)],
@@ -421,10 +423,15 @@ PINNED = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _run_case(case):
+    stages, items, cores = CASES[case]
+    return _pipeline(stages, cores).run(items)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_pinned_results(case):
-    stages, items, cores = CASES[case]
-    result = _pipeline(stages, cores).run(items)
+    result = _run_case(case)
     assert (
         result.items_completed, result.makespan_s.hex(),
         result.throughput.hex(),
@@ -432,3 +439,32 @@ def test_pinned_results(case):
         [(k, v.hex()) for k, v in result.stage_idle_means.items()],
         result.outputs, result.energy_j.hex(),
     ) == PINNED[case]
+
+
+# ---------------------------------------------------------------------------
+# the paper's generalization claim on synthetic macro pipelines
+# ---------------------------------------------------------------------------
+
+def test_balanced_throughput_independent_of_depth():
+    """Adding balanced 10 ms stages costs one hand-off (~5 ms/item at
+    64 KB) per boundary, but throughput never collapses, and depth 8
+    does 8x the work in far less than 8x the time."""
+    depths = {d: _run_case(f"depth_{d}") for d in (1, 2, 4, 8)}
+    for depth, result in depths.items():
+        assert result.throughput > 0.55 * depths[1].throughput, depth
+    assert depths[8].makespan_s < 2.0 * depths[1].makespan_s
+
+
+def test_bottleneck_sets_the_period():
+    """Period ~= the slow stage's service plus its two hand-offs, and
+    the stage downstream of it idles."""
+    result = _run_case("bottleneck")
+    assert result.makespan_s / 100 == pytest.approx(0.040 + 2 * 0.0048,
+                                                    rel=0.15)
+    assert result.stage_idle_means["fast_out"] \
+        > 5 * result.stage_idle_means["slow"]
+
+
+def test_energy_grows_with_cores():
+    assert _run_case("energy_depth_6").energy_j \
+        > _run_case("energy_depth_1").energy_j

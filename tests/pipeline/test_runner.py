@@ -5,6 +5,7 @@ import pytest
 from repro.engine import BatchedEngine
 from repro.pipeline import CONFIGURATIONS, PipelineRunner, RunResult
 from repro.pipeline.arrangements import dvfs_study_placement
+from repro.report.paper import FREQUENCY_PLANS
 
 FRAMES = 40
 
@@ -187,8 +188,7 @@ def test_frequency_plan_mixed_saves_power_keeps_speed():
     mixed = PipelineRunner(
         config="mcpc_renderer", pipelines=1, frames=FRAMES,
         placement=placement,
-        frequency_plan={"blur": 800.0, "scratch": 400.0, "flicker": 400.0,
-                        "swap": 400.0, "transfer": 400.0}).run()
+        frequency_plan=FREQUENCY_PLANS["mixed"]).run()
     assert mixed.walkthrough_seconds == pytest.approx(
         fast.walkthrough_seconds, rel=0.02)
     assert mixed.scc_avg_power_w < fast.scc_avg_power_w

@@ -7,30 +7,13 @@ from repro.report import (
     ascii_chart,
     result_to_dict,
     results_from_json,
-    results_to_csv,
     results_to_json,
-    sparkline,
 )
 
 
 # ---------------------------------------------------------------------------
-# sparkline / chart
+# chart
 # ---------------------------------------------------------------------------
-
-def test_sparkline_shape():
-    s = sparkline([0, 1, 2, 3])
-    assert len(s) == 4
-    assert s[0] == "▁" and s[-1] == "█"
-
-
-def test_sparkline_flat_series():
-    assert sparkline([5, 5, 5]) == "▄▄▄"
-
-
-def test_sparkline_empty_rejected():
-    with pytest.raises(ValueError):
-        sparkline([])
-
 
 def test_ascii_chart_renders_extremes():
     out = ascii_chart({"time": [200, 100, 50, 50]}, x_labels=[1, 2, 3, 4],
@@ -97,12 +80,3 @@ def test_json_rejects_non_array(tmp_path):
     path.write_text('{"oops": 1}')
     with pytest.raises(ValueError):
         results_from_json(path)
-
-
-def test_csv_export(tmp_path, results):
-    path = tmp_path / "results.csv"
-    results_to_csv(results, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("config,arrangement,pipelines")
-    assert lines[1].startswith("n_renderers,ordered,1")

@@ -2,20 +2,7 @@
 
 import pytest
 
-from repro.report import (
-    deviation_pct,
-    format_comparison,
-    format_series,
-    format_table,
-    paper,
-)
-
-
-def test_deviation_pct():
-    assert deviation_pct(110.0, 100.0) == pytest.approx(10.0)
-    assert deviation_pct(90.0, 100.0) == pytest.approx(-10.0)
-    with pytest.raises(ValueError):
-        deviation_pct(1.0, 0.0)
+from repro.report import format_table, paper
 
 
 def test_format_table_alignment():
@@ -31,22 +18,6 @@ def test_format_table_alignment():
 def test_format_table_width_mismatch():
     with pytest.raises(ValueError):
         format_table(["a"], [[1, 2]])
-
-
-def test_format_series():
-    out = format_series("pipelines", [1, 2],
-                        {"paper": [207.0, 107.0], "sim": [210.0, 110.0]})
-    assert "pipelines" in out and "paper" in out and "sim" in out
-    with pytest.raises(ValueError):
-        format_series("x", [1], {"y": [1.0, 2.0]})
-
-
-def test_format_comparison_has_deviation():
-    out = format_comparison("n", [1], [100.0], [93.0])
-    assert "dev%" in out
-    assert "-7.0" in out
-    with pytest.raises(ValueError):
-        format_comparison("n", [1, 2], [1.0], [1.0])
 
 
 # ---------------------------------------------------------------------------

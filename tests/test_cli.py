@@ -82,13 +82,12 @@ def test_run_rejects_unknown_config():
         main(["run", "--config", "quantum"])
 
 
-def test_table1_quick(capsys):
-    assert main(["table1", "--frames", "20", "--max-pipelines", "2"]) == 0
+def test_paper_command(capsys):
+    assert main(["paper"]) == 0
     out = capsys.readouterr().out
-    assert "Table I" in out
-    assert "paper one_renderer" in out
-    assert "sim   hpc_single_renderer" in out
-    assert "2 pl." in out
+    assert "ok   energy/hybrid (MCPC render, 5 pl.) (J)" in out
+    assert "ok   table1/mcpc_renderer/flipped/7" in out
+    assert out.splitlines()[-1].endswith(" findings, 0 outside their band")
 
 
 def test_describe_prints_a_cluster_graph(capsys):
@@ -111,13 +110,6 @@ def test_film_writes_frames(tmp_path, capsys):
     img = read_ppm(files[0])
     assert img.shape == (48, 48, 3)
     assert "wrote 3 frames" in capsys.readouterr().out
-
-
-def test_dvfs_command(capsys):
-    assert main(["dvfs"]) == 0
-    out = capsys.readouterr().out
-    assert "blur 800" in out
-    assert "DVFS study" in out
 
 
 def test_explain_command(capsys):
