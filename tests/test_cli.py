@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.report import paper
 
 
 def test_parser_requires_subcommand():
@@ -82,12 +87,45 @@ def test_run_rejects_unknown_config():
         main(["run", "--config", "quantum"])
 
 
-def test_paper_command(capsys):
-    assert main(["paper"]) == 0
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def paper_run():
+    """``repro paper``'s exit code and output, run once for the tests
+    below (the whole campaign takes a few seconds)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["paper"])
+    return code, out.getvalue()
+
+
+def test_paper_command(paper_run):
+    code, out = paper_run
+    assert code == 0
     assert "ok   energy/hybrid (MCPC render, 5 pl.) (J)" in out
     assert "ok   table1/mcpc_renderer/flipped/7" in out
     assert out.splitlines()[-1].endswith(" findings, 0 outside their band")
+
+
+def test_table1_quick(paper_run):
+    # Table I is printed by ``repro paper``: every configuration, every
+    # pipeline count, each cell beside its paper value.
+    _, out = paper_run
+    for name in ("one_renderer", "n_renderers", "mcpc_renderer",
+                 "hpc_single_renderer", "hpc_parallel_renderer",
+                 "hpc_external_renderer"):
+        for n in paper.TABLE1_PIPELINES:
+            assert re.search(rf"^ok   table1/{name}/\w+/{n} +paper ",
+                             out, re.MULTILINE), (name, n)
+    assert "ok   table1/ranking at 7 pl. (fastest first)" in out
+
+
+def test_dvfs_command(paper_run):
+    # The §VI-D frequency study is printed by ``repro paper``: each plan's
+    # walkthrough and power, and the speed-up of blur at 800 MHz.
+    _, out = paper_run
+    for plan in paper.FREQUENCY_PLANS:
+        assert f"ok   dvfs/{plan} walkthrough (s)" in out
+        assert f"ok   dvfs/{plan} power (W)" in out
+    assert "ok   dvfs/speed-up of blur at 800 MHz" in out
 
 
 def test_describe_prints_a_cluster_graph(capsys):
