@@ -21,10 +21,9 @@ import json
 
 import pytest
 
-from repro.engine import BatchedEngine
 from repro.exec.cache import result_to_cache_dict
 from repro.pipeline import PipelineRunner
-from repro.report.paper import TABLE1_PIPELINES
+from repro.report import paper
 from repro.telemetry import Telemetry, chrome_trace
 
 from .harness import SNAPSHOT_DIR
@@ -35,7 +34,7 @@ SNAPSHOT = SNAPSHOT_DIR / "batched_table1.json"
 POINTS = [f"{config}/{arrangement}/{n}"
           for config in ("one_renderer", "n_renderers", "mcpc_renderer")
           for arrangement in ("unordered", "ordered", "flipped")
-          for n in TABLE1_PIPELINES]
+          for n in paper.TABLE1_PIPELINES]
 
 #: telemetry-on runs: (config, arrangement, pipelines, frames)
 TELEMETRY_POINTS = [
@@ -52,24 +51,23 @@ def _sha(doc) -> str:
 
 def capture(point: str) -> dict:
     config, arrangement, n = point.split("/")
-    engine = BatchedEngine(PipelineRunner(
-        config=config, arrangement=arrangement, pipelines=int(n),
-        frames=FRAMES, engine="batched"))
-    result = engine.run()
-    metrics = engine.runner.last_metrics
+    # the paper's findings read the same runs: simulate each point once
+    run = paper.Run(config, int(n), arrangement, frames=FRAMES)
+    result = paper.simulate(run)
+    decisions = paper.batched_decisions(run)
     decided = {
         "result": result_to_cache_dict(result),
-        "births": sorted(metrics.frame_birth.items()),
-        "completions": metrics.frame_completions,
-        "jumps": engine.jumps,
-        "strides": engine.strides,
+        "births": sorted(decisions["births"].items()),
+        "completions": decisions["completions"],
+        "jumps": decisions["jumps"],
+        "strides": decisions["strides"],
     }
     return {
         "walkthrough_seconds": result.walkthrough_seconds,
         "scc_energy_j": result.scc_energy_j,
         "mcpc_energy_above_idle_j": result.mcpc_energy_above_idle_j,
-        "frames_simulated": engine.frames_simulated,
-        "jumps": len(engine.jumps),
+        "frames_simulated": decisions["frames_simulated"],
+        "jumps": len(decisions["jumps"]),
         "sha256": _sha(decided),
     }
 

@@ -45,8 +45,7 @@ def _close(a, b):
 def test_event_engine_agrees_with_the_batched_run(run):
     assert any(run in f.runs for f in paper.FINDINGS)
     batched = paper.simulate(run)
-    event = paper.simulate.__wrapped__(
-        dataclasses.replace(run, engine="event"))
+    event = paper.simulate(dataclasses.replace(run, engine="event"))
     for name in SCALARS:
         assert _close(getattr(event, name), getattr(batched, name)), name
     assert event.idle_quartiles.keys() == batched.idle_quartiles.keys()
